@@ -11,8 +11,9 @@ produced by restricting a y-monic polynomial to a line).  The pipeline:
   division; the char-p leftover (all y-exponents divisible by p) is handled
   by the z = y^p substitution and recursion.
 
-Everything is exact and order-deterministic; the final record is re-verified
-by multiplication before being returned.
+Everything is exact and order-deterministic; the final record goes through
+Factorization.assemble, the toolkit's one canonicalizer, which re-verifies it
+by multiplication before it is returned.
 """
 
 import itertools
@@ -496,12 +497,12 @@ def factor_bivariate(f):
         uf = factor_univariate(UniPoly(
             ctx, [f.terms.get((0, j), ctx.zero()) for j in range(f.degree(T) + 1)]))
         parts = [(embed_t(g), m) for g, m in uf.parts]
-        return _assemble(f, parts)
+        return Factorization.assemble(f, parts)
     if f.degree(T) == 0:
         uf = factor_univariate(UniPoly(
             ctx, [f.terms.get((i, 0), ctx.zero()) for i in range(dy + 1)]))
         parts = [(embed_y(g), m) for g, m in uf.parts]
-        return _assemble(f, parts)
+        return Factorization.assemble(f, parts)
     ylist = to_ylist(f)
     cont, prim = _primitive(ylist, ctx)
     if cont.degree() >= 1:
@@ -514,30 +515,4 @@ def factor_bivariate(f):
         # primitive with deg_y == 0 would be constant; kept for safety
         for g, m in factor_univariate(prim[0]).parts:
             parts.append((embed_t(g), m))
-    return _assemble(f, parts)
-
-
-def _assemble(f, parts):
-    """Normalize scalars, merge duplicates, sort, solve the unit, verify."""
-    ctx = f.ctx
-    merged = {}
-    for h, m in parts:
-        e = max(h.terms)  # lex leading term, y most significant
-        c = h.terms[e]
-        if not c.is_one():
-            h = h.scale(c.inverse())
-        key = (tuple(sorted(h.terms)), h.sort_key())
-        if key in merged:
-            merged[key] = (merged[key][0], merged[key][1] + m)
-        else:
-            merged[key] = (h, m)
-    out = sorted(merged.values(),
-                 key=lambda hm: (sum(hm[0].degrees()), hm[0].sort_key(), hm[1]))
-    _, fc = f.leading_term()
-    unit = fc
-    for h, m in out:
-        _, hc = h.leading_term()
-        unit = unit * (hc.inverse() ** m)
-    fac = Factorization(unit, out)
-    assert fac.expand() == f
-    return fac
+    return Factorization.assemble(f, parts)

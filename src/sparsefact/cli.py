@@ -21,7 +21,7 @@ from .errors import SparsefactError, ParseError, FieldTooSmall, Reject
 from .field import make_field
 from .sparsepoly import (SparsePoly, Factorization, parse_poly, format_poly,
                          sparse_divide)
-from .polytope import (SBConfig, support_of, newton_vertices, caratheodory_check,
+from .polytope import (SBConfig, support_of, caratheodory_check,
                        hadamard_example, sparsity_cap)
 from .hitting import gen_hitting_set
 from .factorizer import FactorCfg, factor, verify_factorization
@@ -51,8 +51,6 @@ def _build_parser():
                        help="user override for the sparsity cap")
         p.add_argument("--strategy", choices=("grid", "ks"), default="grid",
                        help="hitting-set strategy (default grid)")
-        p.add_argument("--parallel", action="store_true",
-                       help="reserved; accepted for compatibility")
         p.add_argument("--json", action="store_true",
                        help="structured JSON output")
 
@@ -98,7 +96,7 @@ def _field(args):
 
 def _cfg(args):
     return FactorCfg(sb=SBConfig(C=args.sb_constant, user_cap=args.cap),
-                     strategy=args.strategy, parallel=args.parallel)
+                     strategy=args.strategy)
 
 
 def _read_poly(ctx, args):
@@ -161,12 +159,11 @@ def _cmd_polytope(args, out):
     ctx = _field(args)
     f = _read_poly(ctx, args)
     E = support_of(f)
-    verts = newton_vertices(E)
     d = max(f.max_degree(), 1)
-    report = caratheodory_check(E, d, SBConfig(C=args.sb_constant,
-                                               user_cap=args.cap))
-    cap = sparsity_cap(f.n, f.sparsity(), d,
-                       SBConfig(C=args.sb_constant, user_cap=args.cap))
+    sb = SBConfig(C=args.sb_constant, user_cap=args.cap)
+    report = caratheodory_check(E, d, sb)
+    verts = report["vertex_list"]
+    cap = sparsity_cap(f.n, f.sparsity(), d, sb)
     info = {
         "sparsity": f.sparsity(),
         "support": sorted(E),

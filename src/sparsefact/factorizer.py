@@ -21,22 +21,23 @@ Three layers:
     univariate engines, otherwise eliminates the last variable with the
     monic transform, factors the transform, maps factors back by the
     substitution y -> lc * x_n, recursively factors the leading coefficient,
-    and strips its factors with bookkeeping of net multiplicities.
+    and strips its factors with bookkeeping of net multiplicities.  Its
+    result goes through Factorization.assemble (sparsepoly), the toolkit's
+    one canonicalizer, which normalizes, sorts and re-verifies it.
 """
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import (GuessInvalid, Reject, FieldTooSmall, ZeroPolynomial,
-                     NoFactorizationFound)
+from .errors import GuessInvalid, Reject, FieldTooSmall, ZeroPolynomial
 from .field import make_field, MAX_FIELD_SIZE
 from .sparsepoly import (SparsePoly, Factorization, make_monic, sparse_divide,
-                         phi_score, restrict_to_line, normalize_scalar,
-                         lift_poly, retract_poly)
+                         phi_score, restrict_to_line, project_y, lift_poly,
+                         retract_poly)
 from .polytope import SBConfig, sparsity_cap
 from .hitting import gen_anchor_set, HittingSet
 from .unifactor import UniPoly, factor_univariate
-from .bifactor import factor_bivariate, embed_y, project_t
+from .bifactor import factor_bivariate, project_t
 
 
 @dataclass
@@ -48,7 +49,6 @@ class FactorCfg:
     # improve the best refinement score (desk-scale completeness heuristic;
     # non-improving anchors are cheap, so err on the patient side)
     anchor_patience: int = 6
-    parallel: bool = False
     # permit an internal prime-field -> extension-field lift when the base
     # field lacks enough interpolation points; results stay over the base
     # field (candidates with coefficients outside it are discarded)
@@ -154,18 +154,8 @@ def reconstruct_sparse(oracle, n, d, cap, ctx):
         raise FieldTooSmall(required=max(degs) + 1)
     axes = [list(itertools.islice(ctx.elements(), dv + 1)) for dv in degs]
     bases = [_lagrange_basis(ctx, n, i, axes[i]) for i in range(n)]
-
-    def interp(prefix, var):
-        if var == n:
-            return SparsePoly.constant(ctx, n, oracle(tuple(prefix)))
-        acc = SparsePoly.zero(ctx, n)
-        for idx, v in enumerate(axes[var]):
-            sub = interp(prefix + [v], var + 1)
-            if not sub.is_zero():
-                acc = acc + sub * bases[var][idx]
-        return acc
-
-    result = interp([], 0)
+    values = {b: oracle(b) for b in itertools.product(*axes)}
+    result = _interp_grid(ctx, n, axes, bases, values)
     if cap is not None and result.sparsity() > cap:
         raise Reject("reconstruction exceeds sparsity cap %d" % cap)
     return result
@@ -270,7 +260,9 @@ def factor_monic(f, cfg=None, _base=None):
     """Unique monic factorization of a polynomial monic in y (last index).
 
     Verified candidates only; among them the refinement score 2*sum(e)-m is
-    maximized, with a first-in-enumeration tie-break.  When _base is given
+    maximized, with a first-in-enumeration tie-break.  The winning candidate
+    is returned as reconstructed (y-monic factors, unit one, not sorted);
+    factor() canonicalizes it.  When _base is given
     the computation runs in an extension of it and only candidates whose
     coefficients retract to _base are admitted.
     """
@@ -308,7 +300,7 @@ def factor_monic(f, cfg=None, _base=None):
     # the best verified score reaches it
     score_ub = None
     for anchor in anchors:
-        fa = _project_anchor(f, anchor)
+        fa = project_y(f, anchor)
         ufac = factor_univariate(fa)
         improved = False
         cache = {}  # line factorizations, shared by all guesses at this anchor
@@ -344,9 +336,7 @@ def factor_monic(f, cfg=None, _base=None):
         stale = 0 if improved else stale + 1
         if stale >= cfg.anchor_patience:
             break
-    if best is None:  # pragma: no cover - trivial candidate always exists
-        raise NoFactorizationFound()
-    return Factorization(best.unit, best.canonical().parts)
+    return best
 
 
 def _factor_monic_lifted(f, cfg, needed):
@@ -366,24 +356,6 @@ def _factor_monic_lifted(f, cfg, needed):
         assert hr is not None
         parts.append((hr, e))
     return Factorization(ctx.one(), parts)
-
-
-def _project_anchor(f, anchor):
-    """f(y, anchor) as a UniPoly (f has y at the last index)."""
-    ctx = f.ctx
-    nx = f.n - 1
-    out = [ctx.zero()] * (f.degree(nx) + 1)
-    cache = [{0: ctx.one()} for _ in range(nx)]
-    for e, c in f.terms.items():
-        v = c
-        for i in range(nx):
-            if e[i]:
-                pc = cache[i]
-                if e[i] not in pc:
-                    pc[e[i]] = anchor[i] ** e[i]
-                v = v * pc[e[i]]
-        out[e[nx]] = out[e[nx]] + v
-    return UniPoly(ctx, out)
 
 
 def _reconstruct_candidate(f, guess, grid_axes, bases, cap, cache):
@@ -439,7 +411,9 @@ def factor(f, cfg=None):
     """Complete factorization into pairwise-coprime irreducibles.
 
     Soundness is unconditional: the returned record re-multiplies exactly
-    to f (asserted before returning)."""
+    to f.  Factorization.assemble checks this with an explicit comparison,
+    so it holds under python -O too, and raises NoFactorizationFound if
+    it fails."""
     if cfg is None:
         cfg = FactorCfg()
     if f.is_zero():
@@ -460,10 +434,7 @@ def factor(f, cfg=None):
                 g = g.insert_var(i)
             parts.append((g, m))
         return Factorization(inner.unit, parts)
-    fac = _factor_full(f, cfg)
-    out = _canonicalize(f, fac.parts)
-    assert out.expand() == f
-    return out
+    return Factorization.assemble(f, _factor_full(f, cfg).parts)
 
 
 def _factor_full(f, cfg):
@@ -520,24 +491,3 @@ def _factor_full(f, cfg):
         if alphas[j] > 0:
             parts.append((w, alphas[j]))
     return Factorization(ctx.one(), parts)
-
-
-def _canonicalize(f, parts):
-    """Scalar-normalize factors, merge duplicates, sort, solve the unit."""
-    ctx = f.ctx
-    merged = {}
-    for h, m in parts:
-        h, _ = normalize_scalar(h)
-        key = h.sort_key()
-        if key in merged:
-            merged[key] = (h, merged[key][1] + m)
-        else:
-            merged[key] = (h, m)
-    out = sorted(merged.values(),
-                 key=lambda hm: (sum(hm[0].degrees()), hm[0].sort_key(), hm[1]))
-    _, fc = f.leading_term()
-    unit = fc
-    for h, m in out:
-        _, hc = h.leading_term()
-        unit = unit * (hc.inverse() ** m)
-    return Factorization(unit, out)

@@ -71,9 +71,6 @@ def _gen_ks(ctx, n, s, d, k):
     The surviving univariate has degree < n*d*q, which fixes the number of
     t-values needed.
     """
-    # enough primes that their product exceeds any single coefficient-sum
-    # difference can kill; s^k monomials in the product, pairwise collisions
-    pairs = max(1, (s ** min(k, 4)) ** 2)  # clipped: desk-scale heuristic
     primes = []
     cand = max(n, 3)
     while len(primes) < 3:
@@ -82,8 +79,6 @@ def _gen_ks(ctx, n, s, d, k):
         cand += 1
     q_last = primes[-1]
     t_needed = min(ctx.q, n * d * q_last + 1)
-    if t_needed > ctx.q:
-        raise FieldTooSmall(required=t_needed)
     values = list(itertools.islice(ctx.elements(), t_needed))
 
     def gen():
@@ -94,7 +89,6 @@ def _gen_ks(ctx, n, s, d, k):
                     yield tuple(t ** e for e in exps)
 
     size = sum(q - 1 for q in primes) * len(values)
-    _ = pairs
     return HittingSet(ctx, n, (n, s, d, k, "ks"), gen, size)
 
 

@@ -216,7 +216,8 @@ def caratheodory_check(E, d, cfg=None, uniform_k=None):
     every point of E is l-infinity-approximated within 1/(3d) by a distinct
     k-uniform combination of the vertices.
 
-    Returns a report dict; raises BoundViolation if the inequality fails.
+    Returns a report dict, whose "vertex_list" is newton_vertices(E);
+    raises BoundViolation if the inequality fails.
     """
     pts = sorted(set(map(tuple, E)))
     if not pts:
@@ -231,6 +232,7 @@ def caratheodory_check(E, d, cfg=None, uniform_k=None):
     report = {
         "size": len(pts),
         "vertices": t,
+        "vertex_list": verts,
         "exponent": exponent,
         "bound_holds": ok,
     }

@@ -8,7 +8,7 @@ y-degree, so projecting and taking resultants commute.
 """
 
 from .errors import DegreeZero, NotMonic
-from .unifactor import UniPoly
+from .sparsepoly import project_y
 
 
 def sylvester_matrix(f, g):
@@ -59,25 +59,6 @@ def resultant_univariate(f, g):
     return _det(sylvester_matrix(f, g), f.ctx)
 
 
-def _project(f, a):
-    """Evaluate the x-variables of a (y last) multivariate polynomial."""
-    nx = f.n - 1
-    assert len(a) == nx
-    ctx = f.ctx
-    out = [ctx.zero()] * (f.degree(nx) + 1)
-    pow_cache = [{0: ctx.one()} for _ in range(nx)]
-    for e, c in f.terms.items():
-        v = c
-        for i in range(nx):
-            if e[i]:
-                cache = pow_cache[i]
-                if e[i] not in cache:
-                    cache[e[i]] = a[i] ** e[i]
-                v = v * cache[e[i]]
-        out[e[nx]] = out[e[nx]] + v
-    return UniPoly(ctx, out)
-
-
 def resultant_at_point(f, g, a):
     """Res_y(f(y, a), g(y, a)) for f, g monic in y (y at the last index).
 
@@ -86,4 +67,4 @@ def resultant_at_point(f, g, a):
     for h in (f, g):
         if not h.is_monic_in(h.n - 1):
             raise NotMonic("resultant projection requires y-monic input")
-    return resultant_univariate(_project(f, a), _project(g, a))
+    return resultant_univariate(project_y(f, a), project_y(g, a))

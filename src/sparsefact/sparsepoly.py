@@ -17,8 +17,9 @@ Variable conventions used by the factoring pipeline:
 import re
 
 from .errors import (ShapeMismatch, ZeroPolynomial, ZeroDegree, EmptyVector,
-                     Reject, ParseError, CtxMismatch)
+                     Reject, ParseError, CtxMismatch, NoFactorizationFound)
 from .field import FieldElem
+from .unifactor import UniPoly
 
 
 def _gradlex_key(exps):
@@ -323,11 +324,30 @@ class Factorization:
         self.unit = unit
         self.parts = list(parts)
 
-    def canonical(self):
-        """Sort parts deterministically (degree, then term data)."""
-        parts = sorted(self.parts,
-                       key=lambda fm: (sum(fm[0].degrees()), fm[0].sort_key(), fm[1]))
-        return Factorization(self.unit, parts)
+    @classmethod
+    def assemble(cls, f, parts):
+        """The canonical factorization of f from (factor, multiplicity) pairs
+        whose product is f up to a scalar.
+
+        Scalar-normalizes each factor, merges duplicates, sorts by (total
+        degree, sort_key, multiplicity) and solves the unit.  Raises
+        NoFactorizationFound unless the result multiplies back to f.
+        """
+        merged = {}
+        for h, m in parts:
+            h, _ = normalize_scalar(h)
+            key = h.sort_key()
+            merged[key] = (h, merged[key][1] + m if key in merged else m)
+        out = sorted(merged.values(), key=lambda hm: (
+            sum(hm[0].degrees()), hm[0].sort_key(), hm[1]))
+        _, unit = f.leading_term()
+        for h, m in out:
+            _, hc = h.leading_term()
+            unit = unit * (hc.inverse() ** m)
+        fac = cls(unit, out)
+        if fac.expand(f.ctx, f.n) != f:
+            raise NoFactorizationFound("factors do not multiply back to the input")
+        return fac
 
     def expand(self, ctx=None, n=None):
         """Multiply the factorization back out.
@@ -420,6 +440,28 @@ def restrict_to_line(f, a, b):
             else:
                 out[key] = v
     return SparsePoly(ctx, 2, out)
+
+
+def project_y(f, a):
+    """f(a, y) as a UniPoly in y, for f with y at the last index and a point
+    a for the other f.n - 1 variables."""
+    nx = f.n - 1
+    if len(a) != nx:
+        raise ShapeMismatch("point has %d coordinates, expected %d"
+                            % (len(a), nx))
+    ctx = f.ctx
+    out = [ctx.zero()] * (f.degree(nx) + 1)
+    pow_cache = [{0: ctx.one()} for _ in range(nx)]
+    for e, c in f.terms.items():
+        v = c
+        for i in range(nx):
+            if e[i]:
+                cache = pow_cache[i]
+                if e[i] not in cache:
+                    cache[e[i]] = a[i] ** e[i]
+                v = v * cache[e[i]]
+        out[e[nx]] = out[e[nx]] + v
+    return UniPoly(ctx, out)
 
 
 # -- the monic transform ------------------------------------------------------

@@ -145,7 +145,9 @@ def test_caratheodory_random_supports():
     for _ in range(25):
         E = {tuple(rng.randint(0, 2) for _ in range(4))
              for _ in range(rng.randint(1, 20))}
-        assert caratheodory_check(E, 2)["bound_holds"]
+        rep = caratheodory_check(E, 2)
+        assert rep["bound_holds"]
+        assert rep["vertex_list"] == newton_vertices(E)
 
 
 def test_caratheodory_uniform_cover_tiny():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from sparsefact.errors import DegreeZero, NotMonic
+from sparsefact.errors import DegreeZero, NotMonic, ShapeMismatch
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import SparsePoly, parse_poly
 from sparsefact.unifactor import UniPoly
@@ -104,6 +104,13 @@ def test_at_point_self_zero():
 def test_at_point_requires_monic():
     with pytest.raises(NotMonic):
         resultant_at_point(P("x1*y + 1"), P("y + 1", nvars=1), [F7.one()])
+
+
+def test_at_point_rejects_wrong_dimension():
+    # one x-variable, two coordinates: an error, not a silent truncation
+    with pytest.raises(ShapeMismatch):
+        resultant_at_point(P("y + x1"), P("y + 2", nvars=1),
+                           [F7.one(), F7.one()])
 
 
 def test_commutation_with_projection():

@@ -1,13 +1,17 @@
 """Sparse polynomial arithmetic, line restriction, the monic transform,
 sparse division, and the text grammar."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsefact.errors import (ShapeMismatch, ZeroPolynomial, ZeroDegree,
-                               Reject, EmptyVector, ParseError)
+                               Reject, EmptyVector, ParseError,
+                               NoFactorizationFound)
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
                                    format_poly, make_monic, sparse_divide,
@@ -242,6 +246,41 @@ def test_factorization_expand():
     assert fac.expand() == P("x1 + 1") * P("x1 + 1") * P("3", nvars=1)
     empty = Factorization(F7.elem(5), [])
     assert empty.expand(F7, 2) == SparsePoly.constant(F7, 2, 5)
+
+
+def test_assemble_canonicalizes():
+    # scalar multiples merge, factors sort, the unit absorbs the scalars
+    f = P("2", nvars=1) * P("x1 + 1") * P("x1 + 1") * P("x1 + 6")
+    fac = Factorization.assemble(
+        f, [(P("x1 + 6"), 1), (P("3*x1 + 3"), 1), (P("x1 + 1"), 1)])
+    assert fac.unit.serialize() == 2
+    assert fac.parts == [(P("x1 + 1"), 2), (P("x1 + 6"), 1)]
+    with pytest.raises(NoFactorizationFound):
+        Factorization.assemble(f, [(P("x1 + 1"), 3)])
+
+
+def test_assemble_check_survives_optimize_flag():
+    # python -O strips assert statements; the product check must stay
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = "\n".join([
+        "from sparsefact.errors import NoFactorizationFound",
+        "from sparsefact.field import make_field",
+        "from sparsefact.sparsepoly import Factorization, parse_poly",
+        "F7 = make_field(7)",
+        "f = parse_poly('x1^2 + 6', F7)",
+        "print(__debug__)",
+        "try:",
+        "    Factorization.assemble(f, [(parse_poly('x1 + 1', F7), 2)])",
+        "except NoFactorizationFound:",
+        "    print('raised')",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\nraised\n"
 
 
 def test_normalize_scalar():
