@@ -243,16 +243,35 @@ def _enumerate_guesses(anchor, uni_parts, k):
 # -- the monic driver ---------------------------------------------------------
 
 def _full_grid(ctx, n):
-    """Fallback anchor source: the entire F^n in graded order (small index
-    sums first), so early anchors vary every coordinate — all-axis-aligned
-    prefixes make for systematically degenerate projections."""
+    """Fallback anchor source: the entire F^n, generated lazily.  Index
+    tuples come with the fewest zero coordinates first, then by index sum,
+    then lexicographically, so early anchors vary every coordinate —
+    all-axis-aligned prefixes make for systematically degenerate
+    projections."""
     elems = list(ctx.elements())
+    top = ctx.q - 1
+
+    def tuples(r, zeros, total):
+        # the points of length r with exactly `zeros` zero indices and index
+        # sum `total`, lexicographically; callers only ask for a feasible
+        # count and sum: r - zeros <= total <= (r - zeros) * top
+        if r == 1:
+            yield (elems[total],)
+            return
+        if zeros:
+            for rest in tuples(r - 1, zeros - 1, total):
+                yield (elems[0],) + rest
+        nz = r - zeros - 1  # nonzero indices left after this one
+        if nz >= 0:
+            for v in range(max(1, total - nz * top), min(top, total - nz) + 1):
+                for rest in tuples(r - 1, zeros, total - v):
+                    yield (elems[v],) + rest
 
     def gen():
-        idxs = sorted(itertools.product(range(ctx.q), repeat=n),
-                      key=lambda t: (t.count(0), sum(t), t))
-        for pt in idxs:
-            yield tuple(elems[i] for i in pt)
+        for zeros in range(n + 1):
+            nz = n - zeros
+            for total in range(nz, nz * top + 1):
+                yield from tuples(n, zeros, total)
     return HittingSet(ctx, n, (n, None, None, None, "full"), gen, ctx.q ** n)
 
 

@@ -1,7 +1,9 @@
 """The multivariate factoring pipeline: black-box factor evaluation, sparse
 reconstruction, the monic driver, and the general driver."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +16,7 @@ from sparsefact.unifactor import UniPoly
 from sparsefact.bifactor import factor_bivariate
 from sparsefact.factorizer import (FactorCfg, Guess, factor, factor_monic,
                                    blackbox_eval, reconstruct_sparse,
-                                   verify_factorization)
+                                   verify_factorization, _full_grid)
 
 F7 = make_field(7)
 F13 = make_field(13)
@@ -210,6 +212,55 @@ def test_factor_monic_lift_disabled_raises():
     h = P("y + 3*x1^3", nvars=2)
     with pytest.raises(FieldTooSmall):
         factor_monic(g * h, FactorCfg(allow_lift=False))
+
+
+# -- fallback anchor grid -----------------------------------------------------
+
+@pytest.mark.parametrize("p,ell", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
+                                   (2, 2), (3, 2), (2, 3)])
+def test_full_grid_order(p, ell):
+    # the anchor order decides which verified factorization the driver
+    # meets first, so it is pinned to the sorted reference
+    ctx = make_field(p, ell)
+    elems = list(ctx.elements())
+    for n in range(1, 5):
+        if ctx.q ** n > 20000:
+            break
+        idxs = sorted(itertools.product(range(ctx.q), repeat=n),
+                      key=lambda t: (t.count(0), sum(t), t))
+        want = [tuple(elems[i] for i in t) for t in idxs]
+        assert list(_full_grid(ctx, n)) == want
+
+
+def test_full_grid_is_lazy():
+    # F_101^3 has ~1M points; the first anchors must not cost a table of them
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(_full_grid(make_field(101), 3), 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 20 and len(set(first)) == 20
+    assert peak < 1 << 20
+
+
+def test_factor_full_grid_fallback_memory():
+    # d >= 2 puts the certified anchor grid out of F_101's reach, so the
+    # driver scans the fallback grid over F_101^3
+    F101 = make_field(101)
+    g = parse_poly("x1*x2*x3 + x4 + 2", F101, nvars=4)
+    h = parse_poly("x1 + x2 + x3 + x4", F101, nvars=4)
+    f = g * g * h
+    tracemalloc.start()
+    try:
+        fac = factor(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fac.expand() == f
+    assert multiset(fac) == multiset(
+        Factorization(F101.one(), [(g, 2), (h, 1)]))
+    assert peak < 16 << 20
 
 
 # -- general driver -----------------------------------------------------------
