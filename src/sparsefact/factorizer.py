@@ -29,7 +29,8 @@ Three layers:
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import GuessInvalid, Reject, FieldTooSmall, ZeroPolynomial
+from .errors import (GuessInvalid, Reject, FieldTooSmall, ZeroPolynomial,
+                     NoFactorizationFound)
 from .field import make_field, MAX_FIELD_SIZE
 from .sparsepoly import (SparsePoly, Factorization, make_monic, sparse_divide,
                          phi_score, restrict_to_line, project_y, lift_poly,
@@ -372,7 +373,9 @@ def _factor_monic_lifted(f, cfg, needed):
     parts = []
     for h, e in lifted.parts:
         hr = retract_poly(h, ctx)
-        assert hr is not None
+        if hr is None:  # factor_monic admits only retractable candidates
+            raise NoFactorizationFound(
+                "lifted factor %s does not retract to %r" % (h, ctx))
         parts.append((hr, e))
     return Factorization(ctx.one(), parts)
 

@@ -1,13 +1,41 @@
 """Exact arithmetic in prime fields F_p and extensions F_{p^l}.
 
-Extension fields use a polynomial-basis representation over a fixed monic
-irreducible modulus of degree l.  The modulus is always the lexicographically
-smallest monic irreducible (smallest when its coefficient vector is read as an
-integer in base p, most significant coefficient first), so every run of the
-toolkit works in the exact same field and is bit-reproducible.
+Representation.  An element of F_{p^l} is a length-l tuple of residues mod p
+(`coeffs`), ascending in a polynomial basis over a fixed monic irreducible
+modulus of degree l; a prime field is the case l = 1.  The modulus is the
+lexicographically smallest monic irreducible (smallest when its coefficient
+vector is read as an integer in base p, most significant coefficient
+first), so every run works in the exact same field and is bit-reproducible.
+Enumeration order is residue-vector lexicographic (`index()`), and
+`serialize()` gives an int for a prime field and the residue list otherwise.
 
-Elements are immutable; an element is a length-l tuple of residues mod p.
-Enumeration order of field elements is residue-vector lexicographic.
+Tables.  Every field, prime or extension, has one element path built on
+discrete logarithms to a fixed generator g of the cyclic group F_q^*, the
+first generator in `elements()` order.  On first use a context builds:
+
+- `exp`: g^0 .. g^(q-2) as interned `FieldElem` objects, twice over, so
+  `exp[la + lb]` needs no reduction mod q-1; after them comes a run of
+  zeros;
+- `log`: coeffs tuple -> exponent, with zero mapped to `zero_log` =
+  2(q-1), which sends every product and negation of zero into that run of
+  zeros;
+- `zech`: `zech[d] = log(1 + g^d)` (Zech's logarithm, `zero_log` where
+  1 + g^d = 0), also twice over so negative and slightly too large
+  differences index it directly.
+
+Each element carries its exponent (`log`), so a product is g^(la + lb), an
+inverse g^(q-1-la), a power g^(la*e mod q-1), a sum a + b =
+g^(la + zech[lb - la]) since a + b = a(1 + b/a), and -b = g^(lb + log(-1)).
+A context is built in O(q*l) steps of x -> x*g, where x*g is the sum of two
+table entries, one for each half of x's coefficient vector.
+
+The choice of g cannot change an output: it fixes only which exponent
+names which element, and every operation maps the operands' elements to
+the one element the field arithmetic defines, which carries the same
+`coeffs`, `index()` and `serialize()` whatever g is.  Elements are
+immutable and interned per context.  The schoolbook helpers
+`_polymul_mod_p` / `_polydivmod_mod_p` only find the modulus and build the
+tables.
 """
 
 import itertools
@@ -78,7 +106,12 @@ def _is_irreducible(coeffs, p):
 
 
 class FieldCtx:
-    """A finite field F_{p^l} with a canonical irreducible modulus."""
+    """A finite field F_{p^l} with a canonical irreducible modulus.
+
+    The arithmetic tables (`exp`, `log`, `zech`, `zero_log`,
+    `minus_one_log`; see the module docstring) are built on first use."""
+
+    _TABLES = ("exp", "log", "zech", "zero_log", "minus_one_log")
 
     def __init__(self, p, ell=1):
         if not is_prime(p):
@@ -96,7 +129,7 @@ class FieldCtx:
     def _find_modulus(self):
         """Lex-smallest monic irreducible of degree ell (ascending coeffs)."""
         if self.ell == 1:
-            return (0, 1)  # z, unused for prime fields
+            return (0, 1)  # z: reducing mod z leaves a constant unchanged
         p, ell = self.p, self.ell
         for code in range(p ** ell):
             # decode with the z^(ell-1) coefficient most significant
@@ -109,6 +142,62 @@ class FieldCtx:
             if coeffs[0] != 0 and _is_irreducible(coeffs, p):
                 return tuple(coeffs)
         raise AssertionError("no irreducible modulus found")  # cannot happen
+
+    def __getattr__(self, name):
+        # only reached while a table is missing: build them all, once
+        if name not in FieldCtx._TABLES:
+            raise AttributeError(name)
+        self._build_tables()
+        return self.__dict__[name]
+
+    def _mulmod(self, a, b):
+        """Schoolbook product of two coefficient tuples, reduced."""
+        prod = _polymul_mod_p(a, b, self.p)
+        if len(prod) >= len(self.modulus):
+            _, prod = _polydivmod_mod_p(prod, self.modulus, self.p)
+        return tuple(prod) + (0,) * (self.ell - len(prod))
+
+    def _build_tables(self):
+        p, ell, q1 = self.p, self.ell, self.q - 1
+        one = (1,) + (0,) * (ell - 1)
+
+        def power(a, e):
+            r = one
+            while e:
+                if e & 1:
+                    r = self._mulmod(r, a)
+                a = self._mulmod(a, a)
+                e >>= 1
+            return r
+
+        # g generates F_q^* iff g^((q-1)/r) != 1 for every prime r | q-1
+        rs = [r for r in range(2, q1 + 1) if q1 % r == 0 and is_prime(r)]
+        g = next(c for c in itertools.product(range(p), repeat=ell)
+                 if any(c) and all(power(c, q1 // r) != one for r in rs))
+        # x*g = (low half of x)*g + (high half of x)*g, each from a table
+        h = (ell + 1) // 2
+        low = {t: self._mulmod(t + (0,) * (ell - h), g)
+               for t in itertools.product(range(p), repeat=h)}
+        high = {t: self._mulmod((0,) * h + t, g)
+                for t in itertools.product(range(p), repeat=ell - h)}
+        powers = []
+        x = one
+        for _ in range(q1):
+            powers.append(x)
+            x = tuple((u + v) % p for u, v in zip(low[x[:h]], high[x[h:]]))
+
+        zero_log = 2 * q1
+        log = {c: i for i, c in enumerate(powers)}
+        log[(0,) * ell] = zero_log
+        elems = [FieldElem(self, c, i) for i, c in enumerate(powers)]
+        zero = FieldElem(self, (0,) * ell, zero_log)
+        # indices reach 2 * zero_log (zero times zero)
+        self.exp = elems * 2 + [zero] * (2 * q1 + 1)
+        self.log = log
+        self.zech = [log[((c[0] + 1) % p,) + c[1:]] for c in powers] * 2
+        self.zero_log = zero_log
+        # -1 is the element of order 2, g^((q-1)/2); in characteristic 2 it is 1
+        self.minus_one_log = 0 if p == 2 else q1 // 2
 
     # -- element construction ------------------------------------------------
 
@@ -124,18 +213,19 @@ class FieldCtx:
             coeffs = tuple(int(v) % self.p for v in value)
             if len(coeffs) != self.ell:
                 coeffs = tuple(list(coeffs) + [0] * (self.ell - len(coeffs)))[:self.ell]
-        return FieldElem(self, coeffs)
+        return self.exp[self.log[coeffs]]
 
     def zero(self):
-        return self.elem(0)
+        return self.exp[self.zero_log]
 
     def one(self):
-        return self.elem(1)
+        return self.exp[0]
 
     def elements(self):
         """All field elements, residue-vector lexicographic order."""
+        exp, log = self.exp, self.log
         for tup in itertools.product(range(self.p), repeat=self.ell):
-            yield FieldElem(self, tup)
+            yield exp[log[tup]]
 
     def from_index(self, i):
         """The i-th element of elements() order."""
@@ -143,7 +233,7 @@ class FieldCtx:
         for _ in range(self.ell):
             digits.append(i % self.p)
             i //= self.p
-        return FieldElem(self, tuple(reversed(digits)))
+        return self.exp[self.log[tuple(reversed(digits))]]
 
     def __eq__(self, other):
         return (isinstance(other, FieldCtx)
@@ -159,13 +249,17 @@ class FieldCtx:
 
 
 class FieldElem:
-    """Immutable field element: length-l residue vector."""
+    """Immutable field element: length-l residue vector `coeffs` and its
+    discrete logarithm `log` (the context's `zero_log` for zero).  Build
+    elements through the context (`elem`, `zero`, `one`, `elements`,
+    `from_index`), which hands out the interned objects of its tables."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "coeffs", "log")
 
-    def __init__(self, ctx, coeffs):
+    def __init__(self, ctx, coeffs, log):
         self.ctx = ctx
         self.coeffs = coeffs
+        self.log = log
 
     def _check(self, other):
         if not isinstance(other, FieldElem):
@@ -177,61 +271,52 @@ class FieldElem:
         ctx = self.ctx
         if ctx is not getattr(other, "ctx", None):
             self._check(other)
-        p = ctx.p
-        if ctx.ell == 1:
-            return FieldElem(ctx, ((self.coeffs[0] + other.coeffs[0]) % p,))
-        return FieldElem(ctx, tuple((a + b) % p
-                                    for a, b in zip(self.coeffs, other.coeffs)))
+        la, lb, zl = self.log, other.log, ctx.zero_log
+        if la == zl:
+            return other
+        if lb == zl:
+            return self
+        return ctx.exp[la + ctx.zech[lb - la]]
 
     def __sub__(self, other):
         ctx = self.ctx
         if ctx is not getattr(other, "ctx", None):
             self._check(other)
-        p = ctx.p
-        if ctx.ell == 1:
-            return FieldElem(ctx, ((self.coeffs[0] - other.coeffs[0]) % p,))
-        return FieldElem(ctx, tuple((a - b) % p
-                                    for a, b in zip(self.coeffs, other.coeffs)))
+        la, lb, zl = self.log, other.log, ctx.zero_log
+        if lb == zl:
+            return self
+        lb += ctx.minus_one_log
+        if la == zl:
+            return ctx.exp[lb]
+        return ctx.exp[la + ctx.zech[lb - la]]
 
     def __neg__(self):
-        p = self.ctx.p
-        return FieldElem(self.ctx, tuple((-a) % p for a in self.coeffs))
+        ctx = self.ctx
+        return ctx.exp[self.log + ctx.minus_one_log]
 
     def __mul__(self, other):
         ctx = self.ctx
         if ctx is not getattr(other, "ctx", None):
             self._check(other)
-        if ctx.ell == 1:
-            return FieldElem(ctx, ((self.coeffs[0] * other.coeffs[0]) % ctx.p,))
-        prod = _polymul_mod_p(self.coeffs, other.coeffs, ctx.p)
-        if len(prod) >= len(ctx.modulus):
-            _, prod = _polydivmod_mod_p(prod, list(ctx.modulus), ctx.p)
-        prod = list(prod) + [0] * (ctx.ell - len(prod))
-        return FieldElem(ctx, tuple(prod[:ctx.ell]))
+        return ctx.exp[self.log + other.log]
 
     def inverse(self):
-        if self.is_zero():
-            raise DivByZero("zero has no inverse")
         ctx = self.ctx
-        if ctx.ell == 1:
-            return FieldElem(ctx, (pow(self.coeffs[0], ctx.p - 2, ctx.p),))
-        return self ** (ctx.q - 2)
+        if self.log == ctx.zero_log:
+            raise DivByZero("zero has no inverse")
+        return ctx.exp[ctx.q - 1 - self.log]
 
     def __truediv__(self, other):
         self._check(other)
         return self * other.inverse()
 
     def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        ctx = self.ctx
+        if self.log == ctx.zero_log:
+            if e < 0:
+                raise DivByZero("zero has no inverse")
+            return self if e else ctx.one()
+        return ctx.exp[self.log * e % (ctx.q - 1)]
 
     def pth_root(self):
         """Inverse Frobenius: the unique b with b^p = self."""
@@ -239,10 +324,10 @@ class FieldElem:
         return self ** (self.ctx.p ** (self.ctx.ell - 1))
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return self.log == self.ctx.zero_log
 
     def is_one(self):
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.log == 0
 
     def index(self):
         """Position in the canonical enumeration order."""

@@ -532,10 +532,15 @@ def sparse_divide(f, g, cap=None):
     return quotient
 
 
+def _check_subfield(base, ext):
+    if base.ell != 1 or base.p != ext.p:
+        raise CtxMismatch("%r is not the prime subfield of %r" % (base, ext))
+
+
 def lift_poly(f, ext):
     """Embed a prime-field polynomial into an extension of the same
     characteristic (coefficients become constant vectors)."""
-    assert f.ctx.ell == 1 and ext.p == f.ctx.p
+    _check_subfield(f.ctx, ext)
     pad = (0,) * (ext.ell - 1)
     return SparsePoly(ext, f.n, {e: ext.elem((c.coeffs[0],) + pad)
                                  for e, c in f.terms.items()})
@@ -543,7 +548,7 @@ def lift_poly(f, ext):
 
 def retract_poly(f, base):
     """Inverse of lift_poly; None if any coefficient leaves the subfield."""
-    assert base.ell == 1 and base.p == f.ctx.p
+    _check_subfield(base, f.ctx)
     out = {}
     for e, c in f.terms.items():
         if any(v != 0 for v in c.coeffs[1:]):

@@ -4,6 +4,7 @@ byte-for-byte determinism."""
 import io
 import json
 
+from sparsefact import factorizer
 from sparsefact.cli import run
 
 
@@ -46,6 +47,38 @@ def test_factor_other_prime():
     doc = json.loads(text)
     assert doc["field"]["p"] == 5
     assert sum(f["multiplicity"] for f in doc["factors"]) == 5
+
+
+# A product of test_01 blocks over F_3 whose monic driver needs more
+# interpolation points than F_3 has, so it runs in F_3^2; the expected bytes
+# were produced by the polynomial-basis arithmetic that preceded the
+# log/Zech tables.
+LIFTED_F3 = ("2*x1^3*x2^2*x3^3 + x1^3*x2^2*x3^2 + 2*x1^3*x2*x3^3"
+             " + x1^3*x2*x3^2 + x1^2*x2*x3^3 + 2*x1^2*x2^2*x3"
+             " + 2*x1^2*x2*x3^2 + x1^2*x3^3 + 2*x1^2*x2*x3 + 2*x1^2*x3^2"
+             " + x1*x2^2*x3 + x1*x2*x3^2 + x1*x2*x3 + x1*x3^2")
+LIFTED_F3_JSON = (
+    '{"factors": [{"multiplicity": 1, "poly": "x3"}, '
+    '{"multiplicity": 1, "poly": "x2 + 1"}, '
+    '{"multiplicity": 1, "poly": "x1"}, '
+    '{"multiplicity": 1, "poly": "x1*x3 + 2*x1 + 1"}, '
+    '{"multiplicity": 1, "poly": "x1*x2*x3 + 2*x2 + 2*x3"}], '
+    '"field": {"ext": 1, "p": 3}, "unit": 2}\n')
+
+
+def test_factor_lifted_golden(monkeypatch):
+    lifts = []
+    lift_poly = factorizer.lift_poly
+
+    def recording_lift(f, ext):
+        lifts.append((ext.p, ext.ell))
+        return lift_poly(f, ext)
+
+    monkeypatch.setattr(factorizer, "lift_poly", recording_lift)
+    status, text = invoke(["factor", "--json", "--prime", "3", LIFTED_F3])
+    assert status == 0
+    assert (3, 2) in lifts
+    assert text == LIFTED_F3_JSON
 
 
 def test_factor_missing_poly():

@@ -7,8 +7,9 @@ import tracemalloc
 
 import pytest
 
+from sparsefact import factorizer
 from sparsefact.errors import (GuessInvalid, Reject, FieldTooSmall,
-                               ZeroPolynomial)
+                               ZeroPolynomial, NoFactorizationFound)
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
                                    normalize_scalar)
@@ -205,6 +206,21 @@ def test_factor_monic_lift_path():
     fac = factor_monic(f)
     assert verify_factorization(f, fac)
     assert multiset(fac) == multiset(Factorization(F7.one(), [(g, 1), (h, 1)]))
+
+
+def test_factor_monic_lift_rejects_unretractable_factor(monkeypatch):
+    # the lifted driver must hand back base-field factors; one that does not
+    # retract is an internal fault, reported by an exception that survives -O
+    g = P("y + x1^4*x2")
+    h = P("y + 3*x1^3", nvars=2)
+
+    def unretractable(f, cfg, _base):
+        z = f.ctx.elem((0, 1))
+        return Factorization(f.ctx.one(), [(f.scale(z), 1)])
+
+    monkeypatch.setattr(factorizer, "factor_monic", unretractable)
+    with pytest.raises(NoFactorizationFound):
+        factor_monic(g * h)
 
 
 def test_factor_monic_lift_disabled_raises():

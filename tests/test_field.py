@@ -1,11 +1,13 @@
 """Finite-field contexts and element arithmetic."""
 
 import itertools
+import random
 
 import pytest
 
 from sparsefact.errors import NotPrime, DivByZero, CtxMismatch
-from sparsefact.field import make_field, FieldCtx, FieldElem, MAX_FIELD_SIZE
+from sparsefact.field import (make_field, FieldCtx, FieldElem, MAX_FIELD_SIZE,
+                              is_prime, _polymul_mod_p, _polydivmod_mod_p)
 
 
 def test_prime_field_context():
@@ -128,3 +130,74 @@ def test_serialization_forms():
 def test_make_field_is_cached():
     assert make_field(7) is make_field(7)
     assert make_field(2, 3) is make_field(2, 3)
+
+
+# -- log/Zech tables against schoolbook polynomial arithmetic -----------------
+
+def _ref_mul(ctx, a, b):
+    prod = _polymul_mod_p(a, b, ctx.p)
+    if len(prod) >= len(ctx.modulus):
+        _, prod = _polydivmod_mod_p(prod, list(ctx.modulus), ctx.p)
+    return tuple(prod) + (0,) * (ctx.ell - len(prod))
+
+
+def _ref_pow(ctx, a, e):
+    result = (1,) + (0,) * (ctx.ell - 1)
+    while e:
+        if e & 1:
+            result = _ref_mul(ctx, result, a)
+        a = _ref_mul(ctx, a, a)
+        e >>= 1
+    return result
+
+
+SMALL_FIELDS = ([(p, 1) for p in range(2, 62) if is_prime(p)]
+                + [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
+                   (5, 2), (7, 2)])
+
+
+@pytest.mark.parametrize("p,ell", SMALL_FIELDS)
+def test_tables_match_schoolbook(p, ell):
+    ctx = make_field(p, ell)
+    q = ctx.q
+    els = list(ctx.elements())
+    one = ctx.one().coeffs
+    for a in els:
+        A = a.coeffs
+        assert ctx.elem(A) is a and ctx.exp[a.log] is a
+        assert (-a).coeffs == tuple((-x) % p for x in A)
+        assert _ref_pow(ctx, a.pth_root().coeffs, p) == A
+        for e in (0, 1, 2, 3, p, q - 2, q - 1, q, 2 * q + 1):
+            assert (a ** e).coeffs == _ref_pow(ctx, A, e)
+        if a.is_zero():
+            assert (a ** 0).coeffs == one  # 0^0 = 1
+            with pytest.raises(DivByZero):
+                a.inverse()
+            with pytest.raises(DivByZero):
+                a ** -1
+        else:
+            inv = a.inverse().coeffs
+            assert _ref_mul(ctx, A, inv) == one
+            for e in (1, 2, 3, q):
+                assert (a ** -e).coeffs == _ref_pow(ctx, inv, e)
+        for b in els:
+            B = b.coeffs
+            assert (a * b).coeffs == _ref_mul(ctx, A, B)
+            assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(A, B))
+            assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(A, B))
+            if not b.is_zero():
+                assert _ref_mul(ctx, (a / b).coeffs, B) == A
+
+
+@pytest.mark.parametrize("p,ell", [(2, 16), (65521, 1)])
+def test_largest_fields(p, ell):
+    ctx = make_field(p, ell)
+    assert ctx.q == p ** ell
+    one = ctx.one()
+    rng = random.Random(p ** ell)
+    els = [ctx.from_index(rng.randrange(ctx.q)) for _ in range(200)]
+    for a, b in zip(els, els[1:] + els[:1]):
+        if not a.is_zero():
+            assert a * a.inverse() == one
+        assert (a + b) - b == a
+        assert (a * b).coeffs == _ref_mul(ctx, a.coeffs, b.coeffs)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparsefact.errors import (ShapeMismatch, ZeroPolynomial, ZeroDegree,
                                Reject, EmptyVector, ParseError,
-                               NoFactorizationFound)
+                               NoFactorizationFound, CtxMismatch)
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
                                    format_poly, make_monic, sparse_divide,
@@ -259,28 +259,33 @@ def test_assemble_canonicalizes():
         Factorization.assemble(f, [(P("x1 + 1"), 3)])
 
 
-def test_assemble_check_survives_optimize_flag():
-    # python -O strips assert statements; the product check must stay
+def _run_optimized(lines):
+    """Standard output of `lines` run by `python -O`, which strips assert
+    statements (it prints __debug__ first)."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
-    code = "\n".join([
-        "from sparsefact.errors import NoFactorizationFound",
-        "from sparsefact.field import make_field",
-        "from sparsefact.sparsepoly import Factorization, parse_poly",
-        "F7 = make_field(7)",
-        "f = parse_poly('x1^2 + 6', F7)",
-        "print(__debug__)",
-        "try:",
-        "    Factorization.assemble(f, [(parse_poly('x1 + 1', F7), 2)])",
-        "except NoFactorizationFound:",
-        "    print('raised')",
-    ])
+    code = "\n".join(["print(__debug__)"] + lines)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "False\nraised\n"
+    return res.stdout
+
+
+def test_assemble_check_survives_optimize_flag():
+    # the product check must stay under -O
+    assert _run_optimized([
+        "from sparsefact.errors import NoFactorizationFound",
+        "from sparsefact.field import make_field",
+        "from sparsefact.sparsepoly import Factorization, parse_poly",
+        "F7 = make_field(7)",
+        "f = parse_poly('x1^2 + 6', F7)",
+        "try:",
+        "    Factorization.assemble(f, [(parse_poly('x1 + 1', F7), 2)])",
+        "except NoFactorizationFound:",
+        "    print('raised')",
+    ]) == "False\nraised\n"
 
 
 def test_normalize_scalar():
@@ -298,6 +303,28 @@ def test_lift_and_retract():
     assert lf.ctx is ext and retract_poly(lf, F7) == f
     bad = SparsePoly(ext, 1, {(1,): ext.elem((0, 1))})
     assert retract_poly(bad, F7) is None
+    with pytest.raises(CtxMismatch):
+        lift_poly(lf, make_field(7, 3))  # already over an extension
+    with pytest.raises(CtxMismatch):
+        lift_poly(f, make_field(5, 2))
+    with pytest.raises(CtxMismatch):
+        retract_poly(lf, F5)
+    with pytest.raises(CtxMismatch):
+        retract_poly(lf, ext)
+
+
+def test_lift_checks_survive_optimize_flag():
+    # the subfield check must stay under -O
+    assert _run_optimized([
+        "from sparsefact.errors import CtxMismatch",
+        "from sparsefact.field import make_field",
+        "from sparsefact.sparsepoly import parse_poly, lift_poly",
+        "f = parse_poly('x1 + [0, 1]', make_field(7, 2))",
+        "try:",
+        "    lift_poly(f, make_field(7, 3))",
+        "except CtxMismatch:",
+        "    print('raised')",
+    ]) == "False\nraised\n"
 
 
 # -- text grammar -------------------------------------------------------------
