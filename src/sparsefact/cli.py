@@ -49,8 +49,6 @@ def _build_parser():
                        help="constant C of the sparsity cap (default 5)")
         p.add_argument("--cap", type=int, default=None,
                        help="user override for the sparsity cap")
-        p.add_argument("--strategy", choices=("grid", "ks"), default="grid",
-                       help="hitting-set strategy (default grid)")
         p.add_argument("--json", action="store_true",
                        help="structured JSON output")
 
@@ -79,6 +77,8 @@ def _build_parser():
     ph.add_argument("--k", type=int, required=True, help="product arity")
     ph.add_argument("--limit", type=int, default=None,
                     help="print at most this many points")
+    ph.add_argument("--strategy", choices=("grid", "ks"), default="grid",
+                    help="hitting-set strategy (default grid)")
 
     pe = sub.add_parser("examples", help="sparsity demonstrations")
     common(pe)
@@ -95,8 +95,7 @@ def _field(args):
 
 
 def _cfg(args):
-    return FactorCfg(sb=SBConfig(C=args.sb_constant, user_cap=args.cap),
-                     strategy=args.strategy)
+    return FactorCfg(sb=SBConfig(C=args.sb_constant, user_cap=args.cap))
 
 
 def _read_poly(ctx, args):

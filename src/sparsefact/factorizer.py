@@ -10,12 +10,13 @@ Three layers:
     pieces divides its t=0 projection.  Inconsistencies raise GuessInvalid,
     which simply discards the guess.
 
-  * factor_monic — enumerates anchors (in hitting-set order) and guesses,
-    reconstructs each part coefficient-wise by dense tensor-grid
-    interpolation, verifies candidates by explicit multiplication, and keeps
-    the verified candidate with maximal refinement score 2*sum(e)-m
-    (first-in-enumeration tie-break).  Soundness is unconditional: only
-    re-multiplication-verified factorizations are ever returned.
+  * factor_monic — scans anchors over all of F^nx, nonzero coordinates
+    first (_full_grid), enumerates guesses at each, reconstructs each part
+    coefficient-wise by dense tensor-grid interpolation, verifies
+    candidates by explicit multiplication, and keeps the verified candidate
+    with maximal refinement score 2*sum(e)-m (first-in-enumeration
+    tie-break).  Soundness is unconditional: only re-multiplication-verified
+    factorizations are ever returned.
 
   * factor — the general driver: delegates n <= 2 to the bivariate /
     univariate engines, otherwise eliminates the last variable with the
@@ -36,7 +37,6 @@ from .sparsepoly import (SparsePoly, Factorization, make_monic, sparse_divide,
                          phi_score, restrict_to_line, project_y, lift_poly,
                          retract_poly)
 from .polytope import SBConfig, sparsity_cap
-from .hitting import gen_anchor_set, HittingSet
 from .unifactor import UniPoly, factor_univariate
 from .bifactor import factor_bivariate, project_t
 
@@ -45,7 +45,6 @@ from .bifactor import factor_bivariate, project_t
 class FactorCfg:
     """Knobs of the factoring drivers."""
     sb: SBConfig = dataclass_field(default_factory=SBConfig)
-    strategy: str = "grid"
     # stop scanning anchors after this many consecutive ones that fail to
     # improve the best refinement score (desk-scale completeness heuristic;
     # non-improving anchors are cheap, so err on the patient side)
@@ -244,7 +243,7 @@ def _enumerate_guesses(anchor, uni_parts, k):
 # -- the monic driver ---------------------------------------------------------
 
 def _full_grid(ctx, n):
-    """Fallback anchor source: the entire F^n, generated lazily.  Index
+    """The monic driver's anchors: the entire F^n, generated lazily.  Index
     tuples come with the fewest zero coordinates first, then by index sum,
     then lexicographically, so early anchors vary every coordinate —
     all-axis-aligned prefixes make for systematically degenerate
@@ -268,12 +267,10 @@ def _full_grid(ctx, n):
                 for rest in tuples(r - 1, zeros, total - v):
                     yield (elems[v],) + rest
 
-    def gen():
-        for zeros in range(n + 1):
-            nz = n - zeros
-            for total in range(nz, nz * top + 1):
-                yield from tuples(n, zeros, total)
-    return HittingSet(ctx, n, (n, None, None, None, "full"), gen, ctx.q ** n)
+    for zeros in range(n + 1):
+        nz = n - zeros
+        for total in range(nz, nz * top + 1):
+            yield from tuples(n, zeros, total)
 
 
 def factor_monic(f, cfg=None, _base=None):
@@ -302,12 +299,6 @@ def factor_monic(f, cfg=None, _base=None):
         if cfg.allow_lift and ctx.ell == 1 and _base is None:
             return _factor_monic_lifted(f, cfg, needed)
         raise FieldTooSmall(required=needed)
-    try:
-        anchors = gen_anchor_set(ctx, nx, s, d, cfg.sb, strategy=cfg.strategy)
-    except FieldTooSmall:
-        # the certified anchor grid does not fit in this field; fall back to
-        # scanning the whole field (sound because results are verified)
-        anchors = _full_grid(ctx, nx)
     grid_axes = [list(itertools.islice(ctx.elements(), dv + 1)) for dv in degs]
 
     bases = [_lagrange_basis(ctx, f.n, i, grid_axes[i]) for i in range(nx)]
@@ -319,7 +310,7 @@ def factor_monic(f, cfg=None, _base=None):
     # complete factorization's score from above, certifying completeness once
     # the best verified score reaches it
     score_ub = None
-    for anchor in anchors:
+    for anchor in _full_grid(ctx, nx):
         fa = project_y(f, anchor)
         ufac = factor_univariate(fa)
         improved = False
@@ -509,7 +500,9 @@ def _factor_full(f, cfg):
                 alphas[j] += e
         parts.append((h, e))
     for j, (w, b) in enumerate(wparts):
-        assert alphas[j] >= 0
+        if alphas[j] < 0:  # the factorization of fk was incomplete
+            raise NoFactorizationFound(
+                "leading-coefficient factor %s stripped too few times" % (w,))
         if alphas[j] > 0:
             parts.append((w, alphas[j]))
     return Factorization(ctx.one(), parts)

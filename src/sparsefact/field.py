@@ -40,7 +40,7 @@ tables.
 
 import itertools
 
-from .errors import NotPrime, CtxMismatch, DivByZero
+from .errors import NotPrime, CtxMismatch, DivByZero, ShapeMismatch
 
 # Exhaustive routines downstream (root searches, hitting grids) must stay fast.
 MAX_FIELD_SIZE = 1 << 16
@@ -202,7 +202,7 @@ class FieldCtx:
     # -- element construction ------------------------------------------------
 
     def elem(self, value):
-        """Build an element from an int (prime subfield) or coefficient seq."""
+        """Element from an int (prime subfield) or up to ell coefficients."""
         if isinstance(value, FieldElem):
             if value.ctx != self:
                 raise CtxMismatch("element from a different field")
@@ -211,8 +211,9 @@ class FieldCtx:
             coeffs = (value % self.p,) + (0,) * (self.ell - 1)
         else:
             coeffs = tuple(int(v) % self.p for v in value)
-            if len(coeffs) != self.ell:
-                coeffs = tuple(list(coeffs) + [0] * (self.ell - len(coeffs)))[:self.ell]
+            if len(coeffs) > self.ell:
+                raise ShapeMismatch("too many coefficients for %r" % self)
+            coeffs += (0,) * (self.ell - len(coeffs))
         return self.exp[self.log[coeffs]]
 
     def zero(self):

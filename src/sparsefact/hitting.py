@@ -4,12 +4,12 @@ The default (grid) strategy emits the full tensor grid {a_0..a_D}^n with
 D = k*d over the first D+1 field elements: a nonzero product of k
 polynomials of individual degree <= d has individual degree <= D, and a
 nonzero polynomial of individual degree <= D cannot vanish on a full
-(D+1)-point-per-axis grid.  Points are produced in lexicographic order and
-consumers scan them in order, so everything downstream is reproducible.
+(D+1)-point-per-axis grid.  Points come in lexicographic order, so every
+dump is reproducible.
 
 The ks strategy trades the exponential grid for exponent-folding
 substitutions x_i -> t^(c^i mod q); it is a heuristic generator intended
-for many variables and is not relied on by the verification-gated drivers.
+for many variables.  The factoring drivers use neither (library API only).
 """
 
 import itertools
@@ -99,7 +99,7 @@ def gen_anchor_set(ctx, n, s, d, cfg=None, strategy="grid"):
 
     Each pairwise resultant is a (2d*SB(n,s,d))^(2d)-sparse polynomial of
     individual degree <= 2d^2, and at most d^2 of them are multiplied, which
-    instantiates the generic hitting-set parameters.
+    instantiates the generic hitting-set parameters.  No driver uses it.
     """
     sb = sparsity_cap(n, s, d, cfg)
     return gen_hitting_set(ctx, n, (2 * d * sb) ** (2 * d), 2 * d * d, d * d,

@@ -666,7 +666,10 @@ def parse_poly(text, ctx, nvars=None):
                 e[n - 1] = exp
             else:
                 e[name - 1] = exp
-        c = ctx.elem(coeff)
+        try:
+            c = ctx.elem(coeff)
+        except ShapeMismatch as err:
+            raise ParseError(str(err)) from None
         poly = poly + SparsePoly(ctx, n, {tuple(e): c} if not c.is_zero() else {})
     return poly
 

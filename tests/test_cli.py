@@ -91,6 +91,20 @@ def test_factor_parse_error():
     assert status == 1 and "error" in text
 
 
+def test_factor_rejects_strategy_flag():
+    # the factoring drivers read no hitting-set strategy; only hitset does
+    status, _ = invoke(["factor", "--strategy", "ks", "x1*x2 + x2"])
+    assert status == 1
+    status, _ = invoke(["factor", "--strategy", "grid", "x1*x2 + x2"])
+    assert status == 1
+
+
+def test_factor_overlong_coefficient_exit_1():
+    # an element of F_7 takes one residue, so [3, 4] is malformed
+    status, text = invoke(["factor", "--json", "[1, 2]*x1 + [3, 4]"])
+    assert status == 1 and "error" in text
+
+
 def test_factor_composite_prime():
     status, _ = invoke(["factor", "--prime", "6", "x1"])
     assert status == 1
@@ -161,6 +175,21 @@ def test_hitset_limit_and_json():
     assert status == 0
     doc = json.loads(text)
     assert doc["size"] == 9 and doc["points"] == [[0, 0], [0, 1], [0, 2]]
+
+
+def test_hitset_strategy_ks():
+    # the ks construction, pinned to its bytes; --strategy is hitset's flag
+    status, text = invoke(["hitset", "--n", "2", "--s", "2", "--d", "1",
+                           "--k", "1", "--strategy", "ks", "--limit", "10"])
+    assert status == 0
+    assert text == ("size: 84\n0 0\n1 1\n2 2\n3 3\n4 4\n5 5\n6 6\n"
+                    "0 0\n1 1\n2 4\n")
+    status, text = invoke(["hitset", "--prime", "5", "--n", "2", "--s", "2",
+                           "--d", "1", "--k", "1", "--strategy", "ks",
+                           "--json", "--limit", "8"])
+    assert status == 0
+    assert text == ('{"size": 60, "points": [[0, 0], [1, 1], [2, 2], [3, 3], '
+                    '[4, 4], [0, 0], [1, 1], [2, 4]]}\n')
 
 
 def test_hitset_field_too_small_exit_2():

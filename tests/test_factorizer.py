@@ -230,7 +230,7 @@ def test_factor_monic_lift_disabled_raises():
         factor_monic(g * h, FactorCfg(allow_lift=False))
 
 
-# -- fallback anchor grid -----------------------------------------------------
+# -- anchor grid --------------------------------------------------------------
 
 @pytest.mark.parametrize("p,ell", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
                                    (2, 2), (3, 2), (2, 3)])
@@ -261,8 +261,7 @@ def test_full_grid_is_lazy():
 
 
 def test_factor_full_grid_fallback_memory():
-    # d >= 2 puts the certified anchor grid out of F_101's reach, so the
-    # driver scans the fallback grid over F_101^3
+    # the driver scans its anchors over F_101^3, a grid of ~1M points
     F101 = make_field(101)
     g = parse_poly("x1*x2*x3 + x4 + 2", F101, nvars=4)
     h = parse_poly("x1 + x2 + x3 + x4", F101, nvars=4)
@@ -279,7 +278,68 @@ def test_factor_full_grid_fallback_memory():
     assert peak < 16 << 20
 
 
+# Products over F_101 that a lexicographic scan of the certified anchor grid
+# (gen_anchor_set) returned with a reducible factor reported as irreducible:
+# the anchors it meets first have zero coordinates, and it gave up after
+# anchor_patience of them without a better candidate.
+F101_MISSED = [
+    (5, "38*x2*x3*x4*x5 + 66*x1*x2*x5 + 72*x1*x3*x5 + 1",
+     "23*x1*x2*x3*x4*x5 + 37*x2*x3*x4*x5 + 1"),
+    (4, "98*x1*x2*x3*x4 + 52*x1", "49*x1*x3*x4 + 5"),
+    (4, "42*x2*x3*x4 + 24*x1", "62*x1*x2*x3*x4 + 79*x3"),
+    (3, "17*x1*x2*x3 + 65*x2 + 42", "62*x1*x2*x3 + 96*x2"),
+]
+
+
+@pytest.mark.parametrize("n,a,b", F101_MISSED,
+                         ids=["la_lb", "r1", "r2", "r3"])
+def test_factor_f101_products_complete(n, a, b):
+    F101 = make_field(101)
+    ga = parse_poly(a, F101, nvars=n)
+    gb = parse_poly(b, F101, nvars=n)
+    fac = factor(ga * gb)
+    assert fac.expand() == ga * gb
+    fa, fb = factor(ga), factor(gb)
+    assert multiset(fac) == multiset(
+        Factorization(F101.one(), fa.parts + fb.parts))
+
+
 # -- general driver -----------------------------------------------------------
+
+# Leading coefficient x1^2*x2^2 in x3 (k = 2), so the monic transform puts
+# one extra copy of it into the monic factors, which the general driver
+# strips again; an incomplete factorization of it cannot be stripped.
+STRIP_INPUT = "x1^2*x2^2*x3^2 + 3*x1*x2*x3 + 2"
+STRIP_LINES = [
+    "from sparsefact import factorizer",
+    "from sparsefact.errors import NoFactorizationFound",
+    "from sparsefact.field import make_field",
+    "from sparsefact.sparsepoly import Factorization, parse_poly",
+    "f = parse_poly(%r, make_field(7))" % STRIP_INPUT,
+    # the leading coefficient reported as one irreducible factor
+    "factorizer.factor = lambda g, cfg=None: "
+    "Factorization(g.ctx.one(), [(g, 1)])",
+    "try:",
+    "    factorizer._factor_full(f, factorizer.FactorCfg())",
+    "except NoFactorizationFound:",
+    "    print('raised')",
+]
+
+
+def test_strip_incomplete_leading_coefficient_raises(monkeypatch):
+    f = P(STRIP_INPUT)
+    assert multiset(factor(f)) == multiset(Factorization(F7.one(), [
+        (P("x1*x2*x3 + 1"), 1), (P("x1*x2*x3 + 2"), 1)]))
+    monkeypatch.setattr(factorizer, "factor",
+                        lambda g, cfg=None: Factorization(g.ctx.one(),
+                                                          [(g, 1)]))
+    with pytest.raises(NoFactorizationFound):
+        factorizer._factor_full(f, FactorCfg())
+
+
+def test_strip_check_survives_optimize_flag(run_optimized):
+    assert run_optimized(STRIP_LINES) == "False\nraised\n"
+
 
 def test_factor_hand_trace_x1x2_plus_x2():
     f = P("x1*x2 + x2")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from sparsefact.errors import NotPrime, DivByZero, CtxMismatch
+from sparsefact.errors import NotPrime, DivByZero, CtxMismatch, ShapeMismatch
 from sparsefact.field import (make_field, FieldCtx, FieldElem, MAX_FIELD_SIZE,
                               is_prime, _polymul_mod_p, _polydivmod_mod_p)
 
@@ -111,6 +111,17 @@ def test_pth_root_inverts_frobenius():
         ctx = make_field(p, ell)
         for a in ctx.elements():
             assert a.pth_root() ** p == a
+
+
+def test_elem_coefficient_sequence_length():
+    # shorter sequences are zero-padded; longer ones are an error
+    ctx = make_field(7, 2)
+    assert ctx.elem([3]) == ctx.elem((3, 0)) and ctx.elem(()) == ctx.zero()
+    assert ctx.elem([1, 9]).coeffs == (1, 2)
+    with pytest.raises(ShapeMismatch):
+        ctx.elem((1, 2, 3))
+    with pytest.raises(ShapeMismatch):
+        make_field(7).elem([1, 2])
 
 
 def test_pow_and_division():

@@ -1,10 +1,7 @@
 """Sparse polynomial arithmetic, line restriction, the monic transform,
 sparse division, and the text grammar."""
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,23 +256,9 @@ def test_assemble_canonicalizes():
         Factorization.assemble(f, [(P("x1 + 1"), 3)])
 
 
-def _run_optimized(lines):
-    """Standard output of `lines` run by `python -O`, which strips assert
-    statements (it prints __debug__ first)."""
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    code = "\n".join(["print(__debug__)"] + lines)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    return res.stdout
-
-
-def test_assemble_check_survives_optimize_flag():
+def test_assemble_check_survives_optimize_flag(run_optimized):
     # the product check must stay under -O
-    assert _run_optimized([
+    assert run_optimized([
         "from sparsefact.errors import NoFactorizationFound",
         "from sparsefact.field import make_field",
         "from sparsefact.sparsepoly import Factorization, parse_poly",
@@ -313,9 +296,9 @@ def test_lift_and_retract():
         retract_poly(lf, ext)
 
 
-def test_lift_checks_survive_optimize_flag():
+def test_lift_checks_survive_optimize_flag(run_optimized):
     # the subfield check must stay under -O
-    assert _run_optimized([
+    assert run_optimized([
         "from sparsefact.errors import CtxMismatch",
         "from sparsefact.field import make_field",
         "from sparsefact.sparsepoly import parse_poly, lift_poly",
@@ -346,6 +329,16 @@ def test_parse_errors():
     for bad in ["", "x0", "x1 +", "+ x1", "x1 ^", "x1 +* 2", "x1 $", "2 3 x1"]:
         with pytest.raises(ParseError):
             P(bad)
+
+
+def test_parse_rejects_overlong_coefficient():
+    # a coefficient takes at most ell residues; fewer are zero-padded
+    with pytest.raises(ParseError):
+        parse_poly("[1, 2, 3]*x1 + 1", make_field(7, 2))
+    with pytest.raises(ParseError):
+        P("[1, 2]*x1 + [3, 4]")
+    ctx = make_field(7, 2)
+    assert parse_poly("[3]*x1 + []", ctx).terms == {(1,): ctx.elem((3, 0))}
 
 
 def test_parse_merges_repeated_monomials():
