@@ -18,11 +18,12 @@ by multiplication before it is returned.
 
 import itertools
 
-from .errors import NotCoprime, FieldTooSmall, Reject, ZeroPolynomial
+from .errors import (NotCoprime, FieldTooSmall, Reject, ZeroPolynomial,
+                     NoFactorizationFound)
 from .field import make_field, MAX_FIELD_SIZE
 from .sparsepoly import (SparsePoly, Factorization, sparse_divide,
                          lift_poly, retract_poly)
-from .unifactor import UniPoly, factor_univariate
+from .unifactor import UniPoly, factor_univariate, addmul_logs
 
 Y, T = 0, 1
 
@@ -32,22 +33,24 @@ Y, T = 0, 1
 def to_ylist(f):
     """SparsePoly in (y,t) -> list of UniPoly-in-t coefficients by y-degree."""
     ctx = f.ctx
+    zl = ctx.zero_log
     dy = max(f.degree(Y), 0)
     rows = [[] for _ in range(dy + 1)]
     for (i, j), c in f.terms.items():
         row = rows[i]
-        while len(row) <= j:
-            row.append(ctx.zero())
-        row[j] = c
-    return [UniPoly(ctx, row) for row in rows]
+        if len(row) <= j:
+            row.extend([zl] * (j + 1 - len(row)))
+        row[j] = c.log
+    return [UniPoly.from_logs(ctx, row) for row in rows]
 
 
 def from_ylist(ctx, ylist):
+    exp, zl = ctx.exp, ctx.zero_log
     terms = {}
     for i, u in enumerate(ylist):
-        for j, c in enumerate(u.coeffs):
-            if not c.is_zero():
-                terms[(i, j)] = c
+        for j, v in enumerate(u.logs):
+            if v != zl:
+                terms[(i, j)] = exp[v]
     return SparsePoly(ctx, 2, terms)
 
 
@@ -79,33 +82,23 @@ def _ylist_deg_t(ylist):
     return max((u.degree() for u in ylist if not u.is_zero()), default=-1)
 
 
-def _ylist_mul(A, B, ctx, prec=None):
-    """Multiply coefficient lists; optionally truncate t-degrees below prec."""
-    out = [UniPoly(ctx) for _ in range(len(A) + len(B) - 1)]
+def _ylist_mul(A, B, ctx, prec):
+    """Multiply coefficient lists, keeping t-degrees below prec."""
+    zl = ctx.zero_log
+    out = [[zl] * prec for _ in range(len(A) + len(B) - 1)]
     for i, a in enumerate(A):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(B):
-            if b.is_zero():
-                continue
-            out[i + j] = out[i + j] + a * b
-    if prec is not None:
-        out = [UniPoly(ctx, u.coeffs[:prec]) for u in out]
-    return out
-
-
-def _ylist_sub(A, B, ctx):
-    n = max(len(A), len(B))
-    z = UniPoly(ctx)
-    return [(A[i] if i < len(A) else z) - (B[i] if i < len(B) else z)
-            for i in range(n)]
+        if a.logs:
+            for j, b in enumerate(B):
+                if b.logs:
+                    addmul_logs(ctx, out[i + j], a.logs, b.logs)
+    return [UniPoly.from_logs(ctx, row) for row in out]
 
 
 def _ylist_divmod_monic(A, B, ctx):
     """Long division in y by a y-monic divisor; coefficients stay polynomial."""
     da, db = _ylist_deg_y(A), _ylist_deg_y(B)
     assert db >= 0 and B[db].degree() == 0 and B[db].lc().is_one()
-    rem = list(A) + [UniPoly(ctx)] * 0
+    rem = list(A)
     q = [UniPoly(ctx) for _ in range(max(da - db + 1, 0))]
     for i in range(da, db - 1, -1):
         if i >= len(rem) or rem[i].is_zero():
@@ -209,31 +202,41 @@ def _pair_lift(F, g0, h0, prec, ctx):
     d, s, u = g0.xgcd(h0)
     if d.degree() != 0:
         raise NotCoprime("seed factors share a root")
-    G = [UniPoly(ctx, (c,)) if not c.is_zero() else UniPoly(ctx)
-         for c in g0.coeffs]
-    H = [UniPoly(ctx, (c,)) if not c.is_zero() else UniPoly(ctx)
-         for c in h0.coeffs]
+    red, zech, zl = ctx.reduce, ctx.zech, ctx.zero_log
+    # G[a][r]: log of the t^r coefficient of G's y^a coefficient (H alike);
+    # step m fills column m
+    G = [[v] + [zl] * (prec - 1) for v in g0.logs]
+    H = [[v] + [zl] * (prec - 1) for v in h0.logs]
+    width = max(len(F), len(G) + len(H) - 1)
     for m in range(1, prec):
-        D = _ylist_sub(F, _ylist_mul(G, H, ctx, prec=m + 1), ctx)
-        e = UniPoly(ctx, [row[m] if m <= row.degree() else ctx.zero()
-                          for row in D])
+        # e = the t^m coefficient of F - G*H, a polynomial in y
+        prod = [zl] * width
+        for a, Ga in enumerate(G):
+            for b, Hb in enumerate(H):
+                acc = prod[a + b]
+                for r in range(m + 1):
+                    x, y = Ga[r], Hb[m - r]
+                    if x == zl or y == zl:
+                        continue
+                    t = x + y
+                    acc = red[t] if acc == zl else red[acc + zech[t - acc]]
+                prod[a + b] = acc
+        e = (UniPoly.from_logs(ctx, [row.logs[m] if m < len(row.logs) else zl
+                                     for row in F])
+             - UniPoly.from_logs(ctx, prod))
         if e.is_zero():
             continue
         dG = (u * e) % g0
         num = e - dG * h0
         dH, r = num.divmod(g0)
-        assert r.is_zero()
-        for j, c in enumerate(dG.coeffs):
-            if not c.is_zero():
-                row = list(G[j].coeffs) + [ctx.zero()] * (m + 1 - len(G[j].coeffs))
-                row[m] = row[m] + c
-                G[j] = UniPoly(ctx, row)
-        for j, c in enumerate(dH.coeffs):
-            if not c.is_zero():
-                row = list(H[j].coeffs) + [ctx.zero()] * (m + 1 - len(H[j].coeffs))
-                row[m] = row[m] + c
-                H[j] = UniPoly(ctx, row)
-    return G, H
+        if not r.is_zero():
+            raise NoFactorizationFound("Hensel step leaves a remainder")
+        for j, v in enumerate(dG.logs):
+            G[j][m] = v
+        for j, v in enumerate(dH.logs):
+            H[j][m] = v
+    return ([UniPoly.from_logs(ctx, row) for row in G],
+            [UniPoly.from_logs(ctx, row) for row in H])
 
 
 def hensel_lift(f, g0, h0, t0, precision):
@@ -247,11 +250,10 @@ def hensel_lift(f, g0, h0, t0, precision):
     if (g0 * h0) != project_t(f, t0):
         raise NotCoprime("seed product does not match the projection")
     shifted = [u.shift(t0) for u in to_ylist(f)]  # t -> t + t0
-    Ft = [UniPoly(ctx, u.coeffs[:precision]) for u in shifted]
+    Ft = [UniPoly.from_logs(ctx, u.logs[:precision]) for u in shifted]
     G, H = _pair_lift(Ft, g0, h0, precision, ctx)
-    minus = UniPoly(ctx, (-t0, ctx.one()))
-    Gp = from_ylist(ctx, [u.compose(minus) for u in G])
-    Hp = from_ylist(ctx, [u.compose(minus) for u in H])
+    Gp = from_ylist(ctx, [u.shift(-t0) for u in G])
+    Hp = from_ylist(ctx, [u.shift(-t0) for u in H])
     return Gp, Hp
 
 
@@ -355,11 +357,10 @@ def _hat_factors(Shat):
     # any true factor has t-degree at most deg_t(Shat), so lifting one
     # coefficient past that recovers it exactly
     prec = max(_ylist_deg_t(shifted), 0) + 1
-    Ft = [UniPoly(ctx, u.coeffs[:prec]) for u in shifted]
+    Ft = [UniPoly.from_logs(ctx, u.logs[:prec]) for u in shifted]
     lifted = _lift_list(Ft, seeds, prec, ctx)
     combined = _recombine(shifted, lifted, prec, ctx)
-    minus = UniPoly(ctx, (-t0, ctx.one()))
-    return [from_ylist(ctx, [u.compose(minus) for u in F]) for F in combined]
+    return [from_ylist(ctx, [u.shift(-t0) for u in F]) for F in combined]
 
 
 def _hat_factors_lifted(Shat):
@@ -393,7 +394,9 @@ def _hat_factors_lifted(Shat):
             prod = prod * g
             g = frob(g)
         pr = retract_poly(prod, ctx)
-        assert pr is not None
+        if pr is None:
+            raise NoFactorizationFound(
+                "Frobenius orbit product does not retract to %r" % ctx)
         out.append(pr)
     out.sort(key=SparsePoly.sort_key)
     return out
@@ -466,7 +469,8 @@ def _factor_primitive(g):
         return out
     G = bi_gcd(g, gy)
     S = _exact_divide(g, G)
-    assert S is not None
+    if S is None:
+        raise NoFactorizationFound("gcd with the y-derivative does not divide")
     out = []
     rem = g
     if S.degree(Y) >= 1:
@@ -478,7 +482,9 @@ def _factor_primitive(g):
                     break
                 rem = q
                 m += 1
-            assert m >= 1
+            if m < 1:
+                raise NoFactorizationFound(
+                    "squarefree factor %s does not divide" % (H,))
             out.append((H, m))
     if not rem.is_constant():
         out.extend(_factor_primitive(rem))

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 parse/validation failure, 2 field too small.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -34,7 +35,9 @@ class _Args(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args reads the parser and changes nothing
     ap = _Args(prog="sparsefact",
                description="deterministic sparse polynomial factorization "
                            "over finite fields")

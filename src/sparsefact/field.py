@@ -21,7 +21,12 @@ first generator in `elements()` order.  On first use a context builds:
   zeros;
 - `zech`: `zech[d] = log(1 + g^d)` (Zech's logarithm, `zero_log` where
   1 + g^d = 0), also twice over so negative and slightly too large
-  differences index it directly.
+  differences index it directly;
+- `reduce`: the canonical exponent of a sum of two exponents, `i mod q-1`
+  below 2(q-1) and `zero_log` from there on (up to 2 * zero_log), so
+  `reduce[la + lb]` is log(a*b) and `reduce[la + zech[lb - la]]` is
+  log(a + b) for nonzero a, b as plain ints.  The polynomial kernels of
+  `unifactor` store coefficients as such exponents and run on these lists.
 
 Each element carries its exponent (`log`), so a product is g^(la + lb), an
 inverse g^(q-1-la), a power g^(la*e mod q-1), a sum a + b =
@@ -108,10 +113,10 @@ def _is_irreducible(coeffs, p):
 class FieldCtx:
     """A finite field F_{p^l} with a canonical irreducible modulus.
 
-    The arithmetic tables (`exp`, `log`, `zech`, `zero_log`,
+    The arithmetic tables (`exp`, `log`, `zech`, `reduce`, `zero_log`,
     `minus_one_log`; see the module docstring) are built on first use."""
 
-    _TABLES = ("exp", "log", "zech", "zero_log", "minus_one_log")
+    _TABLES = ("exp", "log", "zech", "reduce", "zero_log", "minus_one_log")
 
     def __init__(self, p, ell=1):
         if not is_prime(p):
@@ -195,6 +200,7 @@ class FieldCtx:
         self.exp = elems * 2 + [zero] * (2 * q1 + 1)
         self.log = log
         self.zech = [log[((c[0] + 1) % p,) + c[1:]] for c in powers] * 2
+        self.reduce = list(range(q1)) * 2 + [zero_log] * (2 * q1 + 1)
         self.zero_log = zero_log
         # -1 is the element of order 2, g^((q-1)/2); in characteristic 2 it is 1
         self.minus_one_log = 0 if p == 2 else q1 // 2

@@ -14,12 +14,14 @@ Variable conventions used by the factoring pipeline:
     t = index 1.
 """
 
+import heapq
+import operator
 import re
 
 from .errors import (ShapeMismatch, ZeroPolynomial, ZeroDegree, EmptyVector,
                      Reject, ParseError, CtxMismatch, NoFactorizationFound)
 from .field import FieldElem
-from .unifactor import UniPoly
+from .unifactor import UniPoly, addmul_logs, mul_logs
 
 
 def _gradlex_key(exps):
@@ -37,7 +39,8 @@ class SparsePoly:
         if terms is None:
             terms = {}
         # drop explicit zeros so sparsity == len(terms)
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        zl = ctx.zero_log
+        self.terms = {e: c for e, c in terms.items() if c.log != zl}
 
     # -- constructors --------------------------------------------------------
 
@@ -144,20 +147,21 @@ class SparsePoly:
 
     def __mul__(self, other):
         self._check(other)
+        # on the coefficients' logs, as the unifactor kernels do
+        ctx = self.ctx
+        red, zech, zl = ctx.reduce, ctx.zech, ctx.zero_log
+        add = operator.add
         out = {}
+        B = [(e, c.log) for e, c in other.terms.items()]
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                if e in out:
-                    s = out[e] + c
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
-                elif not c.is_zero():
-                    out[e] = c
-        return SparsePoly(self.ctx, self.n, out)
+            l1 = c1.log
+            for e2, l2 in B:
+                e = tuple(map(add, e1, e2))
+                t = l1 + l2
+                o = out.get(e, zl)
+                out[e] = red[t] if o == zl else red[o + zech[t - o]]
+        exp = ctx.exp
+        return SparsePoly(ctx, self.n, {e: exp[v] for e, v in out.items()})
 
     def scale(self, c):
         """Multiply by a field element."""
@@ -397,49 +401,32 @@ def restrict_to_line(f, a, b):
         raise ShapeMismatch("line endpoints do not match the polynomial")
     has_y = f.n == n + 1
     ctx = f.ctx
-    # per-variable linear polynomials in t: a_i + (b_i - a_i) t
-    lines = [(a[i], b[i] - a[i]) for i in range(n)]
-    # cache powers of each line as dense t-coefficient lists
-    pow_cache = [{0: [ctx.one()]} for _ in range(n)]
+    # per-variable linear polynomials in t, a_i + (b_i - a_i) t, and their
+    # powers, as dense exponent lists (see unifactor)
+    lines = [(a[i].log, (b[i] - a[i]).log) for i in range(n)]
+    pow_cache = [{0: [0]} for _ in range(n)]
 
     def line_power(i, e):
         cache = pow_cache[i]
         if e not in cache:
-            prev = line_power(i, e - 1)
-            c0, c1 = lines[i]
-            out = [ctx.zero()] * (len(prev) + 1)
-            for j, v in enumerate(prev):
-                out[j] = out[j] + v * c0
-                out[j + 1] = out[j + 1] + v * c1
-            cache[e] = out
+            cache[e] = mul_logs(ctx, line_power(i, e - 1), lines[i])
         return cache[e]
 
-    out = {}
+    exp, zl = ctx.exp, ctx.zero_log
+    width = 1 + max((sum(e[:n]) for e in f.terms), default=0)
+    rows = {}  # y-exponent -> t-coefficients
     for e, c in f.terms.items():
-        ey = e[n] if has_y else 0
-        tco = [c]
+        tco = None  # the product of the line powers, None for one
         for i in range(n):
             if e[i]:
                 pw = line_power(i, e[i])
-                new = [ctx.zero()] * (len(tco) + len(pw) - 1)
-                for j, v in enumerate(tco):
-                    if not v.is_zero():
-                        for k2, w in enumerate(pw):
-                            new[j + k2] = new[j + k2] + v * w
-                tco = new
-        for j, v in enumerate(tco):
-            if v.is_zero():
-                continue
-            key = (ey, j)
-            if key in out:
-                s = out[key] + v
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = v
-    return SparsePoly(ctx, 2, out)
+                tco = pw if tco is None else mul_logs(ctx, tco, pw)
+        ey = e[n] if has_y else 0
+        if ey not in rows:
+            rows[ey] = [zl] * width
+        addmul_logs(ctx, rows[ey], (0,) if tco is None else tco, (c.log,))
+    return SparsePoly(ctx, 2, {(ey, j): exp[v] for ey, row in rows.items()
+                               for j, v in enumerate(row) if v != zl})
 
 
 def project_y(f, a):
@@ -503,32 +490,59 @@ def sparse_divide(f, g, cap=None):
     """Exact quotient f/g if it exists and has at most `cap` terms.
 
     Raises Reject when g does not divide f or the quotient exceeds the cap.
-    Implemented by leading-term rewriting in graded-lex order: if f = q*g the
-    loop reconstructs q exactly; any non-divisible leading term certifies
-    non-divisibility.  The result is re-verified by multiplication.
+    Leading-term rewriting in graded-lex order: if f = q*g the loop
+    reconstructs q exactly; any non-divisible leading term certifies
+    non-divisibility.  The remainder is one dict, updated in place, whose
+    exponents wait in a heap ordered by the term order (Monagan & Pearce,
+    "Sparse polynomial division using a heap", JSC 2011, with a dict in
+    place of their heap of products).  The result is re-verified by
+    multiplication.
     """
     if g.is_zero():
         raise ZeroPolynomial("division by the zero polynomial")
     f._check(g)
     if f.is_zero():
         return SparsePoly.zero(f.ctx, f.n)
+    ctx = f.ctx
+    red, zech, zl = ctx.reduce, ctx.zech, ctx.zero_log
     ge, gc = g.leading_term()
-    gc_inv = gc.inverse()
-    rem = f
+    inv = red[ctx.q - 1 - gc.log]
+    # subtracting (r/lc(g)) * g from the remainder adds r * ng, ng = -g/lc(g)
+    m1 = ctx.minus_one_log
+    ng = [(e, red[red[c.log + m1] + inv]) for e, c in g.terms.items()
+          if e != ge]
+    rem = {e: c.log for e, c in f.terms.items()}
+    heap = [(-sum(e), tuple([-v for v in e]), e) for e in rem]
+    heapq.heapify(heap)
     q = {}
-    while not rem.is_zero():
-        e, c = rem.leading_term()
-        qe = tuple(a - b for a, b in zip(e, ge))
+    while heap:
+        e = heapq.heappop(heap)[2]
+        r = rem.pop(e, zl)
+        if r == zl:
+            continue  # cancelled, or a second heap entry of a done exponent
+        qe = tuple(map(operator.sub, e, ge))
         if any(v < 0 for v in qe):
             raise Reject("not divisible")
-        qc = c * gc_inv
-        q[qe] = qc
+        q[qe] = red[r + inv]
         if cap is not None and len(q) > cap:
             raise Reject("quotient exceeds sparsity cap %d" % cap)
-        rem = rem - g * SparsePoly(f.ctx, f.n, {qe: qc})
-    quotient = SparsePoly(f.ctx, f.n, q)
+        for ee, c in ng:
+            k = tuple(map(operator.add, qe, ee))
+            t = r + c
+            o = rem.get(k)
+            if o is None:
+                rem[k] = red[t]
+                heapq.heappush(heap, (-sum(k), tuple([-v for v in k]), k))
+            else:
+                o = red[o + zech[t - o]]
+                if o == zl:
+                    del rem[k]
+                else:
+                    rem[k] = o
+    exp = ctx.exp
+    quotient = SparsePoly(ctx, f.n, {e: exp[v] for e, v in q.items()})
     if quotient * g != f:
-        raise Reject("verification failed")  # pragma: no cover - loop is exact
+        raise Reject("verification failed")
     return quotient
 
 

@@ -7,23 +7,127 @@ nullspace basis vectors in order and, for each, tries gcd(w, v - c) for every
 field element c in enumeration order — affordable because fields are capped
 at desk scale, and guaranteed to separate all factors since the Berlekamp
 algebra separates any two of them through some basis vector.
+
+Representation.  A UniPoly keeps its coefficients as the field's discrete
+logarithms (`logs`, ascending, trailing zeros trimmed, `zero_log` for a zero
+coefficient inside), the exponents a FieldElem carries.  Every kernel (`+`,
+`-`, `*`, `scale`, `divmod`, `gcd`, `xgcd`, `evaluate`, `compose`, `shift`,
+`pow_mod`, the Berlekamp nullspace) runs on those ints through the
+context's list tables (`reduce`, `zech`, `minus_one_log`; see `field`), so
+no FieldElem is made or called inside a loop.  `coeffs` is a read-only tuple
+view of the interned FieldElem objects, and FieldElem stays the type at the
+API boundary (the constructor, `lc`, `[i]`, `evaluate`).  The exponent-list
+kernels `addmul_logs`, `mul_logs`, `iadd_logs` and `divmod_logs` are shared
+with `bifactor` (truncated y-list products) and `sparsepoly` (line
+restriction), whose other hot loops use the same tables.
 """
 
-from .errors import DivByZero
+from .errors import DivByZero, CtxMismatch
 from .field import FieldElem
 
 
-class UniPoly:
-    """Dense univariate polynomial; coeffs ascending, trailing zeros trimmed."""
+# -- kernels on exponent lists ------------------------------------------------
+#
+# A coefficient is its discrete log (`ctx.zero_log` for zero).  With la, lb
+# canonical, t = la + lb is the log of a*b before reduction (t < 2(q-1)), and
+# adding the product into an accumulator o is `reduce[t]` when o is zero and
+# `reduce[o + zech[t - o]]` otherwise; `zech` spans differences in
+# (-(q-1), 2(q-1)), so t needs no reduction first.
 
-    __slots__ = ("ctx", "coeffs")
+def addmul_logs(ctx, out, A, B):
+    """out[i + j] += A[i] * B[j] in place, for every index below len(out):
+    adds a product truncated to len(out) coefficients."""
+    red, zech, zl = ctx.reduce, ctx.zech, ctx.zero_log
+    n = len(out)
+    bs = [(j, b) for j, b in enumerate(B) if b != zl]
+    for i, a in enumerate(A):
+        if a == zl:
+            continue
+        for k, b in bs:
+            k += i
+            if k >= n:
+                break
+            t = a + b
+            o = out[k]
+            out[k] = red[t] if o == zl else red[o + zech[t - o]]
+    return out
+
+
+def mul_logs(ctx, A, B):
+    """The full product of two exponent lists, untrimmed."""
+    if not A or not B:
+        return []
+    return addmul_logs(ctx, [ctx.zero_log] * (len(A) + len(B) - 1), A, B)
+
+
+def iadd_logs(ctx, out, B, negate=False):
+    """out += B (out -= B when negate) in place, extending out as needed."""
+    red, zech, zl = ctx.reduce, ctx.zech, ctx.zero_log
+    m1 = ctx.minus_one_log if negate else 0
+    if len(out) < len(B):
+        out.extend([zl] * (len(B) - len(out)))
+    for k, b in enumerate(B):
+        if b == zl:
+            continue
+        t = b + m1
+        o = out[k]
+        out[k] = red[t] if o == zl else red[o + zech[t - o]]
+    return out
+
+
+def divmod_logs(ctx, A, B):
+    """(quotient, remainder) exponent lists of A by B; B's last entry must
+    be nonzero.  The remainder keeps len(B) - 1 entries, untrimmed."""
+    red, zech, zl = ctx.reduce, ctx.zech, ctx.zero_log
+    db = len(B) - 1
+    rem = list(A)
+    if len(rem) <= db:
+        return [], rem
+    inv = red[ctx.q - 1 - B[db]]
+    # rem -= (r / lc) * B is rem += r * nb, with nb = -B / lc
+    m1 = ctx.minus_one_log
+    nb = [(j, red[red[b + m1] + inv]) for j, b in enumerate(B[:db]) if b != zl]
+    quo = [zl] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        r = rem[i]
+        if r == zl:
+            continue
+        base = i - db
+        quo[base] = red[r + inv]
+        for j, b in nb:
+            k = base + j
+            t = r + b
+            o = rem[k]
+            rem[k] = red[t] if o == zl else red[o + zech[t - o]]
+    del rem[db:]
+    return quo, rem
+
+
+class UniPoly:
+    """Dense univariate polynomial over a field.
+
+    `logs` holds the coefficients ascending as discrete logs, trailing zeros
+    trimmed; `coeffs` is the same polynomial as a tuple of FieldElem."""
+
+    __slots__ = ("ctx", "logs")
 
     def __init__(self, ctx, coeffs=()):
+        logs = []
+        for c in coeffs:
+            if c.ctx is not ctx and c.ctx != ctx:
+                raise CtxMismatch("coefficient from a different field")
+            logs.append(c.log)
         self.ctx = ctx
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.logs = _trimmed(logs, ctx.zero_log)
+
+    @classmethod
+    def from_logs(cls, ctx, logs):
+        """The polynomial with canonical exponents `logs` (ascending)."""
+        zl = ctx.zero_log
+        u = object.__new__(cls)
+        u.ctx = ctx
+        u.logs = _trimmed(logs, zl) if logs and logs[-1] == zl else tuple(logs)
+        return u
 
     @classmethod
     def from_ints(cls, ctx, ints):
@@ -39,64 +143,64 @@ class UniPoly:
     def x(cls, ctx):
         return cls(ctx, (ctx.zero(), ctx.one()))
 
+    @property
+    def coeffs(self):
+        exp = self.ctx.exp
+        return tuple([exp[v] for v in self.logs])
+
+    def _check(self, other):
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
+            raise CtxMismatch("polynomials over different fields")
+
     def degree(self):
-        return len(self.coeffs) - 1  # -1 for zero
+        return len(self.logs) - 1  # -1 for zero
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.logs
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self.logs) <= 1
 
     def lc(self):
-        assert self.coeffs
-        return self.coeffs[-1]
+        return self.ctx.exp[self.logs[-1]]
 
     def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.logs):
+            return self.ctx.exp[self.logs[i]]
         return self.ctx.zero()
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.ctx, [self[i] + other[i] for i in range(n)])
+        self._check(other)
+        return UniPoly.from_logs(self.ctx, iadd_logs(
+            self.ctx, list(self.logs), other.logs))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.ctx, [self[i] - other[i] for i in range(n)])
+        self._check(other)
+        return UniPoly.from_logs(self.ctx, iadd_logs(
+            self.ctx, list(self.logs), other.logs, negate=True))
 
     def __neg__(self):
-        return UniPoly(self.ctx, [-c for c in self.coeffs])
+        return self._scale_log(self.ctx.minus_one_log)
 
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return UniPoly(self.ctx)
-        out = [self.ctx.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.ctx, out)
+        self._check(other)
+        return UniPoly.from_logs(self.ctx,
+                                 mul_logs(self.ctx, self.logs, other.logs))
 
     def scale(self, c):
-        return UniPoly(self.ctx, [v * c for v in self.coeffs])
+        return self._scale_log(c.log)
+
+    def _scale_log(self, lc):
+        """The polynomial times the element of log lc."""
+        red = self.ctx.reduce
+        return UniPoly.from_logs(self.ctx, [red[v + lc] for v in self.logs])
 
     def divmod(self, other):
-        if other.is_zero():
+        self._check(other)
+        if not other.logs:
             raise DivByZero("division by zero polynomial")
-        rem = list(self.coeffs)
-        db = other.degree()
-        inv = other.lc().inverse()
-        q = [self.ctx.zero()] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            if rem[i].is_zero():
-                continue
-            c = rem[i] * inv
-            q[i - db] = c
-            for j in range(db + 1):
-                rem[i - db + j] = rem[i - db + j] - c * other.coeffs[j]
-        return UniPoly(self.ctx, q), UniPoly(self.ctx, rem)
+        q, r = divmod_logs(self.ctx, self.logs, other.logs)
+        return UniPoly.from_logs(self.ctx, q), UniPoly.from_logs(self.ctx, r)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -105,15 +209,17 @@ class UniPoly:
         return self.divmod(other)[1]
 
     def monic(self):
-        if self.is_zero():
+        if not self.logs or self.logs[-1] == 0:
             return self
-        return self.scale(self.lc().inverse())
+        return self._scale_log(self.ctx.q - 1 - self.logs[-1])
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        self._check(other)
+        ctx = self.ctx
+        a, b = self.logs, other.logs
+        while b:
+            a, b = b, _trimmed(divmod_logs(ctx, a, b)[1], ctx.zero_log)
+        return UniPoly.from_logs(ctx, a).monic()
 
     def xgcd(self, other):
         """(g, s, t) with s*self + t*other = g, g monic."""
@@ -128,26 +234,34 @@ class UniPoly:
             t0, t1 = t1, t0 - q * t1
         if r0.is_zero():
             return r0, s0, t0
-        inv = r0.lc().inverse()
-        return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+        inv = ctx.q - 1 - r0.logs[-1]
+        return r0._scale_log(inv), s0._scale_log(inv), t0._scale_log(inv)
 
     def derivative(self):
         ctx = self.ctx
-        return UniPoly(ctx, [ctx.elem(i) * self.coeffs[i]
-                             for i in range(1, len(self.coeffs))])
+        red = ctx.reduce
+        return UniPoly.from_logs(ctx, [red[ctx.elem(i).log + v]
+                                       for i, v in enumerate(self.logs) if i])
 
     def evaluate(self, x):
-        acc = self.ctx.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at the field element x."""
+        ctx = self.ctx
+        red, zech, zl, lx = ctx.reduce, ctx.zech, ctx.zero_log, x.log
+        acc = zl
+        for c in reversed(self.logs):
+            acc = red[acc + lx]
+            if c != zl:
+                acc = c if acc == zl else red[acc + zech[c - acc]]
+        return ctx.exp[acc]
 
     def compose(self, other):
         """self(other(y))."""
-        acc = UniPoly(self.ctx)
-        for c in reversed(self.coeffs):
-            acc = acc * other + UniPoly.constant(self.ctx, c)
-        return acc
+        self._check(other)
+        ctx = self.ctx
+        acc = []
+        for c in reversed(self.logs):
+            acc = iadd_logs(ctx, mul_logs(ctx, acc, other.logs), (c,))
+        return UniPoly.from_logs(ctx, acc)
 
     def shift(self, c):
         """self(y + c)."""
@@ -168,10 +282,10 @@ class UniPoly:
 
     def __eq__(self, other):
         return (isinstance(other, UniPoly) and self.ctx == other.ctx
-                and self.coeffs == other.coeffs)
+                and self.logs == other.logs)
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash((self.ctx, self.logs))
 
     def __repr__(self):
         if self.is_zero():
@@ -189,6 +303,14 @@ class UniPoly:
             else:
                 parts.append((cs + "*" if cs else "") + "y^%d" % i)
         return " + ".join(parts)
+
+
+def _trimmed(logs, zl):
+    """logs as a tuple without trailing zeros."""
+    n = len(logs)
+    while n and logs[n - 1] == zl:
+        n -= 1
+    return tuple(logs[:n])
 
 
 class UniFactorization:
@@ -267,16 +389,17 @@ def _berlekamp_split(f):
     for _ in range(1, n):
         cols.append((cols[-1] * xq) % f)
     # nullspace of (Q - I)^T over F_q: rows j, columns i of Q[j][i]=coeff_j(cols[i])
-    M = [[cols[i][j] for i in range(n)] for j in range(n)]
-    for i in range(n):
-        M[i][i] = M[i][i] - ctx.one()
+    zl = ctx.zero_log
+    cols = [(c - UniPoly.from_logs(ctx, (zl,) * i + (0,))).logs
+            for i, c in enumerate(cols)]
+    M = [[c[j] if j < len(c) else zl for c in cols] for j in range(n)]
     basis = _nullspace(M, ctx)
     r = len(basis)  # number of irreducible factors
     factors = [f]
     if r == 1:
         return factors
     for vec in basis:
-        v = UniPoly(ctx, vec)
+        v = UniPoly.from_logs(ctx, vec)
         if v.degree() <= 0:
             continue
         for c in ctx.elements():
@@ -302,38 +425,38 @@ def _berlekamp_split(f):
 
 
 def _nullspace(M, ctx):
-    """Nullspace basis of an n x n matrix over the field, deterministic."""
+    """Nullspace basis of an n x n matrix over the field, deterministic;
+    entries and basis vectors are discrete logs, as in UniPoly.logs."""
+    red, zl, m1 = ctx.reduce, ctx.zero_log, ctx.minus_one_log
     n = len(M)
     M = [row[:] for row in M]
-    pivot_col_of_row = []
     row = 0
     pivots = {}
     for col in range(n):
         sel = None
         for i in range(row, n):
-            if not M[i][col].is_zero():
+            if M[i][col] != zl:
                 sel = i
                 break
         if sel is None:
             continue
         M[row], M[sel] = M[sel], M[row]
-        inv = M[row][col].inverse()
-        M[row] = [v * inv for v in M[row]]
+        inv = ctx.q - 1 - M[row][col]
+        M[row] = piv = [red[v + inv] for v in M[row]]
         for i in range(n):
-            if i != row and not M[i][col].is_zero():
-                c = M[i][col]
-                M[i] = [a - c * b for a, b in zip(M[i], M[row])]
+            if i != row and M[i][col] != zl:
+                # row i -= c * pivot row
+                addmul_logs(ctx, M[i], piv, (red[M[i][col] + m1],))
         pivots[col] = row
-        pivot_col_of_row.append(col)
         row += 1
     basis = []
     for col in range(n):
         if col in pivots:
             continue
-        vec = [ctx.zero()] * n
-        vec[col] = ctx.one()
+        vec = [zl] * n
+        vec[col] = 0
         for pc, pr in pivots.items():
-            vec[pc] = -M[pr][col]
+            vec[pc] = red[M[pr][col] + m1]
         basis.append(vec)
     return basis
 

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from sparsefact.errors import NotCoprime
+from sparsefact import bifactor
+from sparsefact.errors import NotCoprime, NoFactorizationFound
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import SparsePoly, Factorization
 from sparsefact.unifactor import UniPoly, factor_univariate
@@ -150,6 +151,39 @@ def test_extension_fallback_over_f2():
     fac = factor_bivariate(f)
     assert fac.expand() == f
     assert {p for p, _ in fac.parts} == {g, h}
+
+
+# The squarefree splitter made to return y + t + 3, which does not divide
+# y^2 + t: the multiplicity loop finds it zero times, which must raise
+# rather than report a factor of multiplicity 0, also under python -O.
+NONDIVISOR_LINES = [
+    "from sparsefact import bifactor",
+    "from sparsefact.errors import NoFactorizationFound",
+    "from sparsefact.field import make_field",
+    "from sparsefact.sparsepoly import SparsePoly",
+    "F = make_field(7)",
+    "f = SparsePoly(F, 2, {(2, 0): F.one(), (0, 1): F.one()})",
+    "h = SparsePoly(F, 2, {(1, 0): F.one(), (0, 1): F.one(),"
+    "                      (0, 0): F.elem(3)})",
+    "bifactor._factor_sqfree_primitive = lambda S: [h]",
+    "try:",
+    "    bifactor.factor_bivariate(f)",
+    "except NoFactorizationFound:",
+    "    print('raised')",
+]
+
+
+def test_nondivisor_squarefree_factor_raises(monkeypatch):
+    f = B({(2, 0): 1, (0, 1): 1})
+    assert factor_bivariate(f).parts == [(f, 1)]
+    h = B({(1, 0): 1, (0, 1): 1, (0, 0): 3})
+    monkeypatch.setattr(bifactor, "_factor_sqfree_primitive", lambda S: [h])
+    with pytest.raises(NoFactorizationFound):
+        factor_bivariate(f)
+
+
+def test_nondivisor_check_survives_optimize_flag(run_optimized):
+    assert run_optimized(NONDIVISOR_LINES) == "False\nraised\n"
 
 
 def test_factor_count_bound():

@@ -4,8 +4,12 @@ byte-for-byte determinism."""
 import io
 import json
 
-from sparsefact import factorizer
+import pytest
+
+from sparsefact import cli, factorizer
 from sparsefact.cli import run
+from sparsefact.field import make_field
+from sparsefact.sparsepoly import SparsePoly, parse_poly, format_poly
 
 
 def invoke(argv):
@@ -79,6 +83,58 @@ def test_factor_lifted_golden(monkeypatch):
     assert status == 0
     assert (3, 2) in lifts
     assert text == LIFTED_F3_JSON
+
+
+# Products with repeated factors over F_11 and F_101.  On the three-variable
+# ones nearly every line restriction is not squarefree, so factor_bivariate
+# runs bi_gcd, the division by the gcd and the multiplicity loop; the two
+# bivariate ones go there directly.  The expected bytes were produced by the
+# FieldElem-coefficient polynomial kernels that preceded the int-log ones.
+NONSQUAREFREE = [
+    (11, ["x1*x2 + x3 + 1"] * 2 + ["x1 + x2*x3 + 2"],
+      '{"factors": [{"multiplicity": 1, "poly": "x2*x3 + x1 + 2"}, '
+      '{"multiplicity": 2, "poly": "x1*x2 + x3 + 1"}], '
+      '"field": {"ext": 1, "p": 11}, "unit": 1}\n'),
+    (11, ["x1^2 + x2 + 3"] * 3 + ["x1*x2 + 5"],
+      '{"factors": [{"multiplicity": 1, "poly": "x1*x2 + 5"}, '
+      '{"multiplicity": 3, "poly": "x1^2 + x2 + 3"}], '
+      '"field": {"ext": 1, "p": 11}, "unit": 1}\n'),
+    (11, ["x1 + x2 + x3"] * 2 + ["x1*x3 + 4"] * 2,
+      '{"factors": [{"multiplicity": 2, "poly": "x1*x3 + 4"}, '
+      '{"multiplicity": 2, "poly": "x1 + x2 + x3"}], '
+      '"field": {"ext": 1, "p": 11}, "unit": 1}\n'),
+    (101, ["x2*x3 + x1 + 7"] * 2 + ["x1*x2 + x3 + 1"],
+      '{"factors": [{"multiplicity": 2, "poly": "x2*x3 + x1 + 7"}, '
+      '{"multiplicity": 1, "poly": "x1*x2 + x3 + 1"}], '
+      '"field": {"ext": 1, "p": 101}, "unit": 1}\n'),
+    (11, ["x3 + x1*x2 + 2"] * 3 + ["x1 + x3"],
+      '{"factors": [{"multiplicity": 1, "poly": "x1 + x3"}, '
+      '{"multiplicity": 3, "poly": "x1*x2 + x3 + 2"}], '
+      '"field": {"ext": 1, "p": 11}, "unit": 1}\n'),
+    (101, ["x1^2*x2 + x2 + 50"] * 2 + ["x1 + 3*x2 + 2"],
+      '{"factors": [{"multiplicity": 1, "poly": "x1 + 3*x2 + 2"}, '
+      '{"multiplicity": 2, "poly": "x1^2*x2 + x2 + 50"}], '
+      '"field": {"ext": 1, "p": 101}, "unit": 1}\n'),
+    (101, ["x1 + x2^2 + x3 + 1"] * 2 + ["x1*x2*x3 + 9"],
+      '{"factors": [{"multiplicity": 1, "poly": "x1*x2*x3 + 9"}, '
+      '{"multiplicity": 2, "poly": "x2^2 + x1 + x3 + 1"}], '
+      '"field": {"ext": 1, "p": 101}, "unit": 1}\n'),
+]
+
+
+@pytest.mark.parametrize("p,blocks,want", NONSQUAREFREE,
+                         ids=["f11-%d" % i for i in range(3)]
+                         + ["f101-0", "f11-3", "f101-1", "f101-2"])
+def test_factor_nonsquarefree_golden(p, blocks, want):
+    ctx = make_field(p)
+    n = 3 if any("x3" in b for b in blocks) else 2
+    f = SparsePoly.constant(ctx, n, 1)
+    for b in blocks:
+        f = f * parse_poly(b, ctx, nvars=n)
+    status, text = invoke(["factor", "--json", "--prime", str(p),
+                           format_poly(f)])
+    assert status == 0
+    assert text == want
 
 
 def test_factor_missing_poly():
@@ -243,3 +299,32 @@ def test_consecutive_runs_byte_identical():
                  ["hitset", "--n", "2", "--s", "3", "--d", "1", "--k", "2"],
                  ["examples", "--which", "eg1", "--n", "2", "--d", "3"]):
         assert invoke(argv) == invoke(argv)
+
+
+def test_parser_built_once_matches_fresh_parser(capsys):
+    # bad usage (exit 1, usage text on stderr), then commands that parse
+    # defaults, an appended list and positional text
+    calls = [["factor", "--cap"],
+             ["factor", "--json", "x1^2 + 6"],
+             ["verify", "x1^2 + 6", "--factor", "x1 + 1",
+              "--factor", "x1 + 6"],
+             ["verify", "x1^2 + 6", "--factor", "x1 + 1"],
+             ["polytope", "--json", "x1^2*x2 + x2 + 3"]]
+
+    def run_all(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            status, text = invoke(argv)
+            err = capsys.readouterr()
+            got.append((status, text, err.out, err.err))
+        return got
+
+    shared = run_all(fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    assert [g[0] for g in shared] == [1, 0, 0, 0, 0]
+    assert "error" in shared[0][3]
+    assert shared[2][1] == "verdict: true\n"
+    assert shared[3][1] == "verdict: false\n"
+    assert run_all(fresh=True) == shared

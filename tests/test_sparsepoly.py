@@ -146,6 +146,38 @@ def test_restriction_endpoints():
         assert ft.evaluate([F7.zero(), F7.one()]) == f.evaluate(b)
 
 
+def ref_restrict(f, a, b):
+    """The restriction on FieldElem coefficient lists, term by term."""
+    ctx, n = f.ctx, len(a)
+    out = {}
+    for e, c in f.terms.items():
+        tco = [c]
+        for i in range(n):
+            for _ in range(e[i]):
+                new = [ctx.zero()] * (len(tco) + 1)
+                for j, v in enumerate(tco):
+                    new[j] = new[j] + v * a[i]
+                    new[j + 1] = new[j + 1] + v * (b[i] - a[i])
+                tco = new
+        ey = e[n] if f.n > n else 0
+        for j, v in enumerate(tco):
+            out[(ey, j)] = out.get((ey, j), ctx.zero()) + v
+    return SparsePoly(ctx, 2, out)
+
+
+@pytest.mark.parametrize("p,ell", [(2, 1), (7, 1), (101, 1), (3, 2), (2, 3)])
+def test_restrict_to_line_matches_reference(p, ell):
+    ctx = make_field(p, ell)
+    rng = random.Random(p + ell)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        f = rand_poly(ctx, n + rng.randint(0, 1), 3, rng.randint(0, 6), rng)
+        a = [ctx.from_index(rng.randrange(ctx.q)) for _ in range(n)]
+        b = list(a) if rng.random() < 0.2 else \
+            [ctx.from_index(rng.randrange(ctx.q)) for _ in range(n)]
+        assert restrict_to_line(f, a, b) == ref_restrict(f, a, b)
+
+
 # -- leading coefficients -----------------------------------------------------
 
 def test_lead_and_degrees_examples():
@@ -219,6 +251,71 @@ def test_sparse_divide_round_trip_random():
         if f.is_zero() or g.is_zero():
             continue
         assert sparse_divide(f * g, g, f.sparsity()) == f
+
+
+def ref_divide(f, g, cap=None):
+    """Leading-term rewriting on FieldElem dicts that rebuilds the remainder
+    each step: the quotient, or the Reject message."""
+    def lead(d):
+        e = max(d, key=lambda e: (sum(e), e))
+        return e, d[e]
+
+    ge, gc = lead(g.terms)
+    rem, q = dict(f.terms), {}
+    while rem:
+        e, c = lead(rem)
+        qe = tuple(x - y for x, y in zip(e, ge))
+        if min(qe) < 0:
+            return "not divisible"
+        q[qe] = qc = c / gc
+        if cap is not None and len(q) > cap:
+            return "quotient exceeds sparsity cap %d" % cap
+        for ee, cc in g.terms.items():
+            k = tuple(x + y for x, y in zip(qe, ee))
+            v = rem.get(k, f.ctx.zero()) - qc * cc
+            if v.is_zero():
+                rem.pop(k, None)
+            else:
+                rem[k] = v
+    return SparsePoly(f.ctx, f.n, q)
+
+
+def divide_or_reason(f, g, cap=None):
+    try:
+        return sparse_divide(f, g, cap)
+    except Reject as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("p,ell", [(2, 1), (7, 1), (101, 1), (3, 2)])
+def test_sparse_divide_matches_reference(p, ell):
+    ctx = make_field(p, ell)
+    rng = random.Random(10 * p + ell)
+    seen = set()
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        a = rand_poly(ctx, n, 3, rng.randint(1, 6), rng)
+        g = rand_poly(ctx, n, 3, rng.randint(1, 6), rng)
+        if a.is_zero() or g.is_zero():
+            continue
+        f = a * g
+        cases = [(f, g, None), (f, g, a.sparsity()), (f, g, a.sparsity() - 1),
+                 (f + rand_poly(ctx, n, 4, 2, rng), g, None)]
+        for ff, gg, cap in cases:
+            want = ref_divide(ff, gg, cap)
+            got = divide_or_reason(ff, gg, cap)
+            assert got == want
+            seen.add(want if isinstance(want, str) else "quotient")
+        assert divide_or_reason(f, g) == a
+    assert seen >= {"quotient", "not divisible"}
+    assert any(r.startswith("quotient exceeds") for r in seen)
+
+
+def test_sparse_divide_verifies_by_multiplication(monkeypatch):
+    monkeypatch.setattr(SparsePoly, "__mul__",
+                        lambda self, other: SparsePoly.zero(self.ctx, self.n))
+    with pytest.raises(Reject, match="verification failed"):
+        sparse_divide(P("x1^2 + 6"), P("x1 + 6"))
 
 
 def test_divide_by_zero_polynomial():

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
-from sparsefact.field import make_field
+from sparsefact.errors import DivByZero
+from sparsefact.field import make_field, is_prime
 from sparsefact.unifactor import (UniPoly, UniFactorization, factor_univariate,
-                                  squarefree_decompose, is_irreducible)
+                                  squarefree_decompose, is_irreducible,
+                                  addmul_logs)
 
 F7 = make_field(7)
 F5 = make_field(5)
@@ -148,3 +150,144 @@ def test_is_irreducible_constants_and_linears():
     assert not is_irreducible(U([3]))
     assert is_irreducible(U([2, 1]))
     assert not is_irreducible(U([6, 0, 1]))
+
+
+# -- int-log kernels against FieldElem schoolbook references ------------------
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_addsub(a, b, ctx, sub=False):
+    z = ctx.zero()
+    out = []
+    for i in range(max(len(a), len(b))):
+        x = a[i] if i < len(a) else z
+        y = b[i] if i < len(b) else z
+        out.append(x - y if sub else x + y)
+    return _trim(out)
+
+
+def ref_mul(a, b, ctx):
+    out = [ctx.zero()] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trim(out)
+
+
+def ref_divmod(a, b, ctx):
+    rem = list(a)
+    db = len(b) - 1
+    inv = b[-1].inverse()
+    q = [ctx.zero()] * max(len(a) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] * inv
+        q[i - db] = c
+        for j in range(db + 1):
+            rem[i - db + j] = rem[i - db + j] - c * b[j]
+    return _trim(q), _trim(rem)
+
+
+def ref_evaluate(a, x, ctx):
+    acc = ctx.zero()
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_compose(a, b, ctx):
+    acc = ()
+    for c in reversed(a):
+        acc = ref_addsub(ref_mul(acc, b, ctx), (c,), ctx)
+    return acc
+
+
+def oracle_polys(ctx, rng):
+    """Coefficient tuples (zero, constants, random, and random with explicit
+    trailing zeros) as FieldElem lists."""
+    rand = [ctx.from_index(rng.randrange(ctx.q)) for _ in range(40)]
+    out = [[], [ctx.zero()], [ctx.one()], [rand[0]], [ctx.zero(), ctx.one()]]
+    for _ in range(14):
+        deg = rng.randint(0, 6)
+        cs = [ctx.from_index(rng.randrange(ctx.q)) for _ in range(deg + 1)]
+        if rng.random() < 0.3:
+            cs += [ctx.zero()] * rng.randint(1, 2)
+        out.append(cs)
+    return out
+
+
+# The 27 fields of test_field.test_tables_match_schoolbook.
+ORACLE_FIELDS = ([(p, 1) for p in range(2, 62) if is_prime(p)]
+                 + [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
+                    (5, 2), (7, 2)])
+
+
+@pytest.mark.parametrize("p,ell", ORACLE_FIELDS)
+def test_kernels_match_schoolbook(p, ell):
+    ctx = make_field(p, ell)
+    rng = random.Random(1000 * p + ell)
+    els = list(ctx.elements())
+    # constants: every sum, difference and product, so every Zech
+    # difference lb - la, negative ones included, is taken
+    pairs = (itertools.product(els, els) if ctx.q <= 64 else
+             [(rng.choice(els), rng.choice(els)) for _ in range(3000)])
+    for x, y in pairs:
+        X, Y = UniPoly(ctx, [x]), UniPoly(ctx, [y])
+        assert (X + Y).coeffs == _trim([x + y])
+        assert (X - Y).coeffs == _trim([x - y])
+        assert (X * Y).coeffs == _trim([x * y])
+    polys = oracle_polys(ctx, rng)
+    for a in polys:
+        A = UniPoly(ctx, a)
+        ta = _trim(a)
+        assert A.coeffs == ta and A.degree() == len(ta) - 1
+        assert A.logs == tuple(c.log for c in ta)
+        assert A.sort_key() == (len(ta) - 1, tuple(c.index() for c in ta))
+        assert A == UniPoly(ctx, ta) and hash(A) == hash(UniPoly(ctx, ta))
+        assert (-A).coeffs == _trim([-c for c in ta])
+        c = rng.choice(els)
+        assert A.scale(c).coeffs == _trim([v * c for v in ta])
+        assert A.evaluate(c) == ref_evaluate(ta, c, ctx)
+        assert A.shift(c).coeffs == ref_compose(ta, (c, ctx.one()), ctx)
+        assert A.derivative().coeffs == _trim(
+            [ctx.elem(i) * v for i, v in enumerate(ta)][1:])
+        assert A.monic().coeffs == (
+            _trim([v * ta[-1].inverse() for v in ta]) if ta else ())
+        for b in rng.sample(polys, 6):
+            B = UniPoly(ctx, b)
+            tb = _trim(b)
+            assert (A == B) == (ta == tb)
+            assert (A + B).coeffs == ref_addsub(ta, tb, ctx)
+            assert (A - B).coeffs == ref_addsub(ta, tb, ctx, sub=True)
+            assert (A * B).coeffs == ref_mul(ta, tb, ctx)
+            assert A.compose(B).coeffs == ref_compose(ta, tb, ctx)
+            for n in range(len(ta) + len(tb)):
+                out = addmul_logs(ctx, [ctx.zero_log] * n, A.logs, B.logs)
+                assert _trim(ctx.exp[v] for v in out) == _trim(
+                    ref_mul(ta, tb, ctx)[:n])
+            if not tb:
+                with pytest.raises(DivByZero):
+                    A.divmod(B)
+                continue
+            q, r = A.divmod(B)
+            assert (q.coeffs, r.coeffs) == ref_divmod(ta, tb, ctx)
+            g = A.gcd(B)
+            if g.is_zero():
+                assert A.is_zero() and B.is_zero()
+            else:
+                assert g.lc().is_one()
+                assert not ref_divmod(ta, g.coeffs, ctx)[1]
+                assert not ref_divmod(tb, g.coeffs, ctx)[1]
+            g2, s, t = A.xgcd(B)
+            assert g2 == g
+            assert ref_addsub(ref_mul(s.coeffs, ta, ctx),
+                              ref_mul(t.coeffs, tb, ctx), ctx) == g.coeffs
+            if len(tb) > 1:
+                want = UniPoly(ctx, [ctx.one()])
+                for _ in range(5):
+                    want = (want * A) % B
+                assert A.pow_mod(5, B) == want
