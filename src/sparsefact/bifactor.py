@@ -11,6 +11,15 @@ produced by restricting a y-monic polynomial to a line).  The pipeline:
   division; the char-p leftover (all y-exponents divisible by p) is handled
   by the z = y^p substitution and recursion.
 
+Representation.  Inside the pipeline a polynomial is a y-list: one UniPoly
+in t per y-degree, y-degree 0 first, trailing zero rows trimmed.
+`factor_bivariate` converts its SparsePoly input once and converts the
+factors back once at the end; the other SparsePoly conversions are at the
+public wrappers (`bi_gcd`, `hensel_lift`, `project_t`) and in the
+extension-field fallback, which lifts, retracts and applies Frobenius on
+SparsePoly.  Every exact division in F_q[t][y] (the gcd quotient, the
+multiplicity loop, recombination's trial division) is `_ylist_div`.
+
 Everything is exact and order-deterministic; the final record goes through
 Factorization.assemble, the toolkit's one canonicalizer, which re-verifies it
 by multiplication before it is returned.
@@ -18,14 +27,12 @@ by multiplication before it is returned.
 
 import itertools
 
-from .errors import (NotCoprime, FieldTooSmall, Reject, ZeroPolynomial,
+from .errors import (NotCoprime, FieldTooSmall, ZeroPolynomial,
                      NoFactorizationFound)
 from .field import make_field, MAX_FIELD_SIZE
-from .sparsepoly import (SparsePoly, Factorization, sparse_divide,
-                         lift_poly, retract_poly)
-from .unifactor import UniPoly, factor_univariate, addmul_logs
-
-Y, T = 0, 1
+from .sparsepoly import SparsePoly, Factorization, lift_poly, retract_poly
+from .unifactor import (UniPoly, factor_univariate, addmul_logs,
+                        _pth_root_poly)
 
 
 # -- representation shuttling -------------------------------------------------
@@ -34,7 +41,7 @@ def to_ylist(f):
     """SparsePoly in (y,t) -> list of UniPoly-in-t coefficients by y-degree."""
     ctx = f.ctx
     zl = ctx.zero_log
-    dy = max(f.degree(Y), 0)
+    dy = max(f.degree(0), 0)
     rows = [[] for _ in range(dy + 1)]
     for (i, j), c in f.terms.items():
         row = rows[i]
@@ -52,18 +59,6 @@ def from_ylist(ctx, ylist):
             if v != zl:
                 terms[(i, j)] = exp[v]
     return SparsePoly(ctx, 2, terms)
-
-
-def embed_y(u):
-    """Univariate in y -> bivariate."""
-    return SparsePoly(u.ctx, 2, {(i, 0): c for i, c in enumerate(u.coeffs)
-                                 if not c.is_zero()})
-
-
-def embed_t(u):
-    """Univariate in t -> bivariate."""
-    return SparsePoly(u.ctx, 2, {(0, j): c for j, c in enumerate(u.coeffs)
-                                 if not c.is_zero()})
 
 
 def project_t(f, t0):
@@ -94,22 +89,29 @@ def _ylist_mul(A, B, ctx, prec):
     return [UniPoly.from_logs(ctx, row) for row in out]
 
 
-def _ylist_divmod_monic(A, B, ctx):
-    """Long division in y by a y-monic divisor; coefficients stay polynomial."""
+def _ylist_div(A, B):
+    """The exact quotient A / B in F_q[t][y], or None when B does not
+    divide A.  A quotient row is a leading coefficient divided by lc(B) in
+    F_q[t]; a nonzero remainder there, or in the final remainder, certifies
+    non-divisibility."""
     da, db = _ylist_deg_y(A), _ylist_deg_y(B)
-    assert db >= 0 and B[db].degree() == 0 and B[db].lc().is_one()
-    rem = list(A)
-    q = [UniPoly(ctx) for _ in range(max(da - db + 1, 0))]
+    if db < 0:
+        raise ZeroPolynomial("division by the zero polynomial")
+    lcB = B[db]
+    rem = list(A[:da + 1])
+    q = [UniPoly(lcB.ctx)] * max(da - db + 1, 0)
     for i in range(da, db - 1, -1):
-        if i >= len(rem) or rem[i].is_zero():
+        if rem[i].is_zero():
             continue
-        c = rem[i]
+        c, r = rem[i].divmod(lcB)
+        if not r.is_zero():
+            return None
         q[i - db] = c
-        for j in range(db + 1):
+        for j in range(db):
             rem[i - db + j] = rem[i - db + j] - c * B[j]
-    while rem and rem[-1].is_zero():
-        rem.pop()
-    return q, rem
+    if any(not u.is_zero() for u in rem[:db]):
+        return None
+    return q
 
 
 # -- gcd in y over F_q[t] -----------------------------------------------------
@@ -149,19 +151,16 @@ def _prem(A, B, ctx):
     return rem
 
 
-def bi_gcd(f, g):
-    """gcd of two bivariate polynomials (canonical: primitive in y, monic
-    leading coefficients), via the primitive pseudo-remainder sequence."""
-    ctx = f.ctx
-    A, B = to_ylist(f), to_ylist(g)
+def _ylist_gcd(A, B, ctx):
+    """gcd of two y-lists (canonical: primitive in y, monic leading
+    coefficients), via the primitive pseudo-remainder sequence."""
     if _ylist_deg_y(A) < 0:
-        return from_ylist(ctx, B)
+        return B
     if _ylist_deg_y(B) < 0:
-        return from_ylist(ctx, A)
-    contA, ppA = _primitive(A, ctx)
-    contB, ppB = _primitive(B, ctx)
-    cont = _content(A, ctx).gcd(_content(B, ctx))
-    a, b = ppA, ppB
+        return A
+    contA, a = _primitive(A, ctx)
+    contB, b = _primitive(B, ctx)
+    cont = contA.gcd(contB)
     if _ylist_deg_y(a) < _ylist_deg_y(b):
         a, b = b, a
     while _ylist_deg_y(b) > 0:
@@ -174,23 +173,17 @@ def bi_gcd(f, g):
         a, b = b, r
     if b and _ylist_deg_y(b) == 0:
         # coprime in y; gcd is the content part only
-        result = [cont]
-    else:
-        _, pa = _primitive(a, ctx)
-        # normalize: make the leading y-coefficient monic
-        lc = pa[_ylist_deg_y(pa)]
-        scale = lc.lc().inverse()
-        pa = [u.scale(scale) for u in pa]
-        result = [u * cont for u in pa]
-    return from_ylist(ctx, result)
+        return [cont]
+    _, pa = _primitive(a, ctx)
+    # normalize: make the leading y-coefficient monic
+    scale = pa[_ylist_deg_y(pa)].lc().inverse()
+    return [u.scale(scale) * cont for u in pa]
 
 
-def _exact_divide(f, g):
-    """Exact quotient or None."""
-    try:
-        return sparse_divide(f, g)
-    except (Reject, ZeroPolynomial):
-        return None
+def bi_gcd(f, g):
+    """gcd of two bivariate polynomials (canonical: primitive in y, monic
+    leading coefficients), via the primitive pseudo-remainder sequence."""
+    return from_ylist(f.ctx, _ylist_gcd(to_ylist(f), to_ylist(g), f.ctx))
 
 
 # -- Hensel lifting -----------------------------------------------------------
@@ -291,8 +284,8 @@ def _recombine(F, lifted, prec, ctx):
                     cand = _ylist_mul(cand, lifted[i], ctx, prec=prec)
                 if _ylist_deg_t(cand) > dt_budget:
                     continue
-                q, r = _ylist_divmod_monic(current, cand, ctx)
-                if not r:
+                q = _ylist_div(current, cand)
+                if q is not None:
                     found = (combo, cand, q)
                     break
             if found:
@@ -312,43 +305,20 @@ def _recombine(F, lifted, prec, ctx):
 
 # -- the driver ---------------------------------------------------------------
 
-def _is_pth_power(f):
-    p = f.ctx.p
-    return all(i % p == 0 and j % p == 0 for (i, j) in f.terms)
-
-
-def _pth_root(f):
-    p = f.ctx.p
-    return SparsePoly(f.ctx, 2, {(i // p, j // p): c.pth_root()
-                                 for (i, j), c in f.terms.items()})
-
-
-def _y_derivative(f):
-    ctx = f.ctx
-    out = {}
-    for (i, j), c in f.terms.items():
-        if i:
-            v = ctx.elem(i) * c
-            if not v.is_zero():
-                out[(i - 1, j)] = v
-    return SparsePoly(ctx, 2, out)
-
-
-def _hat_factors(Shat):
+def _hat_factors(Shat, ctx):
     """Monic-in-y irreducible factors of a y-monic squarefree separable
-    bivariate polynomial, via lift-and-recombine at the first point whose
-    projection stays squarefree."""
-    ctx = Shat.ctx
+    y-list, via lift-and-recombine at the first point whose projection
+    stays squarefree."""
     t0 = None
     for cand in ctx.elements():
-        fe = project_t(Shat, cand)
+        fe = UniPoly(ctx, [u.evaluate(cand) for u in Shat])
         if fe.gcd(fe.derivative()).degree() == 0:
             t0 = cand
             break
     if t0 is None:
         raise FieldTooSmall(message="no squarefree projection point in F_%d^%d"
                             % (ctx.p, ctx.ell))
-    shifted = [u.shift(t0) for u in to_ylist(Shat)]
+    shifted = [u.shift(t0) for u in Shat]
     seeds = [g for g, _ in factor_univariate(
         UniPoly(ctx, [u[0] for u in shifted])).parts]
     seeds.sort(key=UniPoly.sort_key)
@@ -360,14 +330,13 @@ def _hat_factors(Shat):
     Ft = [UniPoly.from_logs(ctx, u.logs[:prec]) for u in shifted]
     lifted = _lift_list(Ft, seeds, prec, ctx)
     combined = _recombine(shifted, lifted, prec, ctx)
-    return [from_ylist(ctx, [u.shift(-t0) for u in F]) for F in combined]
+    return [[u.shift(-t0) for u in F] for F in combined]
 
 
-def _hat_factors_lifted(Shat):
+def _hat_factors_lifted(Shat, ctx):
     """Fallback when every base-field projection is squarefree-defective:
     factor over the smallest workable extension and multiply each Frobenius
     orbit back into a base-field irreducible."""
-    ctx = Shat.ctx
     m = 2
     while True:
         if ctx.p ** m > MAX_FIELD_SIZE:
@@ -375,7 +344,8 @@ def _hat_factors_lifted(Shat):
                                 % ctx.p)
         ext = make_field(ctx.p, m)
         try:
-            ext_factors = _hat_factors(lift_poly(Shat, ext))
+            ext_factors = _hat_factors(
+                to_ylist(lift_poly(from_ylist(ctx, Shat), ext)), ext)
             break
         except FieldTooSmall:
             m += 1
@@ -384,7 +354,7 @@ def _hat_factors_lifted(Shat):
         return SparsePoly(ext, 2, {e: c ** ctx.p for e, c in h.terms.items()})
 
     out = []
-    pool = list(ext_factors)
+    pool = [from_ylist(ext, h) for h in ext_factors]
     while pool:
         h = pool.pop(0)
         prod = h
@@ -399,20 +369,18 @@ def _hat_factors_lifted(Shat):
                 "Frobenius orbit product does not retract to %r" % ctx)
         out.append(pr)
     out.sort(key=SparsePoly.sort_key)
-    return out
+    return [to_ylist(h) for h in out]
 
 
-def _factor_sqfree_primitive(S):
-    """Irreducible factors of a squarefree, separable, y-primitive S
+def _factor_sqfree_primitive(S, ctx):
+    """Irreducible factors of a squarefree, separable, y-primitive y-list S
     (deg_y >= 1); S equals a scalar times their product."""
-    ctx = S.ctx
-    k = S.degree(Y)
+    k = _ylist_deg_y(S)
     if k == 1:
         return [S]
-    ylist = to_ylist(S)
-    lc = ylist[k]
+    lc = S[k]
     if lc.degree() == 0:
-        shat = [u.scale(lc.lc().inverse()) for u in ylist]
+        shat = [u.scale(lc.lc().inverse()) for u in S]
         monic_case = True
     else:
         # one-variable monicizing transform: y^k + sum s_j lc^(k-1-j) y^j
@@ -420,105 +388,93 @@ def _factor_sqfree_primitive(S):
         shat[k] = UniPoly.constant(ctx, 1)
         power = UniPoly.constant(ctx, 1)
         for j in range(k - 1, -1, -1):
-            shat[j] = ylist[j] * power
+            shat[j] = S[j] * power
             if j > 0:
                 power = power * lc
         monic_case = False
-    Shat = from_ylist(ctx, shat)
     try:
-        hat_factors = _hat_factors(Shat)
+        hat_factors = _hat_factors(shat, ctx)
     except FieldTooSmall:
         if ctx.ell != 1:
             raise
-        hat_factors = _hat_factors_lifted(Shat)
+        hat_factors = _hat_factors_lifted(shat, ctx)
     if monic_case:
         return hat_factors
     out = []
     for H in hat_factors:
         # undo the transform: substitute y -> lc*y, strip the t-content
-        raw = to_ylist(H)
         lp = UniPoly.constant(ctx, 1)
         mapped = []
-        for j, u in enumerate(raw):
+        for u in H:
             mapped.append(u * lp)
             lp = lp * lc
         _, prim = _primitive(mapped, ctx)
-        out.append(from_ylist(ctx, prim))
+        out.append(prim)
     return out
 
 
-def _factor_primitive(g):
-    """(factor, multiplicity) list for a y-primitive g with deg_y >= 1;
-    the product reproduces g up to a scalar."""
-    ctx = g.ctx
-    gy = _y_derivative(g)
-    if gy.is_zero():
+def _factor_primitive(g, ctx):
+    """(factor, multiplicity) y-lists for a y-primitive y-list g with
+    deg_y >= 1; the product reproduces g up to a scalar."""
+    gy = [g[i].scale(ctx.elem(i)) for i in range(1, len(g))]
+    while gy and gy[-1].is_zero():
+        gy.pop()
+    if not gy:
         # all y-exponents divisible by char; substitute z = y^p
         p = ctx.p
-        V = SparsePoly(ctx, 2, {(i // p, j): c for (i, j), c in g.terms.items()})
         out = []
-        for W, m in factor_bivariate(V).parts:
-            U = SparsePoly(ctx, 2, {(i * p, j): c
-                                    for (i, j), c in W.terms.items()})
-            if _is_pth_power(U):
-                X = _pth_root(U)
-                for Z, mm in factor_bivariate(X).parts:
+        for W, m in _factor_primitive(g[::p], ctx):
+            if all(w.derivative().is_zero() for w in W):
+                # W(y^p) is the p-th power of its row-wise p-th root
+                for Z, mm in _factor_primitive(
+                        [_pth_root_poly(w) for w in W], ctx):
                     out.append((Z, p * m * mm))
             else:
+                U = [UniPoly(ctx)] * (p * (len(W) - 1) + 1)
+                U[::p] = W
                 out.append((U, m))
         return out
-    G = bi_gcd(g, gy)
-    S = _exact_divide(g, G)
+    S = _ylist_div(g, _ylist_gcd(g, gy, ctx))
     if S is None:
         raise NoFactorizationFound("gcd with the y-derivative does not divide")
     out = []
     rem = g
-    if S.degree(Y) >= 1:
-        for H in _factor_sqfree_primitive(S):
+    if _ylist_deg_y(S) >= 1:
+        for H in _factor_sqfree_primitive(S, ctx):
             m = 0
             while True:
-                q = _exact_divide(rem, H)
+                q = _ylist_div(rem, H)
                 if q is None:
                     break
                 rem = q
                 m += 1
             if m < 1:
                 raise NoFactorizationFound(
-                    "squarefree factor %s does not divide" % (H,))
+                    "a squarefree factor does not divide")
             out.append((H, m))
-    if not rem.is_constant():
-        out.extend(_factor_primitive(rem))
+    if _ylist_deg_y(rem) >= 1:
+        out.extend(_factor_primitive(rem, ctx))
     return out
 
 
 def factor_bivariate(f):
     """Complete factorization of a nonzero bivariate polynomial in (y, t)."""
-    assert not f.is_zero()
+    if f.is_zero():
+        raise ZeroPolynomial("factor_bivariate of the zero polynomial")
     ctx = f.ctx
     if f.is_constant():
         return Factorization(f.constant_value(), [])
-    parts = []
-    dy = f.degree(Y)
-    if dy == 0:
-        uf = factor_univariate(UniPoly(
-            ctx, [f.terms.get((0, j), ctx.zero()) for j in range(f.degree(T) + 1)]))
-        parts = [(embed_t(g), m) for g, m in uf.parts]
-        return Factorization.assemble(f, parts)
-    if f.degree(T) == 0:
-        uf = factor_univariate(UniPoly(
-            ctx, [f.terms.get((i, 0), ctx.zero()) for i in range(dy + 1)]))
-        parts = [(embed_y(g), m) for g, m in uf.parts]
-        return Factorization.assemble(f, parts)
     ylist = to_ylist(f)
-    cont, prim = _primitive(ylist, ctx)
-    if cont.degree() >= 1:
-        for g, m in factor_univariate(cont).parts:
-            parts.append((embed_t(g), m))
-    pp = from_ylist(ctx, prim)
-    if pp.degree(Y) >= 1:
-        parts.extend(_factor_primitive(pp))
-    elif not pp.is_constant():
-        # primitive with deg_y == 0 would be constant; kept for safety
-        for g, m in factor_univariate(prim[0]).parts:
-            parts.append((embed_t(g), m))
-    return Factorization.assemble(f, parts)
+    if _ylist_deg_t(ylist) == 0:
+        uf = factor_univariate(UniPoly(ctx, [u[0] for u in ylist]))
+        parts = [([UniPoly.from_logs(ctx, (v,)) for v in g.logs], m)
+                 for g, m in uf.parts]
+    else:
+        parts = []
+        cont, prim = _primitive(ylist, ctx)
+        if cont.degree() >= 1:
+            parts = [([g], m) for g, m in factor_univariate(cont).parts]
+        if _ylist_deg_y(prim) >= 1:
+            parts.extend(_factor_primitive(prim, ctx))
+    return Factorization.assemble(
+        f, [(from_ylist(ctx, h), m) for h, m in parts])

@@ -270,14 +270,6 @@ class SparsePoly:
             out[e[:i] + (0,) + e[i:]] = c
         return SparsePoly(self.ctx, self.n + 1, out)
 
-    def permute_vars(self, perm):
-        """Reindex variables: new index j holds old variable perm[j]."""
-        assert sorted(perm) == list(range(self.n))
-        out = {}
-        for e, c in self.terms.items():
-            out[tuple(e[perm[j]] for j in range(self.n))] = c
-        return SparsePoly(self.ctx, self.n, out)
-
     # -- leading coefficients -------------------------------------------------
 
     def lead_and_degrees(self, i):
@@ -364,11 +356,6 @@ class Factorization:
         for f, m in self.parts:
             result = result * f ** m
         return result.scale(self.unit)
-
-    def multiset_key(self):
-        """Order-insensitive identity of the factor multiset (up to units)."""
-        return tuple(sorted((normalize_scalar(f)[0].sort_key(), m)
-                            for f, m in self.parts))
 
     def __repr__(self):
         body = " * ".join("(%s)^%d" % (format_poly(f), m) for f, m in self.parts)

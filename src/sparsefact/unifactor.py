@@ -22,7 +22,7 @@ with `bifactor` (truncated y-list products) and `sparsepoly` (line
 restriction), whose other hot loops use the same tables.
 """
 
-from .errors import DivByZero, CtxMismatch
+from .errors import DivByZero, CtxMismatch, ZeroDegree, NoFactorizationFound
 from .field import FieldElem
 
 
@@ -128,10 +128,6 @@ class UniPoly:
         u.ctx = ctx
         u.logs = _trimmed(logs, zl) if logs and logs[-1] == zl else tuple(logs)
         return u
-
-    @classmethod
-    def from_ints(cls, ctx, ints):
-        return cls(ctx, [ctx.elem(v) for v in ints])
 
     @classmethod
     def constant(cls, ctx, c):
@@ -350,7 +346,8 @@ def squarefree_decompose(f):
     """Monic-part squarefree decomposition: f = lc * prod(part^mult) with
     squarefree, pairwise-coprime monic parts.  Handles char p via the
     f(y) = u(y^p) rewrite."""
-    assert f.degree() >= 1
+    if f.degree() < 1:
+        raise ZeroDegree("squarefree decomposition of a constant")
     f = f.monic()
     p = f.ctx.p
     out = []
@@ -420,7 +417,9 @@ def _berlekamp_split(f):
                     new.append(w)
             factors = new
     factors.sort(key=UniPoly.sort_key)
-    assert len(factors) == r
+    if len(factors) != r:
+        raise NoFactorizationFound(
+            "Berlekamp split found %d of %d factors" % (len(factors), r))
     return factors
 
 
@@ -463,7 +462,8 @@ def _nullspace(M, ctx):
 
 def factor_univariate(f):
     """Complete deterministic factorization into monic irreducibles."""
-    assert f.degree() >= 1
+    if f.degree() < 1:
+        raise ZeroDegree("factor_univariate of a constant")
     unit = f.lc()
     parts = []
     for g, m in squarefree_decompose(f):

@@ -7,9 +7,10 @@ import random
 import pytest
 
 from sparsefact import bifactor
-from sparsefact.errors import NotCoprime, NoFactorizationFound
+from sparsefact.errors import (NotCoprime, NoFactorizationFound, Reject,
+                               ZeroPolynomial)
 from sparsefact.field import make_field
-from sparsefact.sparsepoly import SparsePoly, Factorization
+from sparsefact.sparsepoly import SparsePoly, Factorization, sparse_divide
 from sparsefact.unifactor import UniPoly, factor_univariate
 from sparsefact.bifactor import factor_bivariate, hensel_lift, bi_gcd
 
@@ -165,7 +166,7 @@ NONDIVISOR_LINES = [
     "f = SparsePoly(F, 2, {(2, 0): F.one(), (0, 1): F.one()})",
     "h = SparsePoly(F, 2, {(1, 0): F.one(), (0, 1): F.one(),"
     "                      (0, 0): F.elem(3)})",
-    "bifactor._factor_sqfree_primitive = lambda S: [h]",
+    "bifactor._factor_sqfree_primitive = lambda S, ctx: [bifactor.to_ylist(h)]",
     "try:",
     "    bifactor.factor_bivariate(f)",
     "except NoFactorizationFound:",
@@ -177,13 +178,71 @@ def test_nondivisor_squarefree_factor_raises(monkeypatch):
     f = B({(2, 0): 1, (0, 1): 1})
     assert factor_bivariate(f).parts == [(f, 1)]
     h = B({(1, 0): 1, (0, 1): 1, (0, 0): 3})
-    monkeypatch.setattr(bifactor, "_factor_sqfree_primitive", lambda S: [h])
+    monkeypatch.setattr(bifactor, "_factor_sqfree_primitive",
+                        lambda S, ctx: [bifactor.to_ylist(h)])
     with pytest.raises(NoFactorizationFound):
         factor_bivariate(f)
 
 
 def test_nondivisor_check_survives_optimize_flag(run_optimized):
     assert run_optimized(NONDIVISOR_LINES) == "False\nraised\n"
+
+
+def test_zero_input_raises():
+    with pytest.raises(ZeroPolynomial):
+        factor_bivariate(SparsePoly.zero(F7, 2))
+
+
+def test_zero_input_check_survives_optimize_flag(run_optimized):
+    assert run_optimized([
+        "from sparsefact.bifactor import factor_bivariate",
+        "from sparsefact.errors import ZeroPolynomial",
+        "from sparsefact.field import make_field",
+        "from sparsefact.sparsepoly import SparsePoly",
+        "try:",
+        "    factor_bivariate(SparsePoly.zero(make_field(7), 2))",
+        "except ZeroPolynomial:",
+        "    print('raised')",
+    ]) == "False\nraised\n"
+
+
+# -- exact division on y-lists ------------------------------------------------
+
+def test_ylist_div_matches_sparse_divide():
+    # sparse_divide is the oracle: the same quotient, or None exactly when
+    # it rejects.  Divisors range over y-degrees 0..2 with leading
+    # coefficients that often depend on t; dividends are multiples, random
+    # polynomials (mostly non-multiples) and multiples plus a perturbation.
+    rng = random.Random(4)
+    seen = {"divides": 0, "rejects": 0, "lc_in_t": 0, "deg_above": 0}
+    for ctx in (F2, F3, F7, make_field(3, 2)):
+        for _ in range(60):
+            g = rand_bi(ctx, 2, rng.randint(1, 4), rng)
+            if g.is_zero():
+                continue
+            kind = rng.randrange(3)
+            if kind == 0:
+                f = g * rand_bi(ctx, 2, rng.randint(0, 3), rng)
+            elif kind == 1:
+                f = rand_bi(ctx, 3, rng.randint(1, 5), rng)
+            else:
+                f = g * rand_bi(ctx, 2, 2, rng) + rand_bi(ctx, 1, 1, rng)
+            got = bifactor._ylist_div(bifactor.to_ylist(f),
+                                      bifactor.to_ylist(g))
+            try:
+                want = sparse_divide(f, g)
+            except Reject:
+                assert got is None, (f, g)
+                seen["rejects"] += 1
+            else:
+                assert got is not None, (f, g)
+                assert bifactor.from_ylist(ctx, got) == want, (f, g)
+                seen["divides"] += 1
+            if g.lead_and_degrees(0)[0].degree(1) > 0:
+                seen["lc_in_t"] += 1
+            if g.degree(0) > f.degree(0):
+                seen["deg_above"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_factor_count_bound():
@@ -236,8 +295,6 @@ def _no_nontrivial_divisor(p):
 
 
 def _divides(g, f):
-    from sparsefact.sparsepoly import sparse_divide
-    from sparsefact.errors import Reject
     try:
         sparse_divide(f, g, cap=len(f.terms) * 8 + 8)
         return True

@@ -85,11 +85,13 @@ def test_factor_lifted_golden(monkeypatch):
     assert text == LIFTED_F3_JSON
 
 
-# Products with repeated factors over F_11 and F_101.  On the three-variable
-# ones nearly every line restriction is not squarefree, so factor_bivariate
-# runs bi_gcd, the division by the gcd and the multiplicity loop; the two
-# bivariate ones go there directly.  The expected bytes were produced by the
-# FieldElem-coefficient polynomial kernels that preceded the int-log ones.
+# Products with repeated factors over F_3, F_11 and F_101.  On the
+# three-variable ones nearly every line restriction is not squarefree, so
+# factor_bivariate runs the gcd with the y-derivative, the division by the
+# gcd and the multiplicity loop; the bivariate ones go there directly.  The
+# expected bytes of the first seven were produced by the FieldElem-coefficient
+# polynomial kernels that preceded the int-log ones, those of the last three
+# by the SparsePoly-based bivariate code that preceded the y-list one.
 NONSQUAREFREE = [
     (11, ["x1*x2 + x3 + 1"] * 2 + ["x1 + x2*x3 + 2"],
       '{"factors": [{"multiplicity": 1, "poly": "x2*x3 + x1 + 2"}, '
@@ -119,12 +121,28 @@ NONSQUAREFREE = [
       '{"factors": [{"multiplicity": 1, "poly": "x1*x2*x3 + 9"}, '
       '{"multiplicity": 2, "poly": "x2^2 + x1 + x3 + 1"}], '
       '"field": {"ext": 1, "p": 101}, "unit": 1}\n'),
+    # all x1-exponents divisible by 3: the z = x1^3 substitution, whose
+    # factors come back both as cubes and as x1^3 + x2 (not a cube), and
+    # the extension-field fallback
+    (3, ["x1 + x2"] * 3 + ["x1^3 + x2"],
+      '{"factors": [{"multiplicity": 3, "poly": "x1 + x2"}, '
+      '{"multiplicity": 1, "poly": "x1^3 + x2"}], '
+      '"field": {"ext": 1, "p": 3}, "unit": 1}\n'),
+    # leading coefficients in x2: the monicizing transform and its undoing
+    (11, ["x1*x2 + 3"] * 2 + ["x1^2*x2 + x1 + 1"],
+      '{"factors": [{"multiplicity": 2, "poly": "x1*x2 + 3"}, '
+      '{"multiplicity": 1, "poly": "x1^2*x2 + x1 + 1"}], '
+      '"field": {"ext": 1, "p": 11}, "unit": 1}\n'),
+    (3, ["x1^3*x2 + x2^3 + 2"] * 2,
+      '{"factors": [{"multiplicity": 2, "poly": "x1^3*x2 + x2^3 + 2"}], '
+      '"field": {"ext": 1, "p": 3}, "unit": 1}\n'),
 ]
 
 
 @pytest.mark.parametrize("p,blocks,want", NONSQUAREFREE,
                          ids=["f11-%d" % i for i in range(3)]
-                         + ["f101-0", "f11-3", "f101-1", "f101-2"])
+                         + ["f101-0", "f11-3", "f101-1", "f101-2",
+                            "f3-0", "f11-4", "f3-1"])
 def test_factor_nonsquarefree_golden(p, blocks, want):
     ctx = make_field(p)
     n = 3 if any("x3" in b for b in blocks) else 2

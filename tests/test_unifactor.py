@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from sparsefact.errors import DivByZero
+from sparsefact import unifactor
+from sparsefact.errors import DivByZero, ZeroDegree, NoFactorizationFound
 from sparsefact.field import make_field, is_prime
 from sparsefact.unifactor import (UniPoly, UniFactorization, factor_univariate,
                                   squarefree_decompose, is_irreducible,
@@ -291,3 +292,54 @@ def test_kernels_match_schoolbook(p, ell):
                 for _ in range(5):
                     want = (want * A) % B
                 assert A.pow_mod(5, B) == want
+
+
+# -- checks that must hold under python -O ------------------------------------
+
+def test_constant_input_raises():
+    for c in (UniPoly.constant(F7, 3), UniPoly(F7)):
+        with pytest.raises(ZeroDegree):
+            factor_univariate(c)
+        with pytest.raises(ZeroDegree):
+            squarefree_decompose(c)
+
+
+def _overcounting_nullspace(M, ctx, real=unifactor._nullspace):
+    """The nullspace basis with its first vector repeated: one factor more
+    than the splitting can find."""
+    basis = real(M, ctx)
+    return basis + basis[:1]
+
+
+def test_berlekamp_count_check_raises(monkeypatch):
+    # x^2 + 1 is irreducible over F_7 and x^2 - 1 splits; with a miscounted
+    # nullspace neither may come back as a complete factorization
+    monkeypatch.setattr(unifactor, "_nullspace", _overcounting_nullspace)
+    for f in (U([1, 0, 1]), U([6, 0, 1])):
+        with pytest.raises(NoFactorizationFound):
+            factor_univariate(f)
+
+
+CHECK_LINES = [
+    "from sparsefact import unifactor",
+    "from sparsefact.errors import ZeroDegree, NoFactorizationFound",
+    "from sparsefact.field import make_field",
+    "from sparsefact.unifactor import (UniPoly, factor_univariate,",
+    "                                  squarefree_decompose)",
+    "F = make_field(7)",
+    "for fn in (factor_univariate, squarefree_decompose):",
+    "    try:",
+    "        fn(UniPoly.constant(F, 3))",
+    "    except ZeroDegree:",
+    "        print('raised')",
+    "real = unifactor._nullspace",
+    "unifactor._nullspace = lambda M, ctx: real(M, ctx) + real(M, ctx)[:1]",
+    "try:",
+    "    factor_univariate(UniPoly(F, [F.one(), F.zero(), F.one()]))",
+    "except NoFactorizationFound:",
+    "    print('raised')",
+]
+
+
+def test_checks_survive_optimize_flag(run_optimized):
+    assert run_optimized(CHECK_LINES) == "False\nraised\nraised\nraised\n"
