@@ -48,15 +48,19 @@ def _build_parser():
                        help="field characteristic (default 7)")
         p.add_argument("--ext", type=int, default=1,
                        help="extension degree (default 1)")
+        p.add_argument("--json", action="store_true",
+                       help="structured JSON output")
+
+    def cap_flags(p):
+        # only the subcommands that compute a sparsity cap take these
         p.add_argument("--sb-constant", type=Fraction, default=Fraction(5),
                        help="constant C of the sparsity cap (default 5)")
         p.add_argument("--cap", type=int, default=None,
                        help="user override for the sparsity cap")
-        p.add_argument("--json", action="store_true",
-                       help="structured JSON output")
 
     pf = sub.add_parser("factor", help="factor a polynomial")
     common(pf)
+    cap_flags(pf)
     pf.add_argument("poly", nargs="?", help="polynomial text")
     pf.add_argument("--input", help="file containing the polynomial text")
 
@@ -70,6 +74,7 @@ def _build_parser():
 
     pp = sub.add_parser("polytope", help="Newton-polytope statistics")
     common(pp)
+    cap_flags(pp)
     pp.add_argument("poly", help="polynomial text")
 
     ph = sub.add_parser("hitset", help="dump a hitting set")
@@ -220,7 +225,9 @@ def _eg1(ctx, n, d):
 def _eg2(ctx, n, d):
     """f = x_1^p + ... + x_n^p = (x_1 + ... + x_n)^p: n terms, with the
     power-sum factor g = (x_1 + ... + x_n)^d of (n+d-1 choose d) terms."""
-    assert 0 < d < ctx.p
+    if not 0 < d < ctx.p:
+        # from d = p on, multinomial coefficients of g vanish mod p
+        raise ValueError("eg2 needs 0 < d < p = %d" % ctx.p)
     f = SparsePoly.zero(ctx, n)
     lin = SparsePoly.zero(ctx, n)
     for i in range(n):

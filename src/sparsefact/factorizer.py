@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (GuessInvalid, Reject, FieldTooSmall, ZeroPolynomial,
-                     NoFactorizationFound)
+                     NoFactorizationFound, NotMonic, ShapeMismatch)
 from .field import make_field, MAX_FIELD_SIZE
 from .sparsepoly import (SparsePoly, Factorization, make_monic, sparse_divide,
                          phi_score, restrict_to_line, project_y, lift_poly,
@@ -63,15 +63,17 @@ class Guess:
     exps: tuple            # multiplicities, one per part
 
     def __post_init__(self):
-        assert len(self.parts) == len(self.exps)
-        assert all(self.parts)
+        if len(self.parts) != len(self.exps) or not all(self.parts):
+            raise ShapeMismatch("a guess needs one exponent per nonempty part")
 
 
 # -- black-box factor evaluation ----------------------------------------------
 
 def _line_factors(f, a, b, cache=None):
     """Monic-in-y bivariate factors of the restriction of f to the line
-    through (a, b), with t=0 and t=1 projections precomputed."""
+    through (a, b), with t=0 and t=1 projections precomputed.  The
+    restriction of a y-monic f is y-monic, so its factors' y-leading
+    coefficients are constants, which Factorization.assemble scales to 1."""
     key = tuple(v.coeffs for v in b)
     if cache is not None and key in cache:
         return cache[key]
@@ -80,11 +82,6 @@ def _line_factors(f, a, b, cache=None):
     fac = factor_bivariate(ft)
     out = []
     for F, v in fac.parts:
-        lc, _ = F.lead_and_degrees(0)
-        assert lc.is_constant()  # restriction of a y-monic polynomial
-        c = lc.constant_value()
-        if not c.is_one():
-            F = F.scale(c.inverse())
         out.append((F, v, project_t(F, ctx.zero()), project_t(F, ctx.one())))
     if cache is not None:
         cache[key] = out
@@ -149,7 +146,8 @@ def reconstruct_sparse(oracle, n, d, cap, ctx):
     the field lacks d+1 points on some axis.
     """
     degs = tuple(d) if not isinstance(d, int) else (d,) * n
-    assert len(degs) == n
+    if len(degs) != n:
+        raise ShapeMismatch("%d degrees for %d variables" % (len(degs), n))
     if max(degs) + 1 > ctx.q:
         raise FieldTooSmall(required=max(degs) + 1)
     axes = [list(itertools.islice(ctx.elements(), dv + 1)) for dv in degs]
@@ -208,7 +206,7 @@ def _multiset_partitions(items):
                 yield [list(p) for p in c]
 
 
-def _enumerate_guesses(anchor, uni_parts, k):
+def _enumerate_guesses(uni_parts):
     """Deterministic guess enumeration for one anchor.
 
     uni_parts: list of (irreducible UniPoly, multiplicity) of f(y, anchor).
@@ -226,17 +224,15 @@ def _enumerate_guesses(anchor, uni_parts, k):
         for g, c in zip(gs, counts):
             items.extend([g] * c)
         for parts in _multiset_partitions(items):
-            m = len(parts)
-            for exps in itertools.product(range(1, k + 1), repeat=m):
+            # a part's exponent times its copies of g never exceeds u_g:
+            # only that box of exponents can cover, in lexicographic order
+            tops = [min(u // part.count(g)
+                        for g, u in zip(gs, us) if g in part)
+                    for part in parts]
+            for exps in itertools.product(*[range(1, t + 1) for t in tops]):
                 # coverage: weighted union reproduces the full multiset
-                ok = True
-                for g, u in zip(gs, us):
-                    total = sum(e * sum(1 for x in part if x == g)
-                                for part, e in zip(parts, exps))
-                    if total != u:
-                        ok = False
-                        break
-                if ok:
+                if all(sum(e * part.count(g) for part, e in zip(parts, exps))
+                       == u for g, u in zip(gs, us)):
                     yield parts, exps
 
 
@@ -287,11 +283,15 @@ def factor_monic(f, cfg=None, _base=None):
         cfg = FactorCfg()
     ctx = f.ctx
     nx = f.n - 1
-    assert nx >= 1 and f.is_monic_in(nx)
-    k = f.degree(nx)
+    if nx < 1:
+        raise ShapeMismatch("the monic driver needs x-variables besides y")
+    if not f.is_monic_in(nx):
+        raise NotMonic("factor_monic needs a polynomial monic in y")
     s = f.sparsity()
     d = max(f.max_degree(), 1)
-    cap = sparsity_cap(nx, s, d, cfg.sb)
+    # a factor lives in all n variables, y included: the dense bound is
+    # (d+1)^n, and the paper's s^O(d^2 log n) is over the same n
+    cap = sparsity_cap(f.n, s, d, cfg.sb)
     degs = f.degrees()[:nx]
     needed = max(degs, default=0) + 1
     if needed > ctx.q:
@@ -318,7 +318,7 @@ def factor_monic(f, cfg=None, _base=None):
         # highest-scoring guesses first: the complete factorization always
         # scores maximally among verifiable candidates, so on a good anchor
         # the first surviving reconstruction is already the final answer
-        guesses = sorted(_enumerate_guesses(anchor, ufac.parts, k),
+        guesses = sorted(_enumerate_guesses(ufac.parts),
                          key=lambda pe: -phi_score(pe[1]))
         anchor_max = max((phi_score(e) for _, e in guesses), default=1)
         score_ub = anchor_max if score_ub is None else min(score_ub, anchor_max)

@@ -49,7 +49,8 @@ def _grid_points(ctx, n, values):
 def gen_hitting_set(ctx, n, s, d, k, strategy="grid"):
     """Hitting set for nonzero products of k s-sparse polynomials of
     individual degree <= d in n variables over ctx."""
-    assert n >= 1 and s >= 1 and d >= 1 and k >= 1
+    if min(n, s, d, k) < 1:
+        raise ValueError("hitting sets need n, s, d, k >= 1")
     if strategy == "grid":
         D = k * d
         if D + 1 > ctx.q:

@@ -27,7 +27,8 @@ class SBConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "C", Fraction(self.C))
-        assert self.C > 0
+        if self.C <= 0:
+            raise ValueError("the sparsity-cap constant C must be positive")
 
 
 # -- exact feasibility LP -----------------------------------------------------
@@ -284,7 +285,8 @@ def hadamard_example(m):
 
     Returns (E, vertices, subspace_count).
     """
-    assert 1 <= m <= 4
+    if not 1 <= m <= 4:
+        raise ValueError("hadamard_example needs 1 <= m <= 4")
     n = 1 << m
     columns = [tuple((-1) ** _dot2(a, b) for a in range(n)) for b in range(n)]
     subs = _subspaces(m)

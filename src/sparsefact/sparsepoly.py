@@ -15,6 +15,7 @@ Variable conventions used by the factoring pipeline:
 """
 
 import heapq
+import math
 import operator
 import re
 
@@ -570,109 +571,63 @@ def phi_score(multiplicities):
 
 # -- text grammar -------------------------------------------------------------
 #
-#   poly := term ('+' term)*
-#   term := coeff ('*' var ('^' exp)?)*  |  var ('^' exp)? ('*' var ('^' exp)?)*
-#   var  := 'x'<index> | 'y'
+#   poly   := term ('+' term)*
+#   term   := factor ('*' factor)*
+#   factor := int | '[' (int (',' int)*)? ']' | var ('^' exp)?
+#   var    := 'x'<index> | 'y'
 #
-# Coefficients are field-element serializations (ints; bracketed residue
-# vectors for extension fields).
+# Whitespace may surround every token.  Coefficients are field-element
+# serializations: a term holds any number of integer factors, which
+# multiply, or exactly one bracketed residue list (an extension-field
+# element, '[]' is zero) and no integer.  Exponents of a repeated variable
+# add, and repeated monomials add.
 
-_TOKEN = re.compile(r"\s*(x\d+|y|\^|\*|\+|\[[\d,\s]*\]|\d+)")
-
-
-def _tokenize(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError("unexpected input at %r" % text[pos:pos + 10])
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+_FACTOR = re.compile(r"\s*(?:(\d+)|\[\s*(?:((?:\d+\s*,\s*)*\d+)\s*)?\]"
+                     r"|(x\d+|y)(?:\s*\^\s*(\d+))?)\s*")
 
 
 def parse_poly(text, ctx, nvars=None):
     """Parse the polynomial grammar.  Variables x1..xk map to indices 0..k-1;
     y (if present) maps to the last index.  nvars forces the x-variable count."""
-    toks = _tokenize(text)
-    if not toks:
-        raise ParseError("empty polynomial text")
-    terms = []  # list of (coeff int/list, {varname: exp})
-    i = 0
+    monomials = []  # (int or residue list, {x index, or -1 for y: exponent})
     max_x = nvars or 0
-    uses_y = False
-    while i < len(toks):
-        coeff = 1
-        powers = {}
-        expect_factor = True
-        while i < len(toks) and toks[i] != "+":
-            tok = toks[i]
-            if tok == "*":
-                if expect_factor:
-                    raise ParseError("misplaced '*'")
-                i += 1
-                expect_factor = True
-                continue
-            if not expect_factor:
-                raise ParseError("missing '*' before %r" % tok)
-            if tok == "^":
-                raise ParseError("dangling '^'")
-            if tok.startswith("x") or tok == "y":
-                exp = 1
-                if i + 1 < len(toks) and toks[i + 1] == "^":
-                    if i + 2 >= len(toks) or not toks[i + 2].isdigit():
-                        raise ParseError("bad exponent")
-                    exp = int(toks[i + 2])
-                    i += 2
-                if tok == "y":
-                    uses_y = True
-                    powers["y"] = powers.get("y", 0) + exp
-                else:
-                    idx = int(tok[1:])
-                    if idx < 1:
-                        raise ParseError("variable indices start at 1")
-                    max_x = max(max_x, idx)
-                    powers[idx] = powers.get(idx, 0) + exp
-            elif tok.startswith("["):
-                coeff = [int(v) for v in tok[1:-1].split(",") if v.strip()]
-            elif tok.isdigit():
-                if isinstance(coeff, int):
-                    coeff = coeff * int(tok)
-                else:
-                    raise ParseError("two coefficients in one term")
+    for term in text.split("+"):
+        ints, lists, powers = [], [], {}
+        for factor in term.split("*"):
+            m = _FACTOR.fullmatch(factor)
+            if m is None:
+                raise ParseError("bad factor %r in %r" % (factor.strip(), text))
+            num, residues, var, exp = m.groups()
+            if num is not None:
+                ints.append(int(num))
+            elif var is None:
+                lists.append([int(v) for v in residues.split(",")]
+                             if residues else [])
             else:
-                raise ParseError("unexpected token %r" % tok)
-            expect_factor = False
-            i += 1
-        if expect_factor and powers == {} and coeff == 1:
-            raise ParseError("empty term")
-        terms.append((coeff, powers))
-        if i < len(toks):
-            i += 1  # skip '+'
-            if i == len(toks):
-                raise ParseError("trailing '+'")
+                i = -1 if var == "y" else int(var[1:]) - 1
+                if i == -1 and var != "y":
+                    raise ParseError("variable indices start at 1")
+                max_x = max(max_x, i + 1)
+                powers[i] = powers.get(i, 0) + int(exp or 1)
+        if lists and (ints or len(lists) > 1):
+            raise ParseError("two coefficients in one term")
+        monomials.append((lists[0] if lists else math.prod(ints), powers))
     if nvars is not None and max_x > nvars:
         raise ParseError("variable index exceeds declared count")
-    n = max_x + (1 if uses_y else 0)
-    if n == 0:
-        n = 1  # constant polynomial still needs an arity
-    poly = SparsePoly.zero(ctx, n)
-    for coeff, powers in terms:
+    # y takes the slot after the last x; a constant still needs an arity
+    n = max(max_x + any(-1 in powers for _, powers in monomials), 1)
+    terms = {}
+    for coeff, powers in monomials:
         e = [0] * n
-        for name, exp in powers.items():
-            if name == "y":
-                e[n - 1] = exp
-            else:
-                e[name - 1] = exp
+        for i, exp in powers.items():
+            e[i] = exp
         try:
             c = ctx.elem(coeff)
         except ShapeMismatch as err:
             raise ParseError(str(err)) from None
-        poly = poly + SparsePoly(ctx, n, {tuple(e): c} if not c.is_zero() else {})
-    return poly
+        e = tuple(e)
+        terms[e] = terms[e] + c if e in terms else c
+    return SparsePoly(ctx, n, terms)
 
 
 def format_poly(f, var_names=None):

@@ -304,6 +304,53 @@ def test_examples_hadamard():
     assert doc["certified_interior_points"] == 16
 
 
+# -- argument validation ------------------------------------------------------
+
+# Out-of-range arguments: each ends in one "error: ..." line and exit 1, with
+# or without python -O.
+BAD_ARGUMENTS = [
+    ["examples", "--which", "eg2", "--d", "7"],
+    ["examples", "--which", "eg2", "--d", "0"],
+    ["hitset", "--n", "0", "--s", "1", "--d", "1", "--k", "1"],
+    ["examples", "--which", "hadamard", "--m", "5"],
+    ["factor", "--sb-constant", "0", "x1"],
+    ["polytope", "--sb-constant", "0", "x1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=" ".join)
+def test_bad_arguments_exit_1(argv):
+    status, text = invoke(argv)
+    assert status == 1
+    assert text.startswith("error: ") and text.count("\n") == 1
+
+
+def test_bad_arguments_exit_1_optimized(run_optimized):
+    lines = ["import io",
+             "from sparsefact.cli import run",
+             "for argv in %r:" % BAD_ARGUMENTS,
+             "    out = io.StringIO()",
+             "    status = run(argv, out=out)",
+             "    print(status, out.getvalue().startswith('error: '))"]
+    assert run_optimized(lines) == "False\n" + "1 True\n" * len(BAD_ARGUMENTS)
+
+
+def test_cap_flags_only_where_read():
+    # verify, hitset and examples compute no sparsity cap
+    for argv in (["verify", "x1", "--factor", "x1"],
+                 ["hitset", "--n", "1", "--s", "1", "--d", "1", "--k", "1"],
+                 ["examples", "--which", "eg1"]):
+        assert invoke(argv)[0] == 0
+        assert invoke(argv + ["--cap", "3"])[0] == 1
+        assert invoke(argv + ["--sb-constant", "2"])[0] == 1
+    status, text = invoke(["polytope", "--cap", "3", "--sb-constant", "2",
+                           "x1^2*x2 + x2 + 3"])
+    assert status == 0 and "factor sparsity cap: 3\n" in text
+    status, _ = invoke(["factor", "--cap", "3", "--sb-constant", "2",
+                        "x1*x2 + x2"])
+    assert status == 0
+
+
 # -- contract -----------------------------------------------------------------
 
 def test_unknown_subcommand():

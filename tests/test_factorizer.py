@@ -9,7 +9,8 @@ import pytest
 
 from sparsefact import factorizer
 from sparsefact.errors import (GuessInvalid, Reject, FieldTooSmall,
-                               ZeroPolynomial, NoFactorizationFound)
+                               ZeroPolynomial, NoFactorizationFound,
+                               NotMonic, ShapeMismatch)
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
                                    normalize_scalar)
@@ -17,7 +18,9 @@ from sparsefact.unifactor import UniPoly
 from sparsefact.bifactor import factor_bivariate
 from sparsefact.factorizer import (FactorCfg, Guess, factor, factor_monic,
                                    blackbox_eval, reconstruct_sparse,
-                                   verify_factorization, _full_grid)
+                                   verify_factorization, _full_grid,
+                                   _enumerate_guesses)
+from tests_oracle import enumerate_guesses_unbounded
 
 F7 = make_field(7)
 F13 = make_field(13)
@@ -115,6 +118,50 @@ def test_blackbox_ambiguity_partition():
         blackbox_eval(f, bad, (F7.elem(2),))
 
 
+def test_guess_rejects_malformed_state():
+    y1 = U([1, 1])
+    with pytest.raises(ShapeMismatch):
+        Guess(anchor=(F7.one(),), parts=((y1,),), exps=(1, 1))
+    with pytest.raises(ShapeMismatch):
+        Guess(anchor=(F7.one(),), parts=((y1,), ()), exps=(1, 1))
+
+
+# -- guess enumeration --------------------------------------------------------
+
+# (coefficients, multiplicity) of distinct irreducibles over F_7; y^2 + 1 is
+# irreducible since -1 is not a square mod 7
+GUESS_PATTERNS = {
+    "1": [([1, 1], 1)],
+    "2": [([1, 1], 2)],
+    "4": [([1, 1], 4)],
+    "1,1": [([1, 1], 1), ([2, 1], 1)],
+    "2,1": [([1, 1], 2), ([2, 1], 1)],
+    "3,1": [([1, 1], 3), ([2, 1], 1)],
+    "2,2": [([1, 1], 2), ([2, 1], 2)],
+    "1,1,1": [([1, 1], 1), ([2, 1], 1), ([3, 1], 1)],
+    "2,1,1": [([1, 1], 2), ([2, 1], 1), ([3, 1], 1)],
+    "quadratic^2,1": [([1, 0, 1], 2), ([1, 1], 1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUESS_PATTERNS))
+def test_enumerate_guesses_matches_unbounded(name):
+    # bounding each part's exponent keeps the reference's sequence
+    uni = [(U(c), u) for c, u in GUESS_PATTERNS[name]]
+    k = sum(g.degree() * u for g, u in uni)
+    want = list(enumerate_guesses_unbounded(uni, k))
+    assert want and list(_enumerate_guesses(uni)) == want
+
+
+def test_enumerate_guesses_six_simple_factors():
+    # only the whole set covers, one part per block of a set partition with
+    # exponent 1: Bell(6) = 203 guesses
+    uni = [(U([i, 1]), 1) for i in range(6)]
+    guesses = list(_enumerate_guesses(uni))
+    assert len(guesses) == 203
+    assert all(set(exps) == {1} for _, exps in guesses)
+
+
 # -- sparse reconstruction ----------------------------------------------------
 
 def test_reconstruct_example():
@@ -139,6 +186,11 @@ def test_reconstruct_field_too_small():
     F2 = make_field(2)
     with pytest.raises(FieldTooSmall):
         reconstruct_sparse(lambda pt: F2.zero(), 1, 2, 9, F2)
+
+
+def test_reconstruct_rejects_wrong_degree_count():
+    with pytest.raises(ShapeMismatch):
+        reconstruct_sparse(lambda pt: F7.zero(), 2, (1, 1, 1), 5, F7)
 
 
 def test_reconstruct_random_round_trip():
@@ -195,6 +247,42 @@ def test_factor_monic_repeated_root():
     assert verify_factorization(f, fac)
     assert len(fac.parts) == 1 and fac.parts[0][1] == 2
     assert multiset(fac) == [(normalize_scalar(P("y + 6*x1"))[0].sort_key(), 2)]
+
+
+def test_factor_monic_rejects_bad_input():
+    with pytest.raises(ShapeMismatch):
+        factor_monic(P("y^2 + 6"))  # y is the only variable
+    with pytest.raises(NotMonic):
+        factor_monic(P("2*y^2 + x1"))
+    fac = factor_monic(P("y^2 + 6", nvars=1))
+    assert multiset(fac) == multiset(Factorization(F7.one(), [
+        (P("y + 1", nvars=1), 1), (P("y + 6", nvars=1), 1)]))
+
+
+# The driver's input checks and Guess's and reconstruct_sparse's shape
+# checks, run under python -O.
+CHECK_LINES = [
+    "from sparsefact.errors import NotMonic, ShapeMismatch",
+    "from sparsefact.field import make_field",
+    "from sparsefact.sparsepoly import parse_poly",
+    "from sparsefact.factorizer import (Guess, factor_monic,",
+    "                                   reconstruct_sparse)",
+    "F = make_field(7)",
+    "calls = [lambda: factor_monic(parse_poly('y^2 + 6', F)),",
+    "         lambda: factor_monic(parse_poly('2*y^2 + x1', F)),",
+    "         lambda: Guess(anchor=(F.one(),), parts=((),), exps=(1,)),",
+    "         lambda: reconstruct_sparse(lambda pt: F.zero(), 2, (1,), 5, F)]",
+    "for call in calls:",
+    "    try:",
+    "        call()",
+    "    except (NotMonic, ShapeMismatch) as e:",
+    "        print(type(e).__name__)",
+]
+
+
+def test_driver_checks_survive_optimize_flag(run_optimized):
+    assert run_optimized(CHECK_LINES) == (
+        "False\nShapeMismatch\nNotMonic\nShapeMismatch\nShapeMismatch\n")
 
 
 def test_factor_monic_lift_path():
@@ -339,6 +427,26 @@ def test_strip_incomplete_leading_coefficient_raises(monkeypatch):
 
 def test_strip_check_survives_optimize_flag(run_optimized):
     assert run_optimized(STRIP_LINES) == "False\nraised\n"
+
+
+def test_factor_cap_counts_every_variable():
+    # the monic driver's factors live in x1, x2 and y = x3; a sparsity cap
+    # over the x-variables alone, (d+1)^2 = 16, rejected the 19-term h and
+    # returned the product as one factor
+    F101 = make_field(101)
+    a = " + ".join("%d*x1^%d*x2^%d" % (i + 3 * j + 1, i, j)
+                   for i in range(3) for j in range(3))
+    b = " + ".join("%d*x1^%d*x2^%d" % (2 * i + j + 5, i, j)
+                   for i in range(3) for j in range(3))
+    x3 = parse_poly("x3", F101)
+    h = x3 * x3 + parse_poly(a, F101, nvars=3) * x3 + parse_poly(b, F101,
+                                                                 nvars=3)
+    g = parse_poly("x3 + 1", F101)
+    assert h.sparsity() == 19
+    fac = factor(h * g)
+    assert fac.expand() == h * g
+    assert multiset(fac) == multiset(
+        Factorization(F101.one(), [(h, 1), (g, 1)]))
 
 
 def test_factor_hand_trace_x1x2_plus_x2():

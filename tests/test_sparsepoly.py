@@ -423,9 +423,76 @@ def test_parse_extension_coefficients():
 
 
 def test_parse_errors():
-    for bad in ["", "x0", "x1 +", "+ x1", "x1 ^", "x1 +* 2", "x1 $", "2 3 x1"]:
-        with pytest.raises(ParseError):
-            P(bad)
+    F49 = make_field(7, 2)
+    for bad in ["", "x0", "x1 +", "+ x1", "x1 ^", "x1 +* 2", "x1 $", "2 3 x1",
+                # a second coefficient in a term
+                "3*[1,2]", "[1,2]*[3,4]", "[1,2]*3",
+                # an empty list entry
+                "[1,,2]", "[,1]", "[1,]",
+                # an empty factor
+                "x1*", "2* + x1"]:
+        for ctx in (F7, F49):
+            with pytest.raises(ParseError):
+                parse_poly(bad, ctx)
+    with pytest.raises(ParseError):
+        P("x1 + x3", nvars=2)  # an index beyond the declared count
+
+
+def _render_term(e, c, names, rng):
+    """One term of the grammar for exponents e and coefficient c, with
+    random spacing, integer coefficients split into factors, repeated
+    variables and factors in random order."""
+    def sp():
+        return rng.choice(["", " ", "  "])
+    factors = []
+    for name, k in zip(names, e):
+        while k:
+            part = rng.randint(1, k)
+            factors.append(name if part == 1 and rng.random() < 0.5
+                           else "%s%s^%s%d" % (name, sp(), sp(), part))
+            k -= part
+        if rng.random() < 0.1:
+            factors.append(name + "^0")
+    if c.is_one() and factors and rng.random() < 0.5:
+        pass  # the coefficient 1 may go unwritten
+    elif any(c.coeffs[1:]) or (c.ctx.ell > 1 and rng.random() < 0.5):
+        residues = list(c.coeffs)
+        while residues[-1] == 0 and rng.random() < 0.5:
+            residues.pop()  # shorter lists are zero-padded
+        factors.append("[%s%s%s]" % (sp(), (sp() + "," + sp()).join(
+            map(str, residues)), sp()))
+    else:  # a prime-field element may be written as integer factors
+        v = c.coeffs[0] + c.ctx.p * rng.randint(0, 2)
+        a = rng.choice([a for a in range(1, v + 1) if v % a == 0])
+        factors += [str(a), str(v // a)] if rng.random() < 0.5 else [str(v)]
+    rng.shuffle(factors)
+    return (sp() + "*" + sp()).join(factors)
+
+
+@pytest.mark.parametrize("p,ell", [(7, 1), (7, 2)])
+def test_parse_random_renderings(p, ell):
+    ctx = make_field(p, ell)
+    rng = random.Random(p * 10 + ell)
+    for _ in range(150):
+        nx, use_y = rng.randint(1, 3), rng.random() < 0.5
+        n = nx + use_y
+        names = ["x%d" % (i + 1) for i in range(nx)] + ["y"] * use_y
+        terms = {}
+        for i in range(rng.randint(1, 5)):
+            e = [rng.randint(0, 3) for _ in range(n)]
+            if use_y and i == 0:
+                e[-1] = rng.randint(1, 3)  # y occurs, so it takes a slot
+            terms[tuple(e)] = ctx.from_index(rng.randrange(1, ctx.q))
+        texts = []
+        for e, c in terms.items():
+            # a repeated monomial adds its coefficients
+            c1 = ctx.from_index(rng.randrange(1, ctx.q))
+            split = [c] if c1 == c or rng.random() < 0.7 else [c1, c - c1]
+            texts += [_render_term(e, ci, names, rng) for ci in split]
+        rng.shuffle(texts)
+        text = (rng.choice(["", " "]) + "+" + rng.choice(["", " "])).join(
+            texts)
+        assert parse_poly(text, ctx, nvars=nx) == SparsePoly(ctx, n, terms)
 
 
 def test_parse_rejects_overlong_coefficient():

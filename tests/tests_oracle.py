@@ -1,6 +1,12 @@
-"""Shared brute-force vertex oracle for polytope tests: a point is a vertex
-iff no affinely independent subset of the remaining points contains it in
-its convex hull, decided with exact Fraction linear algebra."""
+"""Shared brute-force references for tests.
+
+brute_force_vertices: a point is a vertex iff no affinely independent
+subset of the remaining points contains it in its convex hull, decided with
+exact Fraction linear algebra.
+
+enumerate_guesses_unbounded: the monic driver's guess enumeration trying
+every exponent in 1..k for every part and keeping the covering ones.
+"""
 
 import itertools
 from fractions import Fraction
@@ -53,3 +59,21 @@ def brute_force_vertices(E):
         if not inside:
             out.append(p)
     return out
+
+
+def enumerate_guesses_unbounded(uni_parts, k):
+    from sparsefact.factorizer import _multiset_partitions
+    gs = [g for g, _ in uni_parts]
+    us = [u for _, u in uni_parts]
+    for counts in itertools.product(*[range(u + 1) for u in us]):
+        if not any(counts):
+            continue
+        items = []
+        for g, c in zip(gs, counts):
+            items.extend([g] * c)
+        for parts in _multiset_partitions(items):
+            for exps in itertools.product(range(1, k + 1), repeat=len(parts)):
+                if all(sum(e * sum(1 for x in part if x == g)
+                           for part, e in zip(parts, exps)) == u
+                       for g, u in zip(gs, us)):
+                    yield parts, exps
