@@ -14,7 +14,7 @@ from .unifactor import UniPoly, UniFactorization, factor_univariate, \
 from .resultant import (sylvester_matrix, resultant_univariate,
                         resultant_at_point)
 from .bifactor import factor_bivariate, hensel_lift, bi_gcd
-from .factorizer import (FactorCfg, factor, factor_monic, blackbox_eval,
+from .factorizer import (factor, factor_monic, blackbox_eval,
                          reconstruct_sparse, verify_factorization)
 
 __all__ = [
@@ -29,6 +29,6 @@ __all__ = [
     "squarefree_decompose", "is_irreducible",
     "sylvester_matrix", "resultant_univariate", "resultant_at_point",
     "factor_bivariate", "hensel_lift", "bi_gcd",
-    "FactorCfg", "factor", "factor_monic", "blackbox_eval",
+    "factor", "factor_monic", "blackbox_eval",
     "reconstruct_sparse", "verify_factorization",
 ]

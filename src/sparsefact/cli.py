@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 parse/validation failure, 2 field too small.
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from .sparsepoly import (SparsePoly, Factorization, parse_poly, format_poly,
 from .polytope import (SBConfig, support_of, caratheodory_check,
                        hadamard_example, sparsity_cap)
 from .hitting import gen_hitting_set
-from .factorizer import FactorCfg, factor, verify_factorization
+from .factorizer import factor, verify_factorization
 
 
 class _Args(argparse.ArgumentParser):
@@ -102,8 +103,8 @@ def _field(args):
     return make_field(args.prime, args.ext)
 
 
-def _cfg(args):
-    return FactorCfg(sb=SBConfig(C=args.sb_constant, user_cap=args.cap))
+def _sb(args):
+    return SBConfig(C=args.sb_constant, user_cap=args.cap)
 
 
 def _read_poly(ctx, args):
@@ -129,7 +130,7 @@ def _fac_json(ctx, fac):
 def _cmd_factor(args, out):
     ctx = _field(args)
     f = _read_poly(ctx, args)
-    fac = factor(f, _cfg(args))
+    fac = factor(f, _sb(args))
     if args.json:
         out.write(json.dumps(_fac_json(ctx, fac), sort_keys=True) + "\n")
         return 0
@@ -167,7 +168,7 @@ def _cmd_polytope(args, out):
     f = _read_poly(ctx, args)
     E = support_of(f)
     d = max(f.max_degree(), 1)
-    sb = SBConfig(C=args.sb_constant, user_cap=args.cap)
+    sb = _sb(args)
     report = caratheodory_check(E, d, sb)
     verts = report["vertex_list"]
     cap = sparsity_cap(f.n, f.sparsity(), d, sb)
@@ -252,15 +253,7 @@ def _cmd_examples(args, out):
     n, d = args.n, args.d
     f, g = _eg1(ctx, n, d) if args.which == "eg1" else _eg2(ctx, n, d)
     claimed_f = 2 ** n if args.which == "eg1" else n
-    if args.which == "eg1":
-        claimed_g = d ** n
-    else:
-        num = 1
-        den = 1
-        for i in range(d):
-            num *= n + d - 1 - i
-            den *= i + 1
-        claimed_g = num // den
+    claimed_g = d ** n if args.which == "eg1" else math.comb(n + d - 1, d)
     try:
         sparse_divide(f, g)
         divides = True

@@ -11,12 +11,13 @@ Three layers:
     which simply discards the guess.
 
   * factor_monic — scans anchors over all of F^nx, nonzero coordinates
-    first (_full_grid), enumerates guesses at each, reconstructs each part
-    coefficient-wise by dense tensor-grid interpolation, verifies
-    candidates by explicit multiplication, and keeps the verified candidate
-    with maximal refinement score 2*sum(e)-m (first-in-enumeration
-    tie-break).  Soundness is unconditional: only re-multiplication-verified
-    factorizations are ever returned.
+    first (_full_grid), enumerates guesses at each, reconstructs all parts
+    of a guess by one dense tensor-grid interpolation of the vector of
+    their y-coefficients, verifies candidates by explicit multiplication,
+    and keeps the verified candidate with maximal refinement score
+    2*sum(e)-m (first-in-enumeration tie-break).  Its only setting is the
+    sparsity-cap configuration SBConfig.  Soundness is unconditional: only
+    re-multiplication-verified factorizations are ever returned.
 
   * factor — the general driver: delegates n <= 2 to the bivariate /
     univariate engines, otherwise eliminates the last variable with the
@@ -28,7 +29,7 @@ Three layers:
 """
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .errors import (GuessInvalid, Reject, FieldTooSmall, ZeroPolynomial,
                      NoFactorizationFound, NotMonic, ShapeMismatch)
@@ -36,23 +37,15 @@ from .field import make_field, MAX_FIELD_SIZE
 from .sparsepoly import (SparsePoly, Factorization, make_monic, sparse_divide,
                          phi_score, restrict_to_line, project_y, lift_poly,
                          retract_poly)
-from .polytope import SBConfig, sparsity_cap
-from .unifactor import UniPoly, factor_univariate
+from .polytope import sparsity_cap
+from .unifactor import UniPoly, addmul_logs, factor_univariate
 from .bifactor import factor_bivariate, project_t
 
 
-@dataclass
-class FactorCfg:
-    """Knobs of the factoring drivers."""
-    sb: SBConfig = dataclass_field(default_factory=SBConfig)
-    # stop scanning anchors after this many consecutive ones that fail to
-    # improve the best refinement score (desk-scale completeness heuristic;
-    # non-improving anchors are cheap, so err on the patient side)
-    anchor_patience: int = 6
-    # permit an internal prime-field -> extension-field lift when the base
-    # field lacks enough interpolation points; results stay over the base
-    # field (candidates with coefficients outside it are discarded)
-    allow_lift: bool = True
+# stop scanning anchors after this many consecutive ones that fail to
+# improve the best refinement score (desk-scale completeness heuristic;
+# non-improving anchors are cheap, so err on the patient side)
+ANCHOR_PATIENCE = 6
 
 
 @dataclass(frozen=True)
@@ -122,20 +115,43 @@ def blackbox_eval(f, guess, b, cache=None):
 
 # -- sparse reconstruction ----------------------------------------------------
 
-def _lagrange_basis(ctx, n, var, values):
-    """Lagrange basis polynomials for the given interpolation values."""
-    out = []
-    for v in values:
-        poly = SparsePoly.constant(ctx, n, 1)
-        denom = ctx.one()
-        for w in values:
-            if w == v:
-                continue
-            poly = poly * (SparsePoly.variable(ctx, n, var)
-                           - SparsePoly.constant(ctx, n, w))
-            denom = denom * (v - w)
-        out.append(poly.scale(denom.inverse()))
-    return out
+def _interp_grid(ctx, axes, values):
+    """Interpolate vector values given on the full tensor grid of axes.
+
+    values maps every point of itertools.product(*axes) to a sequence of
+    field elements, all of one length.  Returns {exponent tuple: list of
+    coefficients} for the unique vector of polynomials of degree below
+    len(axes[i]) in variable i that takes those values, leaving out the
+    exponents whose coefficients are all zero.  Axis by axis, the values
+    along each grid line become coefficients in that axis's variable
+    through the univariate Lagrange basis of its points, on discrete logs
+    (see unifactor).
+    """
+    zl = ctx.zero_log
+    # before axis k is done, a key's coordinates below k are exponents and
+    # the others grid points
+    data = {b: [c.log for c in vec] for b, vec in values.items()}
+    for k, pts in enumerate(axes):
+        basis = {}  # point -> coefficient logs of its Lagrange polynomial
+        for v in pts:
+            num, den = UniPoly.constant(ctx, 1), ctx.one()
+            for w in pts:
+                if w != v:
+                    num = num * UniPoly(ctx, (-w, ctx.one()))
+                    den = den * (v - w)
+            basis[v] = num.scale(den.inverse()).logs
+        out = {}
+        for pos, vec in data.items():
+            for e, b in enumerate(basis[pos[k]]):
+                if b != zl:
+                    key = pos[:k] + (e,) + pos[k + 1:]
+                    if key not in out:
+                        out[key] = [zl] * len(vec)
+                    addmul_logs(ctx, out[key], vec, (b,))
+        data = out
+    exp = ctx.exp
+    return {pos: [exp[v] for v in vec] for pos, vec in data.items()
+            if any(v != zl for v in vec)}
 
 
 def reconstruct_sparse(oracle, n, d, cap, ctx):
@@ -151,9 +167,9 @@ def reconstruct_sparse(oracle, n, d, cap, ctx):
     if max(degs) + 1 > ctx.q:
         raise FieldTooSmall(required=max(degs) + 1)
     axes = [list(itertools.islice(ctx.elements(), dv + 1)) for dv in degs]
-    bases = [_lagrange_basis(ctx, n, i, axes[i]) for i in range(n)]
-    values = {b: oracle(b) for b in itertools.product(*axes)}
-    result = _interp_grid(ctx, n, axes, bases, values)
+    values = {b: (oracle(b),) for b in itertools.product(*axes)}
+    result = SparsePoly(ctx, n, {e: vec[0] for e, vec in
+                                 _interp_grid(ctx, axes, values).items()})
     if cap is not None and result.sparsity() > cap:
         raise Reject("reconstruction exceeds sparsity cap %d" % cap)
     return result
@@ -269,18 +285,18 @@ def _full_grid(ctx, n):
             yield from tuples(n, zeros, total)
 
 
-def factor_monic(f, cfg=None, _base=None):
+def factor_monic(f, sb=None, _base=None):
     """Unique monic factorization of a polynomial monic in y (last index).
 
     Verified candidates only; among them the refinement score 2*sum(e)-m is
     maximized, with a first-in-enumeration tie-break.  The winning candidate
     is returned as reconstructed (y-monic factors, unit one, not sorted);
-    factor() canonicalizes it.  When _base is given
-    the computation runs in an extension of it and only candidates whose
-    coefficients retract to _base are admitted.
+    factor() canonicalizes it.  sb configures the sparsity cap (SBConfig,
+    default when None).  A prime field with too few interpolation points
+    is lifted to an extension (_factor_monic_lifted); when _base is given
+    the computation runs in such an extension of it and only candidates
+    whose coefficients retract to _base are admitted.
     """
-    if cfg is None:
-        cfg = FactorCfg()
     ctx = f.ctx
     nx = f.n - 1
     if nx < 1:
@@ -291,17 +307,15 @@ def factor_monic(f, cfg=None, _base=None):
     d = max(f.max_degree(), 1)
     # a factor lives in all n variables, y included: the dense bound is
     # (d+1)^n, and the paper's s^O(d^2 log n) is over the same n
-    cap = sparsity_cap(f.n, s, d, cfg.sb)
+    cap = sparsity_cap(f.n, s, d, sb)
     degs = f.degrees()[:nx]
     needed = max(degs, default=0) + 1
     if needed > ctx.q:
         # interpolation grid needs more points than the field has
-        if cfg.allow_lift and ctx.ell == 1 and _base is None:
-            return _factor_monic_lifted(f, cfg, needed)
+        if ctx.ell == 1 and _base is None:
+            return _factor_monic_lifted(f, sb, needed)
         raise FieldTooSmall(required=needed)
     grid_axes = [list(itertools.islice(ctx.elements(), dv + 1)) for dv in degs]
-
-    bases = [_lagrange_basis(ctx, f.n, i, grid_axes[i]) for i in range(nx)]
     best = Factorization(ctx.one(), [(f, 1)])  # trivial candidate, score 1
     best_phi = 1
     stale = 0
@@ -331,8 +345,8 @@ def factor_monic(f, cfg=None, _base=None):
             guess = Guess(anchor=tuple(anchor),
                           parts=tuple(tuple(p) for p in parts),
                           exps=tuple(exps))
-            candidate = _reconstruct_candidate(f, guess, grid_axes, bases,
-                                               cap, cache)
+            candidate = _reconstruct_candidate(f, guess, grid_axes, cap,
+                                               cache)
             if candidate is None:
                 continue
             if _base is not None and any(
@@ -345,12 +359,12 @@ def factor_monic(f, cfg=None, _base=None):
         if best_phi >= score_ub:
             break  # provably complete
         stale = 0 if improved else stale + 1
-        if stale >= cfg.anchor_patience:
+        if stale >= ANCHOR_PATIENCE:
             break
     return best
 
 
-def _factor_monic_lifted(f, cfg, needed):
+def _factor_monic_lifted(f, sb, needed):
     """Run the monic driver in the smallest sufficient extension field and
     retract the (base-field-filtered) result."""
     ctx = f.ctx
@@ -360,7 +374,7 @@ def _factor_monic_lifted(f, cfg, needed):
     if ctx.p ** m > MAX_FIELD_SIZE:
         raise FieldTooSmall(required=needed)
     ext = make_field(ctx.p, m)
-    lifted = factor_monic(lift_poly(f, ext), cfg, _base=ctx)
+    lifted = factor_monic(lift_poly(f, ext), sb, _base=ctx)
     parts = []
     for h, e in lifted.parts:
         hr = retract_poly(h, ctx)
@@ -371,64 +385,46 @@ def _factor_monic_lifted(f, cfg, needed):
     return Factorization(ctx.one(), parts)
 
 
-def _reconstruct_candidate(f, guess, grid_axes, bases, cap, cache):
-    """Tensor-grid reconstruction of all parts for one guess, or None."""
+def _reconstruct_candidate(f, guess, grid_axes, cap, cache):
+    """Tensor-grid reconstruction of all parts for one guess, or None.  One
+    interpolation recovers every y-coefficient below the leading one of
+    every part: h_i = y^dp + sum_{j<dp} c_ij(x) y^j."""
     ctx = f.ctx
     nx = f.n - 1
-    values = {}  # grid point -> list of UniPoly per part
+    values = {}  # grid point -> the parts' lower y-coefficients, in order
     try:
         for b in itertools.product(*grid_axes):
-            values[b] = blackbox_eval(f, guess, b, cache)
+            values[b] = [c for u in blackbox_eval(f, guess, b, cache)
+                         for c in u.coeffs[:-1]]
     except GuessInvalid:
         return None
-    part_degs = [sum(g.degree() for g in part) for part in guess.parts]
+    coeffs = _interp_grid(ctx, grid_axes, values)
     factors = []
-    for i, dp in enumerate(part_degs):
-        # h_i = y^dp + sum_{j<dp} c_ij(x) y^j, each c_ij interpolated
-        h = SparsePoly.variable(ctx, f.n, nx, dp)
-        for j in range(dp):
-            cj = _interp_grid(ctx, f.n, grid_axes, bases,
-                             {b: u[j] for b, u in
-                              ((b, values[b][i]) for b in values)})
-            if cj.is_zero():
-                continue
-            if j:
-                cj = cj * SparsePoly.variable(ctx, f.n, nx, j)
-            h = h + cj
+    start = 0  # vector index of the part's c_i0
+    for part, e in zip(guess.parts, guess.exps):
+        dp = sum(g.degree() for g in part)
+        terms = {(0,) * nx + (dp,): ctx.one()}
+        for x, vec in coeffs.items():
+            for j in range(dp):
+                terms[x + (j,)] = vec[start + j]
+        h = SparsePoly(ctx, f.n, terms)
         if cap is not None and h.sparsity() > cap:
             return None
-        factors.append((h, guess.exps[i]))
+        factors.append((h, e))
+        start += dp
     return Factorization(ctx.one(), factors)
-
-
-def _interp_grid(ctx, n, axes, bases, point_values):
-    """Interpolate from a full tensor grid of values (dict point -> elem)."""
-    nx = len(axes)
-
-    def interp(prefix, var):
-        if var == nx:
-            return SparsePoly.constant(ctx, n, point_values[tuple(prefix)])
-        acc = SparsePoly.zero(ctx, n)
-        for idx, v in enumerate(axes[var]):
-            sub = interp(prefix + [v], var + 1)
-            if not sub.is_zero():
-                acc = acc + sub * bases[var][idx]
-        return acc
-
-    return interp([], 0)
 
 
 # -- the general driver -------------------------------------------------------
 
-def factor(f, cfg=None):
+def factor(f, sb=None):
     """Complete factorization into pairwise-coprime irreducibles.
 
     Soundness is unconditional: the returned record re-multiplies exactly
     to f.  Factorization.assemble checks this with an explicit comparison,
     so it holds under python -O too, and raises NoFactorizationFound if
-    it fails."""
-    if cfg is None:
-        cfg = FactorCfg()
+    it fails.  sb is the sparsity-cap configuration (SBConfig, default
+    when None)."""
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.is_constant():
@@ -439,7 +435,7 @@ def factor(f, cfg=None):
         squeeze = f
         for i in sorted(set(range(f.n)) - set(pres), reverse=True):
             squeeze = squeeze.drop_var(i)
-        inner = factor(squeeze, cfg)
+        inner = factor(squeeze, sb)
         parts = []
         for h, m in inner.parts:
             g = h
@@ -447,10 +443,10 @@ def factor(f, cfg=None):
                 g = g.insert_var(i)
             parts.append((g, m))
         return Factorization(inner.unit, parts)
-    return Factorization.assemble(f, _factor_full(f, cfg).parts)
+    return Factorization.assemble(f, _factor_full(f, sb).parts)
 
 
-def _factor_full(f, cfg):
+def _factor_full(f, sb):
     """Factor a polynomial all of whose variables are present."""
     ctx = f.ctx
     n = f.n
@@ -465,7 +461,7 @@ def _factor_full(f, cfg):
                  for i, ci in enumerate(cont) if ci]
         if stripped.is_constant():
             return Factorization(stripped.constant_value(), parts)
-        inner = factor(stripped, cfg)
+        inner = factor(stripped, sb)
         return Factorization(inner.unit, inner.parts + parts)
     if n == 1:
         u = UniPoly(ctx, [f.terms.get((i,), ctx.zero())
@@ -478,7 +474,7 @@ def _factor_full(f, cfg):
     if n == 2:
         return factor_bivariate(f)
     fhat, fk, k = make_monic(f)
-    mfac = factor_monic(fhat, cfg)
+    mfac = factor_monic(fhat, sb)
     # substitute y -> fk * x_n in each monic factor
     fk_full = fk.insert_var(n - 1)
     sub = fk_full * SparsePoly.variable(ctx, n, n - 1)
@@ -487,7 +483,7 @@ def _factor_full(f, cfg):
     if fk.is_constant():
         wparts = []
     else:
-        wparts = [(w.insert_var(n - 1), b) for w, b in factor(fk, cfg).parts]
+        wparts = [(w.insert_var(n - 1), b) for w, b in factor(fk, sb).parts]
     parts = []
     alphas = [-b * (k - 1) for _, b in wparts]
     for h, e in raw:

@@ -165,7 +165,8 @@ def sparsity_cap(n, s, d, cfg=None):
     """Upper bound on the sparsity of any factor of an s-sparse polynomial in
     n variables with individual degrees at most d:
     min(s^ceil(C*d^2*log2(max(n,2))), (d+1)^n, user cap)."""
-    assert n >= 1 and s >= 1 and d >= 1
+    if min(n, s, d) < 1:
+        raise ValueError("sparsity_cap needs n, s, d >= 1")
     if cfg is None:
         cfg = SBConfig()
     exponent = _ceil_c_d2_log2(cfg.C, d * d, max(n, 2))
@@ -258,7 +259,8 @@ def caratheodory_check(E, d, cfg=None, uniform_k=None):
 
 def _subspaces(m):
     """All linear subspaces of F_2^m as frozensets of bitmasks (m <= 4)."""
-    assert m <= 4
+    if m > 4:
+        raise ValueError("_subspaces needs m <= 4")
     vectors = list(range(1 << m))
     found = set()
     for r in range(m + 1):
@@ -295,13 +297,15 @@ def hadamard_example(m):
         # average of columns indexed by S == indicator of the complement
         pt = tuple(Fraction(sum((-1) ** _dot2(a, b) for b in S), len(S))
                    for a in range(n))
-        assert all(v in (0, 1) for v in pt)
-        ipt = tuple(int(v) for v in pt)
         comp = tuple(int(all(_dot2(a, b) == 0 for b in S)) for a in range(n))
-        assert ipt == comp
-        assert in_hull(ipt, columns)
-        sub_points.append(ipt)
-    assert len(set(sub_points)) == len(subs)
+        if pt != comp:
+            raise BoundViolation("averaged columns differ from the indicator "
+                                 "of the orthogonal complement")
+        if not in_hull(comp, columns):
+            raise BoundViolation("subspace point outside the column hull")
+        sub_points.append(comp)
+    if len(set(sub_points)) != len(subs):
+        raise BoundViolation("two subspaces share a hull point")
     E = sorted(set(columns) | set(sub_points))
     verts = newton_vertices(E)
     return E, verts, len(subs)

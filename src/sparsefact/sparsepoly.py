@@ -20,7 +20,8 @@ import operator
 import re
 
 from .errors import (ShapeMismatch, ZeroPolynomial, ZeroDegree, EmptyVector,
-                     Reject, ParseError, CtxMismatch, NoFactorizationFound)
+                     Reject, ParseError, CtxMismatch, NoFactorizationFound,
+                     BoundViolation)
 from .field import FieldElem
 from .unifactor import UniPoly, addmul_logs, mul_logs
 
@@ -71,7 +72,8 @@ class SparsePoly:
         return all(all(v == 0 for v in e) for e in self.terms)
 
     def constant_value(self):
-        assert self.is_constant()
+        if not self.is_constant():
+            raise ValueError("%s is not a constant" % format_poly(self))
         if not self.terms:
             return self.ctx.zero()
         return next(iter(self.terms.values()))
@@ -174,7 +176,8 @@ class SparsePoly:
                           {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, k):
-        assert k >= 0
+        if k < 0:
+            raise ValueError("negative exponent %d" % k)
         result = SparsePoly.constant(self.ctx, self.n, 1)
         base = self
         while k:
@@ -190,19 +193,7 @@ class SparsePoly:
         """Full evaluation at a length-n point of field elements."""
         if len(point) != self.n:
             raise ShapeMismatch("point has wrong dimension")
-        acc = self.ctx.zero()
-        # cache powers per variable
-        powers = [{0: self.ctx.one()} for _ in range(self.n)]
-        for e, c in self.terms.items():
-            v = c
-            for i, ei in enumerate(e):
-                if ei:
-                    cache = powers[i]
-                    if ei not in cache:
-                        cache[ei] = point[i] ** ei
-                    v = v * cache[ei]
-            acc = acc + v
-        return acc
+        return self.eval_partial(dict(enumerate(point))).constant_value()
 
     def eval_partial(self, assign):
         """Substitute constants for a subset of variables.
@@ -258,7 +249,9 @@ class SparsePoly:
 
     def drop_var(self, i):
         """Remove a variable the polynomial does not depend on."""
-        assert self.degree(i) <= 0
+        if self.degree(i) > 0:
+            raise ValueError("%s depends on variable %d"
+                             % (format_poly(self), i))
         out = {}
         for e, c in self.terms.items():
             out[e[:i] + e[i + 1:]] = c
@@ -281,12 +274,7 @@ class SparsePoly:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial")
         d = self.degree(i)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == d:
-                key = e[:i] + (0,) + e[i + 1:]
-                out[key] = c
-        return SparsePoly(self.ctx, self.n, out), d
+        return self.coeff_of(i, d), d
 
     def coeff_of(self, i, j):
         """Coefficient polynomial of x_i^j (variable i zeroed out)."""
@@ -424,19 +412,10 @@ def project_y(f, a):
     if len(a) != nx:
         raise ShapeMismatch("point has %d coordinates, expected %d"
                             % (len(a), nx))
-    ctx = f.ctx
-    out = [ctx.zero()] * (f.degree(nx) + 1)
-    pow_cache = [{0: ctx.one()} for _ in range(nx)]
-    for e, c in f.terms.items():
-        v = c
-        for i in range(nx):
-            if e[i]:
-                cache = pow_cache[i]
-                if e[i] not in cache:
-                    cache[e[i]] = a[i] ** e[i]
-                v = v * cache[e[i]]
-        out[e[nx]] = out[e[nx]] + v
-    return UniPoly(ctx, out)
+    out = [f.ctx.zero()] * (f.degree(nx) + 1)
+    for e, c in f.eval_partial(dict(enumerate(a))).terms.items():
+        out[e[nx]] = c
+    return UniPoly(f.ctx, out)
 
 
 # -- the monic transform ------------------------------------------------------
@@ -466,9 +445,10 @@ def make_monic(f):
             out = out + coeffs[j] * power * yj
         if j > 0:
             power = power * fk
-    assert out.sparsity() <= s ** d
-    assert out.max_degree() <= d * d
-    assert out.is_monic_in(last)
+    if (out.sparsity() > s ** d or out.max_degree() > d * d
+            or not out.is_monic_in(last)):
+        raise BoundViolation("monic transform breaks its sparsity, degree "
+                             "or monicity bound")
     return out, fk.drop_var(last), k
 
 
@@ -565,7 +545,8 @@ def phi_score(multiplicities):
     es = list(multiplicities)
     if not es:
         raise EmptyVector("no multiplicities")
-    assert all(e >= 1 for e in es)
+    if min(es) < 1:
+        raise ValueError("multiplicities must be positive")
     return 2 * sum(es) - len(es)
 
 

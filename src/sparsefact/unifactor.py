@@ -332,9 +332,9 @@ class UniFactorization:
 
 
 def _pth_root_poly(f):
-    """For f with vanishing derivative (all exponents divisible by p),
-    the unique u with u(y)^p ... realized as u(y^p) = f rewrite: returns u
-    with coefficients replaced by their p-th roots so that u(y)^p == f."""
+    """The p-th root of f, whose derivative vanishes (every exponent is a
+    multiple of p): for f = sum_i a_i y^(i*p) it returns the unique u with
+    u^p == f, u = sum_i a_i^(1/p) y^i."""
     p = f.ctx.p
     out = []
     for i in range(0, len(f.coeffs), p):

@@ -16,7 +16,7 @@ from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
                                    normalize_scalar)
 from sparsefact.unifactor import UniPoly
 from sparsefact.bifactor import factor_bivariate
-from sparsefact.factorizer import (FactorCfg, Guess, factor, factor_monic,
+from sparsefact.factorizer import (Guess, factor, factor_monic,
                                    blackbox_eval, reconstruct_sparse,
                                    verify_factorization, _full_grid,
                                    _enumerate_guesses)
@@ -207,6 +207,22 @@ def test_reconstruct_random_round_trip():
         assert got == f
 
 
+@pytest.mark.parametrize("p,ell", [(7, 1), (3, 2)])
+def test_reconstruct_per_axis_degrees_round_trip(p, ell):
+    # a degree-0 axis between two others, over a prime and an extension field
+    ctx = make_field(p, ell)
+    elems = list(ctx.elements())
+    rng = random.Random(p + ell)
+    for _ in range(10):
+        density = rng.random()
+        f = SparsePoly(ctx, 3, {(a, 0, c): rng.choice(elems)
+                                for a in range(3) for c in range(4)
+                                if rng.random() < density})
+        got = reconstruct_sparse(lambda pt: f.evaluate(list(pt)), 3,
+                                 (2, 0, 3), None, ctx)
+        assert got == f
+
+
 # -- verification -------------------------------------------------------------
 
 def test_verify_true_and_false():
@@ -285,6 +301,28 @@ def test_driver_checks_survive_optimize_flag(run_optimized):
         "False\nShapeMismatch\nNotMonic\nShapeMismatch\nShapeMismatch\n")
 
 
+def test_one_interpolation_per_guess(monkeypatch):
+    # every part and y-coefficient of a guess comes from a single
+    # interpolation; a guess that blackbox_eval rejects needs none
+    calls = {"guess": 0, "interp": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(factorizer, "_reconstruct_candidate", counted(
+        "guess", factorizer._reconstruct_candidate))
+    monkeypatch.setattr(factorizer, "_interp_grid", counted(
+        "interp", factorizer._interp_grid))
+    g = P("y^2 + x1*x2*y + 3*x1 + 1", nvars=2)
+    h = P("y + 2*x2 + 5", nvars=2)
+    fac = factor_monic(g * h)
+    assert multiset(fac) == multiset(Factorization(F7.one(), [(g, 1), (h, 1)]))
+    assert 0 < calls["interp"] <= calls["guess"]
+
+
 def test_factor_monic_lift_path():
     # reconstruction needs more points than F_7 has; the driver must lift
     # internally and still return base-field factors
@@ -302,20 +340,13 @@ def test_factor_monic_lift_rejects_unretractable_factor(monkeypatch):
     g = P("y + x1^4*x2")
     h = P("y + 3*x1^3", nvars=2)
 
-    def unretractable(f, cfg, _base):
+    def unretractable(f, sb, _base):
         z = f.ctx.elem((0, 1))
         return Factorization(f.ctx.one(), [(f.scale(z), 1)])
 
     monkeypatch.setattr(factorizer, "factor_monic", unretractable)
     with pytest.raises(NoFactorizationFound):
         factor_monic(g * h)
-
-
-def test_factor_monic_lift_disabled_raises():
-    g = P("y + x1^4*x2")
-    h = P("y + 3*x1^3", nvars=2)
-    with pytest.raises(FieldTooSmall):
-        factor_monic(g * h, FactorCfg(allow_lift=False))
 
 
 # -- anchor grid --------------------------------------------------------------
@@ -369,7 +400,7 @@ def test_factor_full_grid_fallback_memory():
 # Products over F_101 that a lexicographic scan of the certified anchor grid
 # (gen_anchor_set) returned with a reducible factor reported as irreducible:
 # the anchors it meets first have zero coordinates, and it gave up after
-# anchor_patience of them without a better candidate.
+# ANCHOR_PATIENCE of them without a better candidate.
 F101_MISSED = [
     (5, "38*x2*x3*x4*x5 + 66*x1*x2*x5 + 72*x1*x3*x5 + 1",
      "23*x1*x2*x3*x4*x5 + 37*x2*x3*x4*x5 + 1"),
@@ -405,10 +436,10 @@ STRIP_LINES = [
     "from sparsefact.sparsepoly import Factorization, parse_poly",
     "f = parse_poly(%r, make_field(7))" % STRIP_INPUT,
     # the leading coefficient reported as one irreducible factor
-    "factorizer.factor = lambda g, cfg=None: "
+    "factorizer.factor = lambda g, sb=None: "
     "Factorization(g.ctx.one(), [(g, 1)])",
     "try:",
-    "    factorizer._factor_full(f, factorizer.FactorCfg())",
+    "    factorizer._factor_full(f, None)",
     "except NoFactorizationFound:",
     "    print('raised')",
 ]
@@ -419,10 +450,10 @@ def test_strip_incomplete_leading_coefficient_raises(monkeypatch):
     assert multiset(factor(f)) == multiset(Factorization(F7.one(), [
         (P("x1*x2*x3 + 1"), 1), (P("x1*x2*x3 + 2"), 1)]))
     monkeypatch.setattr(factorizer, "factor",
-                        lambda g, cfg=None: Factorization(g.ctx.one(),
+                        lambda g, sb=None: Factorization(g.ctx.one(),
                                                           [(g, 1)]))
     with pytest.raises(NoFactorizationFound):
-        factorizer._factor_full(f, FactorCfg())
+        factorizer._factor_full(f, None)
 
 
 def test_strip_check_survives_optimize_flag(run_optimized):

@@ -1,19 +1,21 @@
 """Source rules checked on the code itself."""
 
 import ast
-import importlib
+from pathlib import Path
 
 import pytest
 
+import sparsefact
 
-@pytest.mark.parametrize("module", ["bifactor", "unifactor", "factorizer"])
+SOURCE = Path(sparsefact.__file__).parent
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SOURCE.glob("*.py")))
 def test_factoring_engines_have_no_assert(module):
-    # python -O strips assert statements, so no check in the factoring
-    # engines or their driver may be one: a failed check raises a
-    # SparsefactError instead
-    path = importlib.import_module("sparsefact." + module).__file__
-    with open(path) as fh:
-        tree = ast.parse(fh.read(), filename=path)
+    # python -O strips assert statements, so no check anywhere in the
+    # package may be one: a failed check raises an exception instead
+    path = SOURCE / (module + ".py")
+    tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert lines == [], "assert statements in %s at lines %s" % (path, lines)

@@ -10,6 +10,7 @@ from sparsefact.errors import (ShapeMismatch, ZeroPolynomial, ZeroDegree,
                                Reject, EmptyVector, ParseError,
                                NoFactorizationFound, CtxMismatch)
 from sparsefact.field import make_field
+from sparsefact.polytope import sparsity_cap
 from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
                                    format_poly, make_monic, sparse_divide,
                                    phi_score, restrict_to_line,
@@ -405,6 +406,34 @@ def test_lift_checks_survive_optimize_flag(run_optimized):
         "except CtxMismatch:",
         "    print('raised')",
     ]) == "False\nraised\n"
+
+
+# -- input checks -------------------------------------------------------------
+
+def test_bad_input_raises():
+    x = P("x1 + 1")
+    for call in (lambda: x.drop_var(0), x.constant_value, lambda: x ** -1,
+                 lambda: phi_score([0, 0]), lambda: sparsity_cap(0, 0, 0)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_input_checks_survive_optimize_flag(run_optimized):
+    # as asserts, these returned 1, 1, -2 and 1 under -O; x ** -1 never
+    # returned there, so only the test above calls it
+    assert run_optimized([
+        "from sparsefact.field import make_field",
+        "from sparsefact.polytope import sparsity_cap",
+        "from sparsefact.sparsepoly import parse_poly, phi_score",
+        "x = parse_poly('x1 + 1', make_field(7))",
+        "for call in (lambda: x.drop_var(0), x.constant_value,",
+        "             lambda: phi_score([0, 0]),",
+        "             lambda: sparsity_cap(0, 0, 0)):",
+        "    try:",
+        "        print(call())",
+        "    except ValueError:",
+        "        print('raised')",
+    ]) == "False\n" + "raised\n" * 4
 
 
 # -- text grammar -------------------------------------------------------------
