@@ -251,7 +251,7 @@ def hensel_lift(f, g0, h0, t0, precision):
 
 
 def _lift_list(F, seeds, prec, ctx):
-    """Multifactor lift: seeds are distinct monic irreducibles with
+    """Multifactor lift: seeds are pairwise-coprime monic polynomials with
     prod(seeds) = F(y,0); returns lifted y-lists, one per seed."""
     if len(seeds) == 1:
         return [F]

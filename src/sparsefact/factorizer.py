@@ -4,11 +4,15 @@ Three layers:
 
   * blackbox_eval — given one enumeration state ("guess": anchor point,
     univariate factor multiset, partition into parts, exponent vector),
-    evaluates the would-be factors at any point b by restricting the input to
-    the line through (anchor, b), factoring the bivariate restriction, and
-    routing each bivariate factor to the unique part one of whose univariate
-    pieces divides its t=0 projection.  Inconsistencies raise GuessInvalid,
-    which simply discards the guess.
+    evaluates the would-be factors at any point b.  Every line through the
+    anchor projects at t=0 to f(anchor, y) = prod g^u_g, so the guess itself
+    seeds the line: the restriction of f to the line through (anchor, b) is
+    Hensel-lifted from the pairwise-coprime seeds g^u_g, and each part's
+    value is the e-th root of its lifted seeds' product at t=1 (Kaltofen and
+    Trager's lines through one point).  A guess that splits a g across parts
+    or does not reproduce the projection, and a line where the parts' lifts
+    are not polynomial factors or not e-th powers, raise GuessInvalid, which
+    simply discards the guess.
 
   * factor_monic — scans anchors over all of F^nx, nonzero coordinates
     first (_full_grid), enumerates guesses at each, reconstructs all parts
@@ -17,7 +21,8 @@ Three layers:
     and keeps the verified candidate with maximal refinement score
     2*sum(e)-m (first-in-enumeration tie-break).  Its only setting is the
     sparsity-cap configuration SBConfig.  Soundness is unconditional: only
-    re-multiplication-verified factorizations are ever returned.
+    re-multiplication-verified factorizations are ever returned.  It never
+    factors a bivariate polynomial.
 
   * factor — the general driver: delegates n <= 2 to the bivariate /
     univariate engines, otherwise eliminates the last variable with the
@@ -29,7 +34,6 @@ Three layers:
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (GuessInvalid, Reject, FieldTooSmall, ZeroPolynomial,
                      NoFactorizationFound, NotMonic, ShapeMismatch)
@@ -38,8 +42,9 @@ from .sparsepoly import (SparsePoly, Factorization, make_monic, sparse_divide,
                          phi_score, restrict_to_line, project_y, lift_poly,
                          retract_poly)
 from .polytope import sparsity_cap
-from .unifactor import UniPoly, addmul_logs, factor_univariate
-from .bifactor import factor_bivariate, project_t
+from .unifactor import UniPoly, addmul_logs, factor_univariate, monic_root
+from .bifactor import (factor_bivariate, to_ylist, _ylist_deg_t, _ylist_mul,
+                       _lift_list)
 
 
 # stop scanning anchors after this many consecutive ones that fail to
@@ -48,69 +53,83 @@ from .bifactor import factor_bivariate, project_t
 ANCHOR_PATIENCE = 6
 
 
-@dataclass(frozen=True)
 class Guess:
     """One enumeration state of the monic driver."""
-    anchor: tuple          # point in F^n
-    parts: tuple           # tuple of tuples of UniPoly (multisets)
-    exps: tuple            # multiplicities, one per part
 
-    def __post_init__(self):
-        if len(self.parts) != len(self.exps) or not all(self.parts):
+    __slots__ = ("anchor", "parts", "exps")
+
+    def __init__(self, anchor, parts, exps):
+        if len(parts) != len(exps) or not all(parts):
             raise ShapeMismatch("a guess needs one exponent per nonempty part")
+        self.anchor = anchor  # point in F^nx
+        self.parts = parts    # tuple of tuples of UniPoly (multisets)
+        self.exps = exps      # multiplicities, one per part
+
+    def __repr__(self):
+        return "Guess(anchor=%r, parts=%r, exps=%r)" % (
+            self.anchor, self.parts, self.exps)
 
 
 # -- black-box factor evaluation ----------------------------------------------
 
-def _line_factors(f, a, b, cache=None):
-    """Monic-in-y bivariate factors of the restriction of f to the line
-    through (a, b), with t=0 and t=1 projections precomputed.  The
-    restriction of a y-monic f is y-monic, so its factors' y-leading
-    coefficients are constants, which Factorization.assemble scales to 1."""
-    key = tuple(v.coeffs for v in b)
-    if cache is not None and key in cache:
-        return cache[key]
-    ctx = f.ctx
-    ft = restrict_to_line(f, list(a), list(b))
-    fac = factor_bivariate(ft)
-    out = []
-    for F, v in fac.parts:
-        out.append((F, v, project_t(F, ctx.zero()), project_t(F, ctx.one())))
-    if cache is not None:
-        cache[key] = out
-    return out
-
-
 def blackbox_eval(f, guess, b, cache=None):
     """Evaluate the guessed factors of a y-monic f at the point b.
 
-    Returns one monic UniPoly in y per part: the restriction-to-line
-    accumulation evaluated at t=1.  Raises GuessInvalid whenever the guess
-    is inconsistent with what the line factorization shows.
+    Returns one monic UniPoly in y per part.  The guess must put each
+    univariate piece g in one part only and, with u_g = e_i times g's count
+    in its part i, reproduce the anchor projection: prod g^u_g ==
+    f(anchor, y).  The restriction F(y, t) of f to the line (1-t)*anchor +
+    t*b then has F(y, 0) = prod g^u_g with pairwise-coprime seeds, which
+    lift uniquely modulo t^(deg_t F + 1).  If the guess is right, part i's
+    lifted seeds multiply, truncated there, to h_i^e_i on the line, which
+    has no higher t-degree: part i's value is the monic e_i-th root of that
+    product at t=1.  GuessInvalid is raised when the guess fails either
+    condition, when the parts' t-degrees do not add up to deg_t F (so their
+    truncated products are not a factorization of F) or when a value is not
+    an e_i-th power.
+
+    cache is a dict owned by the caller for one f and anchor; it keeps the
+    anchor projection and the lifted seeds of each line.
     """
     ctx = f.ctx
-    line = _line_factors(f, guess.anchor, tuple(b), cache)
-    accs = [UniPoly.constant(ctx, 1) for _ in guess.parts]
-    for F, v, F0, F1 in line:
-        hits = []
-        for i, part in enumerate(guess.parts):
-            if any((F0 % g).is_zero() for g in part):
-                hits.append(i)
-        if len(hits) != 1:
-            raise GuessInvalid("projection matches %d parts" % len(hits))
-        i = hits[0]
-        e = guess.exps[i]
-        if v % e:
-            raise GuessInvalid("multiplicity %d not divisible by %d" % (v, e))
-        pw = F1
-        for _ in range(v // e - 1):
-            pw = pw * F1
-        accs[i] = accs[i] * pw
-    for i, part in enumerate(guess.parts):
-        want = sum(g.degree() for g in part)
-        if accs[i].degree() != want:
-            raise GuessInvalid("inconsistent part degree")
-    return accs
+    owner, u = {}, {}  # piece -> its part, and u_g
+    for i, (part, e) in enumerate(zip(guess.parts, guess.exps)):
+        for g in part:
+            if owner.setdefault(g, i) != i:
+                raise GuessInvalid("a univariate piece lies in two parts")
+            u[g] = u.get(g, 0) + e
+    gs = sorted(owner, key=UniPoly.sort_key)
+    seeds = tuple(g ** u[g] for g in gs)
+    if cache is None:
+        cache = {}
+    if None not in cache:  # the anchor projection
+        cache[None] = project_y(f, list(guess.anchor))
+    prod = UniPoly.constant(ctx, 1)
+    for s in seeds:
+        prod = prod * s
+    if prod != cache[None]:
+        raise GuessInvalid("the guess does not reproduce the projection")
+    key = (tuple(v.coeffs for v in b), seeds)
+    if key not in cache:
+        F = to_ylist(restrict_to_line(f, list(guess.anchor), list(b)))
+        prec = _ylist_deg_t(F) + 1
+        cache[key] = (prec, _lift_list(F, seeds, prec, ctx))
+    prec, lifted = cache[key]
+    products = [None] * len(guess.parts)  # part -> its lifts' product
+    for g, G in zip(gs, lifted):
+        i = owner[g]
+        products[i] = G if products[i] is None else _ylist_mul(
+            products[i], G, ctx, prec)
+    if sum(_ylist_deg_t(P) for P in products) != prec - 1:
+        raise GuessInvalid("the parts' lifts do not factor the line")
+    one = ctx.one()
+    out = []
+    for P, e in zip(products, guess.exps):
+        r = monic_root(UniPoly(ctx, [c.evaluate(one) for c in P]), e)
+        if r is None:
+            raise GuessInvalid("part value is not a %d-th power" % e)
+        out.append(r)
+    return out
 
 
 # -- sparse reconstruction ----------------------------------------------------

@@ -13,22 +13,24 @@ support size.
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptySupport, ShapeMismatch, BoundViolation
 
 
-@dataclass(frozen=True)
 class SBConfig:
     """Configuration of the sparsity cap s^ceil(C*d^2*log2(max(n,2)))."""
-    C: Fraction = Fraction(5)
-    user_cap: int = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "C", Fraction(self.C))
+    __slots__ = ("C", "user_cap")
+
+    def __init__(self, C=Fraction(5), user_cap=None):
+        self.C = Fraction(C)
         if self.C <= 0:
             raise ValueError("the sparsity-cap constant C must be positive")
+        self.user_cap = user_cap
+
+    def __repr__(self):
+        return "SBConfig(C=%r, user_cap=%r)" % (self.C, self.user_cap)
 
 
 # -- exact feasibility LP -----------------------------------------------------

@@ -263,6 +263,18 @@ class UniPoly:
         """self(y + c)."""
         return self.compose(UniPoly(self.ctx, (c, self.ctx.one())))
 
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative power %d of a polynomial" % k)
+        if k == 0:
+            return UniPoly.constant(self.ctx, 1)
+        result = self
+        for bit in bin(k)[3:]:  # square and multiply below the top bit
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result
+
     def pow_mod(self, e, mod):
         result = UniPoly.constant(self.ctx, 1)
         base = self % mod
@@ -334,12 +346,42 @@ class UniFactorization:
 def _pth_root_poly(f):
     """The p-th root of f, whose derivative vanishes (every exponent is a
     multiple of p): for f = sum_i a_i y^(i*p) it returns the unique u with
-    u^p == f, u = sum_i a_i^(1/p) y^i."""
-    p = f.ctx.p
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        out.append(f.coeffs[i].pth_root())
-    return UniPoly(f.ctx, out)
+    u^p == f, u = sum_i a_i^(1/p) y^i.  Raises ValueError when a nonzero
+    coefficient sits at an exponent that p does not divide."""
+    p, zl = f.ctx.p, f.ctx.zero_log
+    if any(v != zl for i, v in enumerate(f.logs) if i % p):
+        raise ValueError("%r is not a polynomial in y^%d" % (f, p))
+    return UniPoly(f.ctx, [c.pth_root() for c in f.coeffs[::p]])
+
+
+def monic_root(f, e):
+    """The monic r with r^e == f, or None when f is not the e-th power of a
+    monic polynomial.  With e = p^k * e', k p-th roots (_pth_root_poly)
+    come first; the e'-th root (e' prime to p) is then solved from the top
+    coefficient down, since the y^(D-j) coefficient of r^e' is e' * r_(m-j)
+    plus terms in the higher coefficients of r (D = deg, m = D / e')."""
+    if e < 1:
+        raise ValueError("root exponent %d below 1" % e)
+    ctx = f.ctx
+    r, k = f, e
+    while k % ctx.p == 0:
+        try:
+            r = _pth_root_poly(r)
+        except ValueError:
+            return None
+        k //= ctx.p
+    D = r.degree()
+    if D < 0 or r.lc() != ctx.one() or D % k:
+        return None
+    if k > 1:
+        m = D // k
+        coeffs = [ctx.zero()] * m + [ctx.one()]
+        inv_k = ctx.elem(k).inverse()
+        for j in range(1, m + 1):
+            coeffs[m - j] = (r[D - j] - (UniPoly(ctx, coeffs) ** k)[D - j]) \
+                * inv_k
+        r = UniPoly(ctx, coeffs)
+    return r if r ** e == f else None
 
 
 def squarefree_decompose(f):

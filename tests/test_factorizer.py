@@ -7,20 +7,21 @@ import tracemalloc
 
 import pytest
 
-from sparsefact import factorizer
+from sparsefact import bifactor, factorizer
 from sparsefact.errors import (GuessInvalid, Reject, FieldTooSmall,
                                ZeroPolynomial, NoFactorizationFound,
                                NotMonic, ShapeMismatch)
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
-                                   normalize_scalar)
-from sparsefact.unifactor import UniPoly
+                                   normalize_scalar, project_y)
+from sparsefact.unifactor import UniPoly, factor_univariate
 from sparsefact.bifactor import factor_bivariate
 from sparsefact.factorizer import (Guess, factor, factor_monic,
                                    blackbox_eval, reconstruct_sparse,
                                    verify_factorization, _full_grid,
                                    _enumerate_guesses)
-from tests_oracle import enumerate_guesses_unbounded
+from tests_oracle import (enumerate_guesses_unbounded,
+                          blackbox_eval_by_line_factors)
 
 F7 = make_field(7)
 F13 = make_field(13)
@@ -40,6 +41,14 @@ def multiset(fac):
     for p, m in fac.parts:
         out.append((normalize_scalar(p)[0].sort_key(), m))
     return sorted(out)
+
+
+def counted(calls, name, fn):
+    """fn, adding one to calls[name] on every call."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def rand_irreducible_ish(ctx, n, rng):
@@ -116,6 +125,77 @@ def test_blackbox_ambiguity_partition():
                 exps=(2,))
     with pytest.raises(GuessInvalid):
         blackbox_eval(f, bad, (F7.elem(2),))
+
+
+def test_blackbox_rejects_inconsistent_guesses():
+    y0, y1, y6 = U([0, 1]), U([1, 1]), U([6, 1])
+    cases = [
+        # y in two parts, though y * y is the projection at x1 = 0
+        ("y^2 + 6*x1^2", F7.zero(), ((y0,), (y0,)), (1, 1)),
+        # y + 6 is not the projection y^2 - 1
+        ("y^2 + 6*x1^2", F7.one(), ((y6,),), (1,)),
+        # y^2 - x1 is irreducible: the lifts of y - 1 and y + 1 are series,
+        # whose t-degrees add up to more than the line's
+        ("y^2 + 6*x1", F7.one(), ((y6,), (y1,)), (1, 1)),
+        # y^2 - x1^2 projects to y^2 at x1 = 0, but is no square
+        ("y^2 + 6*x1^2", F7.zero(), ((y0,),), (2,)),
+    ]
+    for text, a, parts, exps in cases:
+        guess = Guess(anchor=(a,), parts=parts, exps=exps)
+        with pytest.raises(GuessInvalid):
+            blackbox_eval(P(text), guess, (F7.elem(2),))
+
+
+def _rand_y_monic(ctx, rng):
+    """y^k + sum_j c_j(x1, x2) y^j, k = 1 or 2, c_j of degree <= 1 in each
+    x-variable."""
+    k = rng.randint(1, 2)
+    terms = {(0, 0, k): ctx.one()}
+    for _ in range(rng.randint(1, 3)):
+        e = (rng.randint(0, 1), rng.randint(0, 1), rng.randrange(k))
+        terms[e] = ctx.from_index(rng.randrange(1, ctx.q))
+    return SparsePoly(ctx, 3, terms)
+
+
+@pytest.mark.parametrize("p,ell", [(7, 1), (3, 2)])
+def test_blackbox_matches_line_factorization(p, ell):
+    # valid guesses: f = h1^e1 * h2^e2 with coprime anchor projections, each
+    # part the univariate factors of one h_i; the seeded Hensel lift must
+    # give what a complete factorization of every line gives
+    ctx = make_field(p, ell)
+    rng = random.Random(100 * p + ell)
+    compared = 0
+    for case in range(25):
+        if ell == 2 and case % 5 == 0:
+            exps = (3, 1)  # a multiplicity divisible by p
+        else:
+            exps = (rng.randint(1, 2), rng.randint(1, 2))
+        while True:
+            hs = [_rand_y_monic(ctx, rng) for _ in exps]
+            anchor = tuple(ctx.from_index(rng.randrange(ctx.q))
+                           for _ in range(2))
+            pieces = [factor_univariate(project_y(h, list(anchor))).parts
+                      for h in hs]
+            if not {g for g, _ in pieces[0]} & {g for g, _ in pieces[1]}:
+                break
+        f = SparsePoly.constant(ctx, 3, 1)
+        for h, e in zip(hs, exps):
+            for _ in range(e):
+                f = f * h
+        guess = Guess(anchor=anchor,
+                      parts=tuple(tuple(g for g, m in ps for _ in range(m))
+                                  for ps in pieces),
+                      exps=exps)
+        cache = {}
+        for _ in range(3):
+            b = tuple(ctx.from_index(rng.randrange(ctx.q)) for _ in range(2))
+            try:
+                want = blackbox_eval_by_line_factors(f, guess, b)
+            except FieldTooSmall:
+                continue  # the reference needs a squarefree projection point
+            assert blackbox_eval(f, guess, b, cache) == want
+            compared += 1
+    assert compared >= 60
 
 
 def test_guess_rejects_malformed_state():
@@ -305,22 +385,35 @@ def test_one_interpolation_per_guess(monkeypatch):
     # every part and y-coefficient of a guess comes from a single
     # interpolation; a guess that blackbox_eval rejects needs none
     calls = {"guess": 0, "interp": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(factorizer, "_reconstruct_candidate", counted(
-        "guess", factorizer._reconstruct_candidate))
+        calls, "guess", factorizer._reconstruct_candidate))
     monkeypatch.setattr(factorizer, "_interp_grid", counted(
-        "interp", factorizer._interp_grid))
+        calls, "interp", factorizer._interp_grid))
     g = P("y^2 + x1*x2*y + 3*x1 + 1", nvars=2)
     h = P("y + 2*x2 + 5", nvars=2)
     fac = factor_monic(g * h)
     assert multiset(fac) == multiset(Factorization(F7.one(), [(g, 1), (h, 1)]))
     assert 0 < calls["interp"] <= calls["guess"]
+
+
+def test_driver_never_factors_bivariates(monkeypatch):
+    # the monic driver evaluates factors by lifting the anchor's univariate
+    # factorization along each line, on the prime-field and the lifted path
+    calls = {"bivariate": 0, "lift": 0}
+    wrapped = counted(calls, "bivariate", factor_bivariate)
+    monkeypatch.setattr(factorizer, "factor_bivariate", wrapped)
+    monkeypatch.setattr(bifactor, "factor_bivariate", wrapped)
+    monkeypatch.setattr(factorizer, "lift_poly", counted(
+        calls, "lift", factorizer.lift_poly))
+    F3 = make_field(3)
+    for ctx, g, h in [
+            (F7, "y^2 + x1*x2*y + 3*x1 + 1", "y + 2*x2 + 5"),
+            (F3, "y + x1^3*x2 + 1", "y^2 + x1*x2*y + x2^2 + x1")]:
+        g, h = P(g, ctx, nvars=3), P(h, ctx, nvars=3)
+        fac = factor_monic(g * h)
+        assert multiset(fac) == multiset(
+            Factorization(ctx.one(), [(g, 1), (h, 1)]))
+    assert calls == {"bivariate": 0, "lift": 1}
 
 
 def test_factor_monic_lift_path():
@@ -421,6 +514,31 @@ def test_factor_f101_products_complete(n, a, b):
     fa, fb = factor(ga), factor(gb)
     assert multiset(fac) == multiset(
         Factorization(F101.one(), fa.parts + fb.parts))
+
+
+# Products of random blocks in 4 variables (a seeded fuzz over F_2, F_3, F_5,
+# F_7) on whose lines the bivariate factorization found no squarefree
+# projection point, so factor raised FieldTooSmall; the expected factors
+# are those of the blocks.
+FUZZ_PRODUCTS = {
+    "F3": (3, ["2*x1 + x1*x3*x4", "x2*x3*x4 + 2*x1*x4 + 2*x1*x2*x3",
+               "x4 + x2*x3*x4 + x1*x2*x3"], 4),
+    "F2": (2, ["x3*x4 + x1*x2 + x4", "x1*x3*x4 + x2*x4", "x3 + x3*x4"], 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_PRODUCTS))
+def test_factor_fuzz_products_complete(name):
+    p, texts, count = FUZZ_PRODUCTS[name]
+    ctx = make_field(p)
+    blocks = [parse_poly(t, ctx, nvars=4) for t in texts]
+    f = blocks[0] * blocks[1] * blocks[2]
+    fac = factor(f)
+    assert fac.expand() == f
+    want = Factorization(ctx.one(), [part for b in blocks
+                                     for part in factor(b).parts])
+    assert multiset(fac) == multiset(want)
+    assert sum(m for _, m in fac.parts) == count
 
 
 # -- general driver -----------------------------------------------------------

@@ -119,6 +119,15 @@ def test_sparsity_cap_examples():
     assert sparsity_cap(2, 4, 3, SBConfig(user_cap=5)) == 5
 
 
+def test_sbconfig_checks_its_constant():
+    cfg = SBConfig(C="3/2")
+    assert type(cfg.C) is Fraction and cfg.C == Fraction(3, 2)
+    assert SBConfig().C == 5 and SBConfig().user_cap is None
+    for bad in (0, -1, "-1/3"):
+        with pytest.raises(ValueError):
+            SBConfig(C=bad)
+
+
 def test_sparsity_cap_monotone():
     base = sparsity_cap(3, 4, 2)
     assert sparsity_cap(3, 5, 2) >= base

@@ -1,6 +1,9 @@
 """Source rules checked on the code itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,3 +22,15 @@ def test_factoring_engines_have_no_assert(module):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert lines == [], "assert statements in %s at lines %s" % (path, lines)
+
+
+def test_import_leaves_out_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, which would add
+    # their memory and start-up time to every process that imports sparsefact
+    code = ("import sys, sparsefact; print(sorted(m for m in ('dataclasses', "
+            "'inspect', 'ast', 'dis', 'tokenize') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"

@@ -11,7 +11,7 @@ from sparsefact.errors import DivByZero, ZeroDegree, NoFactorizationFound
 from sparsefact.field import make_field, is_prime
 from sparsefact.unifactor import (UniPoly, UniFactorization, factor_univariate,
                                   squarefree_decompose, is_irreducible,
-                                  addmul_logs)
+                                  addmul_logs, monic_root, _pth_root_poly)
 
 F7 = make_field(7)
 F5 = make_field(5)
@@ -292,6 +292,56 @@ def test_kernels_match_schoolbook(p, ell):
                 for _ in range(5):
                     want = (want * A) % B
                 assert A.pow_mod(5, B) == want
+
+
+# -- roots -------------------------------------------------------------------
+
+ROOT_FIELDS = [(2, 1), (3, 1), (3, 2)]
+
+
+def _root_exponents(p):
+    """An exponent prime to p, p itself, and p^2 * e' with e' prime to p."""
+    e1 = 3 if p == 2 else 2
+    return [e1, p, p * p * e1]
+
+
+@pytest.mark.parametrize("p,ell", ROOT_FIELDS)
+def test_monic_root_of_powers(p, ell):
+    ctx = make_field(p, ell)
+    rng = random.Random(p + 10 * ell)
+    for e in _root_exponents(p):
+        for _ in range(4):
+            r = rand_uni(ctx, rng.randint(0, 3), rng).monic()
+            assert monic_root(r ** e, e) == r
+            assert monic_root(r, 1) == r
+
+
+@pytest.mark.parametrize("p,ell", ROOT_FIELDS)
+def test_monic_root_of_non_powers(p, ell):
+    ctx = make_field(p, ell)
+    a, b = UniPoly.x(ctx), UniPoly(ctx, [ctx.one(), ctx.one()])
+    for e in _root_exponents(p):
+        e1 = e  # the part of e prime to p
+        while e1 % p == 0:
+            e1 //= p
+        # a^(e-1) * b is no e-th power, by unique factorization
+        cases = [a ** (e - 1) * b, UniPoly(ctx)]
+        if e1 > 1:  # a p-power whose p-power root is no e1-th power
+            cases.append((a ** (e1 - 1) * b) ** (e // e1))
+        if p > 2:  # not monic
+            cases.append((a ** e).scale(ctx.elem(2)))
+        for f in cases:
+            assert monic_root(f, e) is None, (f, e)
+
+
+def test_pth_root_rejects_non_pth_powers():
+    F3 = make_field(3)
+    y = UniPoly.x(F3)
+    assert _pth_root_poly(y ** 6 + y ** 3 + UniPoly.constant(F3, 2)) == \
+        y ** 2 + y + UniPoly.constant(F3, 2)
+    for f in (y + UniPoly.constant(F3, 1), y ** 4 + y ** 3):
+        with pytest.raises(ValueError):
+            _pth_root_poly(f)
 
 
 # -- checks that must hold under python -O ------------------------------------

@@ -6,6 +6,10 @@ exact Fraction linear algebra.
 
 enumerate_guesses_unbounded: the monic driver's guess enumeration trying
 every exponent in 1..k for every part and keeping the covering ones.
+
+blackbox_eval_by_line_factors: black-box factor evaluation by a complete
+factorization of the line restriction, each bivariate factor routed to the
+unique part one of whose univariate pieces divides its t=0 projection.
 """
 
 import itertools
@@ -77,3 +81,29 @@ def enumerate_guesses_unbounded(uni_parts, k):
                            for part, e in zip(parts, exps)) == u
                        for g, u in zip(gs, us)):
                     yield parts, exps
+
+
+def blackbox_eval_by_line_factors(f, guess, b):
+    from sparsefact.errors import GuessInvalid
+    from sparsefact.sparsepoly import restrict_to_line
+    from sparsefact.bifactor import factor_bivariate, project_t
+    from sparsefact.unifactor import UniPoly
+    ctx = f.ctx
+    ft = restrict_to_line(f, list(guess.anchor), list(b))
+    accs = [UniPoly.constant(ctx, 1) for _ in guess.parts]
+    for F, v in factor_bivariate(ft).parts:
+        F0, F1 = project_t(F, ctx.zero()), project_t(F, ctx.one())
+        hits = [i for i, part in enumerate(guess.parts)
+                if any((F0 % g).is_zero() for g in part)]
+        if len(hits) != 1:
+            raise GuessInvalid("projection matches %d parts" % len(hits))
+        i = hits[0]
+        e = guess.exps[i]
+        if v % e:
+            raise GuessInvalid("multiplicity %d not divisible by %d" % (v, e))
+        for _ in range(v // e):
+            accs[i] = accs[i] * F1
+    for i, part in enumerate(guess.parts):
+        if accs[i].degree() != sum(g.degree() for g in part):
+            raise GuessInvalid("inconsistent part degree")
+    return accs
