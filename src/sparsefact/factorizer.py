@@ -15,25 +15,32 @@ Three layers:
     simply discards the guess.
 
   * factor_monic — scans anchors over all of F^nx, nonzero coordinates
-    first (_full_grid), enumerates guesses at each, reconstructs all parts
-    of a guess by one dense tensor-grid interpolation of the vector of
-    their y-coefficients, verifies candidates by explicit multiplication,
-    and keeps the verified candidate with maximal refinement score
-    2*sum(e)-m (first-in-enumeration tie-break).  Its only setting is the
-    sparsity-cap configuration SBConfig.  Soundness is unconditional: only
+    first (_full_grid), projects f once at each, enumerates the guesses
+    that put each univariate factor in one part (a set partition of the
+    distinct factors, with an exponent per block dividing its
+    multiplicities), reconstructs all parts of a guess by one dense
+    tensor-grid interpolation of the vector of their y-coefficients,
+    verifies candidates by explicit multiplication, and keeps the verified
+    candidate with maximal refinement score 2*sum(e)-m (first-in-
+    enumeration tie-break).  Its only setting is the sparsity-cap
+    configuration SBConfig.  Soundness is unconditional: only
     re-multiplication-verified factorizations are ever returned.  It never
     factors a bivariate polynomial.
 
-  * factor — the general driver: delegates n <= 2 to the bivariate /
-    univariate engines, otherwise eliminates the last variable with the
-    monic transform, factors the transform, maps factors back by the
-    substitution y -> lc * x_n, recursively factors the leading coefficient,
-    and strips its factors with bookkeeping of net multiplicities.  Its
-    result goes through Factorization.assemble (sparsepoly), the toolkit's
-    one canonicalizer, which normalizes, sorts and re-verifies it.
+  * factor — the general driver: splits off the monomial content, drops
+    the variables absent from the rest and factors that core
+    (_factor_full): n <= 2 goes to the bivariate / univariate engines;
+    otherwise it eliminates the last variable with the monic transform,
+    factors the transform, maps factors back by the substitution
+    y -> lc * x_n, recursively factors the leading coefficient, and strips
+    its factors with bookkeeping of net multiplicities.  The core's factors
+    are re-embedded and, with the content's x_i^c_i, go through one
+    Factorization.assemble (sparsepoly), the toolkit's one canonicalizer,
+    which normalizes, sorts and re-verifies them.
 """
 
 import itertools
+import math
 
 from .errors import (GuessInvalid, Reject, FieldTooSmall, ZeroPolynomial,
                      NoFactorizationFound, NotMonic, ShapeMismatch)
@@ -89,7 +96,8 @@ def blackbox_eval(f, guess, b, cache=None):
     an e_i-th power.
 
     cache is a dict owned by the caller for one f and anchor; it keeps the
-    anchor projection and the lifted seeds of each line.
+    anchor projection under the key None (a caller that has f(anchor, y)
+    may put it there) and the lifted seeds of each line.
     """
     ctx = f.ctx
     owner, u = {}, {}  # piece -> its part, and u_g
@@ -213,62 +221,52 @@ def verify_factorization(f, candidate, cap=None):
 
 # -- guess enumeration --------------------------------------------------------
 
-def _multiset_partitions(items):
-    """All partitions of a list into nonempty unordered parts, deduplicated,
-    deterministic order.  Parts and partition lists are canonically sorted."""
+def _set_partitions(items):
+    """Partitions of a list of distinct items into nonempty blocks: the
+    first item joins each block of a partition of the rest in turn, then
+    opens a block of its own."""
     if not items:
         yield []
         return
-
-    def canon(parts):
-        return tuple(sorted((tuple(sorted(p, key=UniPoly.sort_key))
-                             for p in parts),
-                            key=lambda t: [g.sort_key() for g in t]))
-
-    seen = set()
     first, rest = items[0], items[1:]
-    for sub in _multiset_partitions(rest):
-        # put first into an existing part, or into a fresh one
-        for i in range(len(sub) + 1):
-            parts = [list(p) for p in sub]
-            if i < len(sub):
-                parts[i].append(first)
-            else:
-                parts.append([first])
-            c = canon(parts)
-            if c not in seen:
-                seen.add(c)
-                yield [list(p) for p in c]
+    for sub in _set_partitions(rest):
+        for i in range(len(sub)):
+            yield sub[:i] + [[first] + sub[i]] + sub[i + 1:]
+        yield [[first]] + sub
 
 
 def _enumerate_guesses(uni_parts):
     """Deterministic guess enumeration for one anchor.
 
-    uni_parts: list of (irreducible UniPoly, multiplicity) of f(y, anchor).
-    Yields (parts, exps) with every part a nonempty multiset of the
-    univariate irreducibles, covering the whole factorization:
-    prod over parts of (prod part)^exp == f(y, anchor).
+    uni_parts: list of (irreducible UniPoly g, multiplicity u_g) of
+    f(anchor, y).  Yields (parts, exps), one for each set partition of the
+    distinct g into blocks and each choice of a block exponent e dividing
+    the gcd of the block's u_g: the block's part repeats each of its g
+    u_g/e times, so every g lies in one part and prod over parts of
+    (prod part)^e == f(anchor, y).  No other guess passes blackbox_eval.
+    Order: set partitions as _set_partitions gives them, and for each one
+    the exponent vectors lexicographically, smallest first; the monic
+    driver's first-in-enumeration tie-break follows it.
     """
     gs = [g for g, _ in uni_parts]
     us = [u for _, u in uni_parts]
-    # sub-multisets: counts per distinct irreducible
-    for counts in itertools.product(*[range(u + 1) for u in us]):
-        if not any(counts):
-            continue
-        items = []
-        for g, c in zip(gs, counts):
-            items.extend([g] * c)
-        for parts in _multiset_partitions(items):
-            # a part's exponent times its copies of g never exceeds u_g:
-            # only that box of exponents can cover, in lexicographic order
-            tops = [min(u // part.count(g)
-                        for g, u in zip(gs, us) if g in part)
-                    for part in parts]
-            for exps in itertools.product(*[range(1, t + 1) for t in tops]):
-                # coverage: weighted union reproduces the full multiset
-                if all(sum(e * part.count(g) for part, e in zip(parts, exps))
-                       == u for g, u in zip(gs, us)):
-                    yield parts, exps
+    for blocks in _set_partitions(list(range(len(gs)))):
+        divisors = []
+        for block in blocks:
+            top = math.gcd(*(us[j] for j in block))
+            divisors.append([e for e in range(1, top + 1) if top % e == 0])
+        for exps in itertools.product(*divisors):
+            yield [[gs[j] for j in block for _ in range(us[j] // e)]
+                   for block, e in zip(blocks, exps)], exps
+
+
+def _score_bound(uni_parts):
+    """The largest refinement score of a guess covering f(anchor, y) =
+    prod g^u_g over k distinct g, splitting a g across parts or not:
+    2*sum(u_g) - k.  A covering guess with m parts P_i of exponents e_i has
+    sum(u_g) = sum(e_i*|P_i|) and sum(|P_i| - 1) >= k - m, so its score
+    2*sum(e_i) - m is at most 2*sum(u_g) - k."""
+    return 2 * sum(u for _, u in uni_parts) - len(uni_parts)
 
 
 # -- the monic driver ---------------------------------------------------------
@@ -338,22 +336,26 @@ def factor_monic(f, sb=None, _base=None):
     best = Factorization(ctx.one(), [(f, 1)])  # trivial candidate, score 1
     best_phi = 1
     stale = 0
-    # every valid factorization projects, at every anchor, to some enumerable
-    # guess; so min over anchors of the per-anchor maximal score bounds the
-    # complete factorization's score from above, certifying completeness once
-    # the best verified score reaches it
+    # every verified factorization projects, at every anchor, to a guess
+    # covering f(anchor, y), though perhaps one that puts a g into two parts
+    # (blackbox_eval rejects those, so they are not enumerated); _score_bound
+    # bounds all of them, so its minimum over anchors bounds the complete
+    # factorization's score from above, certifying completeness once the
+    # best verified score reaches it
     score_ub = None
     for anchor in _full_grid(ctx, nx):
         fa = project_y(f, anchor)
         ufac = factor_univariate(fa)
         improved = False
-        cache = {}  # line factorizations, shared by all guesses at this anchor
+        # the anchor projection and the lifted seeds of each line, shared by
+        # all guesses at this anchor
+        cache = {None: fa}
         # highest-scoring guesses first: the complete factorization always
         # scores maximally among verifiable candidates, so on a good anchor
         # the first surviving reconstruction is already the final answer
         guesses = sorted(_enumerate_guesses(ufac.parts),
                          key=lambda pe: -phi_score(pe[1]))
-        anchor_max = max((phi_score(e) for _, e in guesses), default=1)
+        anchor_max = _score_bound(ufac.parts)
         score_ub = anchor_max if score_ub is None else min(score_ub, anchor_max)
         if best_phi >= score_ub:
             break  # provably complete; no guess here can do better
@@ -448,40 +450,31 @@ def factor(f, sb=None):
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.is_constant():
         return Factorization(f.constant_value(), [])
-    pres = f.present_vars()
-    if len(pres) < f.n:
-        # factor in the variables actually present, then re-embed
-        squeeze = f
-        for i in sorted(set(range(f.n)) - set(pres), reverse=True):
-            squeeze = squeeze.drop_var(i)
-        inner = factor(squeeze, sb)
-        parts = []
-        for h, m in inner.parts:
-            g = h
-            for i in sorted(set(range(f.n)) - set(pres)):
-                g = g.insert_var(i)
-            parts.append((g, m))
-        return Factorization(inner.unit, parts)
-    return Factorization.assemble(f, _factor_full(f, sb).parts)
+    ctx, n = f.ctx, f.n
+    # split off the monomial content x_i^c_i, which factors trivially and
+    # whose removal can shrink every degree the heavy machinery depends on,
+    # then factor the rest in the variables it still has
+    cont = [min(e[i] for e in f.terms) for i in range(n)]
+    core = SparsePoly(ctx, n, {tuple(ei - ci for ei, ci in zip(e, cont)): c
+                               for e, c in f.terms.items()})
+    parts = [(SparsePoly.variable(ctx, n, i), ci)
+             for i, ci in enumerate(cont) if ci]
+    if not core.is_constant():
+        absent = sorted(set(range(n)) - set(core.present_vars()))
+        for i in reversed(absent):
+            core = core.drop_var(i)
+        for h, m in _factor_full(core, sb).parts:
+            for i in absent:
+                h = h.insert_var(i)
+            parts.append((h, m))
+    return Factorization.assemble(f, parts)
 
 
 def _factor_full(f, sb):
-    """Factor a polynomial all of whose variables are present."""
+    """Factor a polynomial all of whose variables are present and whose
+    monomial content is 1."""
     ctx = f.ctx
     n = f.n
-    # split off the monomial content first: it factors trivially and its
-    # removal can shrink every degree the heavy machinery depends on
-    cont = [min(e[i] for e in f.terms) for i in range(n)]
-    if any(cont):
-        stripped = SparsePoly(ctx, n, {
-            tuple(ei - ci for ei, ci in zip(e, cont)): c
-            for e, c in f.terms.items()})
-        parts = [(SparsePoly.variable(ctx, n, i), ci)
-                 for i, ci in enumerate(cont) if ci]
-        if stripped.is_constant():
-            return Factorization(stripped.constant_value(), parts)
-        inner = factor(stripped, sb)
-        return Factorization(inner.unit, inner.parts + parts)
     if n == 1:
         u = UniPoly(ctx, [f.terms.get((i,), ctx.zero())
                           for i in range(f.degree(0) + 1)])

@@ -13,13 +13,13 @@ from sparsefact.errors import (GuessInvalid, Reject, FieldTooSmall,
                                NotMonic, ShapeMismatch)
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
-                                   normalize_scalar, project_y)
+                                   normalize_scalar, project_y, phi_score)
 from sparsefact.unifactor import UniPoly, factor_univariate
 from sparsefact.bifactor import factor_bivariate
 from sparsefact.factorizer import (Guess, factor, factor_monic,
                                    blackbox_eval, reconstruct_sparse,
                                    verify_factorization, _full_grid,
-                                   _enumerate_guesses)
+                                   _enumerate_guesses, _score_bound)
 from tests_oracle import (enumerate_guesses_unbounded,
                           blackbox_eval_by_line_factors)
 
@@ -221,16 +221,54 @@ GUESS_PATTERNS = {
     "1,1,1": [([1, 1], 1), ([2, 1], 1), ([3, 1], 1)],
     "2,1,1": [([1, 1], 2), ([2, 1], 1), ([3, 1], 1)],
     "quadratic^2,1": [([1, 0, 1], 2), ([1, 1], 1)],
+    "4,3": [([1, 1], 4), ([2, 1], 3)],
+    "4,2,1": [([1, 1], 4), ([2, 1], 2), ([3, 1], 1)],
+    "6": [([1, 1], 6)],
+    "2,2,2": [([1, 1], 2), ([2, 1], 2), ([3, 1], 2)],
 }
+
+
+def pattern(name):
+    return [(U(c), u) for c, u in GUESS_PATTERNS[name]]
+
+
+def covering_guesses(uni):
+    """Every guess covering the pieces uni, split or not.  A part's exponent
+    times its count of some g is at most u_g, so exponents up to the largest
+    u_g find them all."""
+    return list(enumerate_guesses_unbounded(uni, max(u for _, u in uni)))
+
+
+def guess_key(parts, exps):
+    """Order-insensitive signature of a guess."""
+    return sorted((sorted(g.sort_key() for g in part), e)
+                  for part, e in zip(parts, exps))
+
+
+def splits_a_piece(parts):
+    return any(sum(g in part for part in parts) > 1
+               for part in parts for g in part)
 
 
 @pytest.mark.parametrize("name", sorted(GUESS_PATTERNS))
 def test_enumerate_guesses_matches_unbounded(name):
-    # bounding each part's exponent keeps the reference's sequence
-    uni = [(U(c), u) for c, u in GUESS_PATTERNS[name]]
-    k = sum(g.degree() * u for g, u in uni)
-    want = list(enumerate_guesses_unbounded(uni, k))
-    assert want and list(_enumerate_guesses(uni)) == want
+    # exactly the covering guesses that keep each piece in one part, each
+    # once; blackbox_eval rejects the others
+    uni = pattern(name)
+    guesses = list(_enumerate_guesses(uni))
+    assert not any(splits_a_piece(parts) for parts, _ in guesses)
+    want = sorted(guess_key(parts, exps) for parts, exps in
+                  covering_guesses(uni) if not splits_a_piece(parts))
+    assert want and sorted(guess_key(*pe) for pe in guesses) == want
+
+
+@pytest.mark.parametrize("name", sorted(GUESS_PATTERNS))
+def test_score_bound_is_largest_covering_score(name):
+    # the driver's completeness certificate must bound every covering
+    # guess, split ones included
+    uni = pattern(name)
+    assert _score_bound(uni) == max(phi_score(exps)
+                                    for _, exps in covering_guesses(uni))
 
 
 def test_enumerate_guesses_six_simple_factors():
@@ -396,6 +434,18 @@ def test_one_interpolation_per_guess(monkeypatch):
     assert 0 < calls["interp"] <= calls["guess"]
 
 
+def factor_monic_products():
+    """The monic driver on y-monic g * h over F_7, and over F_3, where it
+    lifts to F_3^2."""
+    for ctx, g, h in [
+            (F7, "y^2 + x1*x2*y + 3*x1 + 1", "y + 2*x2 + 5"),
+            (make_field(3), "y + x1^3*x2 + 1", "y^2 + x1*x2*y + x2^2 + x1")]:
+        g, h = P(g, ctx, nvars=3), P(h, ctx, nvars=3)
+        fac = factor_monic(g * h)
+        assert multiset(fac) == multiset(
+            Factorization(ctx.one(), [(g, 1), (h, 1)]))
+
+
 def test_driver_never_factors_bivariates(monkeypatch):
     # the monic driver evaluates factors by lifting the anchor's univariate
     # factorization along each line, on the prime-field and the lifted path
@@ -405,15 +455,25 @@ def test_driver_never_factors_bivariates(monkeypatch):
     monkeypatch.setattr(bifactor, "factor_bivariate", wrapped)
     monkeypatch.setattr(factorizer, "lift_poly", counted(
         calls, "lift", factorizer.lift_poly))
-    F3 = make_field(3)
-    for ctx, g, h in [
-            (F7, "y^2 + x1*x2*y + 3*x1 + 1", "y + 2*x2 + 5"),
-            (F3, "y + x1^3*x2 + 1", "y^2 + x1*x2*y + x2^2 + x1")]:
-        g, h = P(g, ctx, nvars=3), P(h, ctx, nvars=3)
-        fac = factor_monic(g * h)
-        assert multiset(fac) == multiset(
-            Factorization(ctx.one(), [(g, 1), (h, 1)]))
+    factor_monic_products()
     assert calls == {"bivariate": 0, "lift": 1}
+
+
+def test_one_projection_per_anchor(monkeypatch):
+    # blackbox_eval takes f(anchor, y) from the driver's per-anchor cache
+    calls = {"anchor": 0, "projection": 0}
+    full_grid = factorizer._full_grid
+
+    def counted_grid(ctx, n):
+        for anchor in full_grid(ctx, n):
+            calls["anchor"] += 1
+            yield anchor
+
+    monkeypatch.setattr(factorizer, "_full_grid", counted_grid)
+    monkeypatch.setattr(factorizer, "project_y", counted(
+        calls, "projection", project_y))
+    factor_monic_products()
+    assert calls["anchor"] >= 2 and calls["projection"] == calls["anchor"]
 
 
 def test_factor_monic_lift_path():

@@ -4,8 +4,10 @@ brute_force_vertices: a point is a vertex iff no affinely independent
 subset of the remaining points contains it in its convex hull, decided with
 exact Fraction linear algebra.
 
-enumerate_guesses_unbounded: the monic driver's guess enumeration trying
-every exponent in 1..k for every part and keeping the covering ones.
+enumerate_guesses_unbounded: guess enumeration over every sub-multiset of
+the univariate factors, every partition of it into parts and every exponent
+in 1..k for every part, keeping the guesses that cover the projection,
+including those that put one factor into two parts.
 
 blackbox_eval_by_line_factors: black-box factor evaluation by a complete
 factorization of the line restriction, each bivariate factor routed to the
@@ -65,8 +67,36 @@ def brute_force_vertices(E):
     return out
 
 
+def multiset_partitions(items):
+    """All partitions of a list into nonempty unordered parts, deduplicated,
+    deterministic order.  Parts and partition lists are canonically sorted."""
+    from sparsefact.unifactor import UniPoly
+    if not items:
+        yield []
+        return
+
+    def canon(parts):
+        return tuple(sorted((tuple(sorted(p, key=UniPoly.sort_key))
+                             for p in parts),
+                            key=lambda t: [g.sort_key() for g in t]))
+
+    seen = set()
+    first, rest = items[0], items[1:]
+    for sub in multiset_partitions(rest):
+        # put first into an existing part, or into a fresh one
+        for i in range(len(sub) + 1):
+            parts = [list(p) for p in sub]
+            if i < len(sub):
+                parts[i].append(first)
+            else:
+                parts.append([first])
+            c = canon(parts)
+            if c not in seen:
+                seen.add(c)
+                yield [list(p) for p in c]
+
+
 def enumerate_guesses_unbounded(uni_parts, k):
-    from sparsefact.factorizer import _multiset_partitions
     gs = [g for g, _ in uni_parts]
     us = [u for _, u in uni_parts]
     for counts in itertools.product(*[range(u + 1) for u in us]):
@@ -75,7 +105,7 @@ def enumerate_guesses_unbounded(uni_parts, k):
         items = []
         for g, c in zip(gs, counts):
             items.extend([g] * c)
-        for parts in _multiset_partitions(items):
+        for parts in multiset_partitions(items):
             for exps in itertools.product(range(1, k + 1), repeat=len(parts)):
                 if all(sum(e * sum(1 for x in part if x == g)
                            for part, e in zip(parts, exps)) == u
