@@ -9,16 +9,18 @@ produced by restricting a y-monic polynomial to a line).  The pipeline:
   precision 2*deg_t+1, and recombined by subset search (smallest subsets
   first, lexicographic tie-break); multiplicities recovered by exact trial
   division; the char-p leftover (all y-exponents divisible by p) is handled
-  by the z = y^p substitution and recursion.
+  by the z = y^p substitution and recursion.  A prime field with no good t0
+  is lifted to the smallest extension (field.extensions) that has one, where
+  recombination admits only the candidates that retract to the prime field.
 
 Representation.  Inside the pipeline a polynomial is a y-list: one UniPoly
 in t per y-degree, y-degree 0 first, trailing zero rows trimmed.
 `factor_bivariate` converts its SparsePoly input once and converts the
 factors back once at the end; the other SparsePoly conversions are at the
 public wrappers (`bi_gcd`, `hensel_lift`, `project_t`) and in the
-extension-field fallback, which lifts, retracts and applies Frobenius on
-SparsePoly.  Every exact division in F_q[t][y] (the gcd quotient, the
-multiplicity loop, recombination's trial division) is `_ylist_div`.
+extension-field fallback, which lifts and retracts on SparsePoly.  Every
+exact division in F_q[t][y] (the gcd quotient, the multiplicity loop,
+recombination's trial division) is `_ylist_div`.
 
 Everything is exact and order-deterministic; the final record goes through
 Factorization.assemble, the toolkit's one canonicalizer, which re-verifies it
@@ -29,7 +31,7 @@ import itertools
 
 from .errors import (NotCoprime, FieldTooSmall, ZeroPolynomial,
                      NoFactorizationFound)
-from .field import make_field, MAX_FIELD_SIZE
+from .field import extensions
 from .sparsepoly import SparsePoly, Factorization, lift_poly, retract_poly
 from .unifactor import (UniPoly, factor_univariate, addmul_logs,
                         _pth_root_poly)
@@ -59,6 +61,13 @@ def from_ylist(ctx, ylist):
             if v != zl:
                 terms[(i, j)] = exp[v]
     return SparsePoly(ctx, 2, terms)
+
+
+def _ylist_retract(ylist, ext, base):
+    """A y-list over ext with coefficients in its prime field base, over
+    base; None when a coefficient leaves base."""
+    h = retract_poly(from_ylist(ext, ylist), base)
+    return None if h is None else to_ylist(h)
 
 
 def project_t(f, t0):
@@ -265,9 +274,11 @@ def _lift_list(F, seeds, prec, ctx):
 
 # -- recombination ------------------------------------------------------------
 
-def _recombine(F, lifted, prec, ctx):
+def _recombine(F, lifted, prec, ctx, admit=None):
     """Recover the true monic-in-y irreducible factors of F (exact y-list)
-    from the lifted t-adic factors.  Smallest subsets first, lex tie-break."""
+    from the lifted t-adic factors.  Smallest subsets first, lex tie-break.
+    When admit is given, a subset's product that divides is taken as a
+    factor only if admit(product) holds."""
     factors = []
     remaining = list(range(len(lifted)))
     current = list(F)
@@ -285,7 +296,7 @@ def _recombine(F, lifted, prec, ctx):
                 if _ylist_deg_t(cand) > dt_budget:
                     continue
                 q = _ylist_div(current, cand)
-                if q is not None:
+                if q is not None and (admit is None or admit(cand)):
                     found = (combo, cand, q)
                     break
             if found:
@@ -305,10 +316,12 @@ def _recombine(F, lifted, prec, ctx):
 
 # -- the driver ---------------------------------------------------------------
 
-def _hat_factors(Shat, ctx):
+def _hat_factors(Shat, ctx, base=None):
     """Monic-in-y irreducible factors of a y-monic squarefree separable
     y-list, via lift-and-recombine at the first point whose projection
-    stays squarefree."""
+    stays squarefree.  When base is given, ctx is an extension of it and
+    Shat has base-field coefficients: recombination admits only the
+    factors that retract to base, and they are returned over base."""
     t0 = None
     for cand in ctx.elements():
         fe = UniPoly(ctx, [u.evaluate(cand) for u in Shat])
@@ -318,58 +331,44 @@ def _hat_factors(Shat, ctx):
     if t0 is None:
         raise FieldTooSmall(message="no squarefree projection point in F_%d^%d"
                             % (ctx.p, ctx.ell))
+
+    def back(F):
+        # a factor of the shifted Shat, shifted back and, over an extension,
+        # retracted (None when it does not retract)
+        F = [u.shift(-t0) for u in F]
+        return F if base is None else _ylist_retract(F, ctx, base)
+
     shifted = [u.shift(t0) for u in Shat]
     seeds = [g for g, _ in factor_univariate(
         UniPoly(ctx, [u[0] for u in shifted])).parts]
     seeds.sort(key=UniPoly.sort_key)
     if len(seeds) == 1:
-        return [Shat]
+        return [Shat if base is None else _ylist_retract(Shat, ctx, base)]
     # any true factor has t-degree at most deg_t(Shat), so lifting one
     # coefficient past that recovers it exactly
     prec = max(_ylist_deg_t(shifted), 0) + 1
     Ft = [UniPoly.from_logs(ctx, u.logs[:prec]) for u in shifted]
     lifted = _lift_list(Ft, seeds, prec, ctx)
-    combined = _recombine(shifted, lifted, prec, ctx)
-    return [[u.shift(-t0) for u in F] for F in combined]
+    combined = _recombine(shifted, lifted, prec, ctx, None if base is None
+                          else lambda F: back(F) is not None)
+    out = [back(F) for F in combined]
+    if any(F is None for F in out):
+        raise NoFactorizationFound("a factor over %r does not retract to %r"
+                                   % (ctx, base))
+    return out
 
 
 def _hat_factors_lifted(Shat, ctx):
-    """Fallback when every base-field projection is squarefree-defective:
-    factor over the smallest workable extension and multiply each Frobenius
-    orbit back into a base-field irreducible."""
-    m = 2
-    while True:
-        if ctx.p ** m > MAX_FIELD_SIZE:
-            raise FieldTooSmall(message="no extension of F_%d fits the cap"
-                                % ctx.p)
-        ext = make_field(ctx.p, m)
+    """Fallback when every projection over the prime field ctx is
+    squarefree-defective: factor over the smallest extension with a
+    squarefree projection point, admitting only factors over ctx."""
+    for ext in extensions(ctx):
+        lifted = to_ylist(lift_poly(from_ylist(ctx, Shat), ext))
         try:
-            ext_factors = _hat_factors(
-                to_ylist(lift_poly(from_ylist(ctx, Shat), ext)), ext)
-            break
+            return _hat_factors(lifted, ext, base=ctx)
         except FieldTooSmall:
-            m += 1
-
-    def frob(h):
-        return SparsePoly(ext, 2, {e: c ** ctx.p for e, c in h.terms.items()})
-
-    out = []
-    pool = [from_ylist(ext, h) for h in ext_factors]
-    while pool:
-        h = pool.pop(0)
-        prod = h
-        g = frob(h)
-        while g != h:
-            pool.remove(g)
-            prod = prod * g
-            g = frob(g)
-        pr = retract_poly(prod, ctx)
-        if pr is None:
-            raise NoFactorizationFound(
-                "Frobenius orbit product does not retract to %r" % ctx)
-        out.append(pr)
-    out.sort(key=SparsePoly.sort_key)
-    return [to_ylist(h) for h in out]
+            pass
+    raise FieldTooSmall(message="no extension of F_%d fits the cap" % ctx.p)
 
 
 def _factor_sqfree_primitive(S, ctx):

@@ -211,6 +211,8 @@ def _cmd_hitset(args, out):
 def _eg1(ctx, n, d):
     """f = prod (x_i^d - 1): 2^n terms, with the all-ones-coefficients factor
     g = prod (1 + x_i + ... + x_i^(d-1)) of d^n terms."""
+    if n < 1 or d < 1:
+        raise ValueError("eg1 needs n >= 1 and d >= 1")
     f = SparsePoly.constant(ctx, n, 1)
     g = SparsePoly.constant(ctx, n, 1)
     for i in range(n):
@@ -226,6 +228,8 @@ def _eg1(ctx, n, d):
 def _eg2(ctx, n, d):
     """f = x_1^p + ... + x_n^p = (x_1 + ... + x_n)^p: n terms, with the
     power-sum factor g = (x_1 + ... + x_n)^d of (n+d-1 choose d) terms."""
+    if n < 1:
+        raise ValueError("eg2 needs n >= 1")
     if not 0 < d < ctx.p:
         # from d = p on, multinomial coefficients of g vanish mod p
         raise ValueError("eg2 needs 0 < d < p = %d" % ctx.p)

@@ -32,7 +32,8 @@ class ZeroPolynomial(SparsefactError):
 
 
 class ZeroDegree(SparsefactError):
-    """Polynomial does not depend on the variable being eliminated."""
+    """Polynomial is constant in the variable an operation works on: one to
+    eliminate, to factor in, or a resultant's variable."""
 
 
 class EmptyVector(SparsefactError):
@@ -61,10 +62,6 @@ class NotCoprime(SparsefactError):
 
 class NotMonic(SparsefactError):
     """Operation requires a polynomial monic in y."""
-
-
-class DegreeZero(SparsefactError):
-    """Resultant requires both arguments to have positive degree."""
 
 
 class BoundViolation(SparsefactError):

@@ -22,8 +22,11 @@ Three layers:
     tensor-grid interpolation of the vector of their y-coefficients,
     verifies candidates by explicit multiplication, and keeps the verified
     candidate with maximal refinement score 2*sum(e)-m (first-in-
-    enumeration tie-break).  Its only setting is the sparsity-cap
-    configuration SBConfig.  Soundness is unconditional: only
+    enumeration tie-break).  When F has fewer points than the grid needs,
+    anchors and grid come from the smallest extension in field.extensions
+    that has enough, and a candidate is admitted only if its factors
+    retract to F.  Its only setting is the sparsity-cap configuration
+    SBConfig.  Soundness is unconditional: only
     re-multiplication-verified factorizations are ever returned.  It never
     factors a bivariate polynomial.
 
@@ -44,7 +47,7 @@ import math
 
 from .errors import (GuessInvalid, Reject, FieldTooSmall, ZeroPolynomial,
                      NoFactorizationFound, NotMonic, ShapeMismatch)
-from .field import make_field, MAX_FIELD_SIZE
+from .field import extensions
 from .sparsepoly import (SparsePoly, Factorization, make_monic, sparse_divide,
                          phi_score, restrict_to_line, project_y, lift_poly,
                          retract_poly)
@@ -186,11 +189,14 @@ def reconstruct_sparse(oracle, n, d, cap, ctx):
     d (an int or a per-variable tuple) from point evaluations.
 
     Raises Reject if the result has more than cap terms, FieldTooSmall if
-    the field lacks d+1 points on some axis.
+    the field lacks d+1 points on some axis, and ValueError unless n >= 1
+    and every degree is nonnegative.
     """
     degs = tuple(d) if not isinstance(d, int) else (d,) * n
     if len(degs) != n:
         raise ShapeMismatch("%d degrees for %d variables" % (len(degs), n))
+    if n < 1 or min(degs) < 0:
+        raise ValueError("reconstruction needs n >= 1 and degrees >= 0")
     if max(degs) + 1 > ctx.q:
         raise FieldTooSmall(required=max(degs) + 1)
     axes = [list(itertools.islice(ctx.elements(), dv + 1)) for dv in degs]
@@ -302,19 +308,20 @@ def _full_grid(ctx, n):
             yield from tuples(n, zeros, total)
 
 
-def factor_monic(f, sb=None, _base=None):
+def factor_monic(f, sb=None):
     """Unique monic factorization of a polynomial monic in y (last index).
 
     Verified candidates only; among them the refinement score 2*sum(e)-m is
     maximized, with a first-in-enumeration tie-break.  The winning candidate
     is returned as reconstructed (y-monic factors, unit one, not sorted);
     factor() canonicalizes it.  sb configures the sparsity cap (SBConfig,
-    default when None).  A prime field with too few interpolation points
-    is lifted to an extension (_factor_monic_lifted); when _base is given
-    the computation runs in such an extension of it and only candidates
-    whose coefficients retract to _base are admitted.
+    default when None).  Anchors and the interpolation grid come from f's
+    field or, when it has too few points for the grid, from the smallest
+    extension in field.extensions that has enough: f is lifted there, a
+    candidate is admitted only if every factor retracts to f's field, and
+    the retracted candidate is verified against f.
     """
-    ctx = f.ctx
+    base = f.ctx
     nx = f.n - 1
     if nx < 1:
         raise ShapeMismatch("the monic driver needs x-variables besides y")
@@ -327,13 +334,15 @@ def factor_monic(f, sb=None, _base=None):
     cap = sparsity_cap(f.n, s, d, sb)
     degs = f.degrees()[:nx]
     needed = max(degs, default=0) + 1
-    if needed > ctx.q:
-        # interpolation grid needs more points than the field has
-        if ctx.ell == 1 and _base is None:
-            return _factor_monic_lifted(f, sb, needed)
-        raise FieldTooSmall(required=needed)
+    fs = f  # f over the field the anchors and the grid come from
+    if needed > base.q:
+        ext = next((e for e in extensions(base) if e.q >= needed), None)
+        if ext is None:
+            raise FieldTooSmall(required=needed)
+        fs = lift_poly(f, ext)
+    ctx = fs.ctx
     grid_axes = [list(itertools.islice(ctx.elements(), dv + 1)) for dv in degs]
-    best = Factorization(ctx.one(), [(f, 1)])  # trivial candidate, score 1
+    best = Factorization(base.one(), [(f, 1)])  # trivial candidate, score 1
     best_phi = 1
     stale = 0
     # every verified factorization projects, at every anchor, to a guess
@@ -344,7 +353,7 @@ def factor_monic(f, sb=None, _base=None):
     # best verified score reaches it
     score_ub = None
     for anchor in _full_grid(ctx, nx):
-        fa = project_y(f, anchor)
+        fa = project_y(fs, anchor)
         ufac = factor_univariate(fa)
         improved = False
         # the anchor projection and the lifted seeds of each line, shared by
@@ -366,13 +375,16 @@ def factor_monic(f, sb=None, _base=None):
             guess = Guess(anchor=tuple(anchor),
                           parts=tuple(tuple(p) for p in parts),
                           exps=tuple(exps))
-            candidate = _reconstruct_candidate(f, guess, grid_axes, cap,
+            candidate = _reconstruct_candidate(fs, guess, grid_axes, cap,
                                                cache)
             if candidate is None:
                 continue
-            if _base is not None and any(
-                    retract_poly(h, _base) is None for h, _ in candidate.parts):
-                continue  # finer than the base-field factorization
+            if fs is not f:
+                retracted = [(retract_poly(h, base), e)
+                             for h, e in candidate.parts]
+                if any(h is None for h, _ in retracted):
+                    continue  # finer than the base-field factorization
+                candidate = Factorization(base.one(), retracted)
             if verify_factorization(f, candidate, cap):
                 best = candidate
                 best_phi = phi
@@ -383,27 +395,6 @@ def factor_monic(f, sb=None, _base=None):
         if stale >= ANCHOR_PATIENCE:
             break
     return best
-
-
-def _factor_monic_lifted(f, sb, needed):
-    """Run the monic driver in the smallest sufficient extension field and
-    retract the (base-field-filtered) result."""
-    ctx = f.ctx
-    m = 2
-    while ctx.p ** m < needed:
-        m += 1
-    if ctx.p ** m > MAX_FIELD_SIZE:
-        raise FieldTooSmall(required=needed)
-    ext = make_field(ctx.p, m)
-    lifted = factor_monic(lift_poly(f, ext), sb, _base=ctx)
-    parts = []
-    for h, e in lifted.parts:
-        hr = retract_poly(h, ctx)
-        if hr is None:  # factor_monic admits only retractable candidates
-            raise NoFactorizationFound(
-                "lifted factor %s does not retract to %r" % (h, ctx))
-        parts.append((hr, e))
-    return Factorization(ctx.one(), parts)
 
 
 def _reconstruct_candidate(f, guess, grid_axes, cap, cache):

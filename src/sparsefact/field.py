@@ -372,3 +372,13 @@ def make_field(p, ell=1):
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = FieldCtx(p, ell)
     return _FIELD_CACHE[key]
+
+
+def extensions(ctx):
+    """The extensions F_{p^m} of a prime field ctx that the factoring
+    engines may lift to, for m = 2, 3, ... while p^m <= MAX_FIELD_SIZE,
+    smallest first; none when ctx is itself an extension field."""
+    m = 2
+    while ctx.ell == 1 and ctx.p ** m <= MAX_FIELD_SIZE:
+        yield make_field(ctx.p, m)
+        m += 1

@@ -36,6 +36,8 @@ class HittingSet:
         """Materialize (a prefix of) the point list."""
         if limit is None:
             return list(self._generator())
+        if limit < 0:
+            raise ValueError("negative point limit %d" % limit)
         return list(itertools.islice(self._generator(), limit))
 
 

@@ -27,6 +27,8 @@ class SBConfig:
         self.C = Fraction(C)
         if self.C <= 0:
             raise ValueError("the sparsity-cap constant C must be positive")
+        if user_cap is not None and user_cap < 1:
+            raise ValueError("the user sparsity cap must be at least 1")
         self.user_cap = user_cap
 
     def __repr__(self):

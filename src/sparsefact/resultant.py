@@ -2,12 +2,13 @@
 
 The production path never materializes a symbolic multivariate resultant:
 to certify coprimality of two y-monic multivariate polynomials at a point,
-project both to univariate polynomials first and take the determinant of
-their Sylvester matrix.  For monic inputs the projection cannot drop the
-y-degree, so projecting and taking resultants commute.
+project both to univariate polynomials first and take their resultant, the
+determinant of their Sylvester matrix, by the Euclidean recurrence.  For
+monic inputs the projection cannot drop the y-degree, so projecting and
+taking resultants commute.
 """
 
-from .errors import DegreeZero, NotMonic
+from .errors import ZeroDegree, NotMonic
 from .sparsepoly import project_y
 
 
@@ -16,7 +17,7 @@ def sylvester_matrix(f, g):
     g's (rows; the determinant is transpose-invariant)."""
     d, e = f.degree(), g.degree()
     if d < 1 or e < 1:
-        raise DegreeZero("resultant needs positive degrees")
+        raise ZeroDegree("resultant needs positive degrees")
     size = d + e
     ctx = f.ctx
     rows = []
@@ -29,34 +30,25 @@ def sylvester_matrix(f, g):
     return rows
 
 
-def _det(rows, ctx):
-    """Exact determinant by Gaussian elimination, first-nonzero-pivot order."""
-    n = len(rows)
-    M = [row[:] for row in rows]
-    det = ctx.one()
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if not M[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            return ctx.zero()
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det = det * M[col][col]
-        inv = M[col][col].inverse()
-        for i in range(col + 1, n):
-            if not M[i][col].is_zero():
-                c = M[i][col] * inv
-                M[i] = [a - c * b for a, b in zip(M[i], M[col])]
-    return det
-
-
 def resultant_univariate(f, g):
-    """Res_y(f, g); zero iff f and g share a nonconstant factor."""
-    return _det(sylvester_matrix(f, g), f.ctx)
+    """Res_y(f, g); zero iff f and g share a nonconstant factor.
+
+    The determinant of sylvester_matrix(f, g), by the Euclidean recurrence
+    on r = f mod g: res(f, g) = 0 if r = 0, else (-1)^(deg f * deg g) *
+    lc(g)^(deg f - deg r) * res(g, r); and res(f, c) = c^deg f for a
+    nonzero constant c."""
+    if f.degree() < 1 or g.degree() < 1:
+        raise ZeroDegree("resultant needs positive degrees")
+    res = f.ctx.one()
+    while g.degree() > 0:
+        r = f % g
+        if r.is_zero():
+            return f.ctx.zero()
+        if f.degree() * g.degree() % 2:
+            res = -res
+        res = res * g.lc() ** (f.degree() - r.degree())
+        f, g = g, r
+    return res * g.lc() ** f.degree()
 
 
 def resultant_at_point(f, g, a):

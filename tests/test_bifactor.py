@@ -154,6 +154,40 @@ def test_extension_fallback_over_f2():
     assert {p for p, _ in fac.parts} == {g, h}
 
 
+@pytest.mark.parametrize("ctx", [F2, F3], ids=["F2", "F3"])
+def test_lifted_fallback_products_factor_blockwise(ctx, monkeypatch):
+    # over F_2 and F_3 many products have no squarefree projection point and
+    # are factored over an extension; their factors must still be the union
+    # of the blocks' own factorizations, all over the base field
+    calls = {"lifted": 0}
+    lifted = bifactor._hat_factors_lifted
+
+    def counted(*args):
+        calls["lifted"] += 1
+        return lifted(*args)
+
+    monkeypatch.setattr(bifactor, "_hat_factors_lifted", counted)
+    rng = random.Random(ctx.p)
+    lifted_products = 0
+    for _ in range(100):
+        blocks = []
+        for _ in range(rng.randint(2, 3)):
+            b = rand_bi(ctx, 2, 4, rng)
+            if not b.is_zero() and not b.is_constant():
+                blocks.append((b, rng.randint(1, 2)))
+        f = SparsePoly.constant(ctx, 2, 1)
+        for b, e in blocks:
+            f = f * b ** e
+        want = Factorization.assemble(f, [
+            (h, m * e) for b, e in blocks for h, m in factor_bivariate(b).parts])
+        before = calls["lifted"]
+        got = factor_bivariate(f)
+        lifted_products += calls["lifted"] > before
+        assert got.unit == want.unit and got.parts == want.parts
+        assert all(h.ctx is ctx for h, _ in got.parts)
+    assert lifted_products >= 1
+
+
 # The squarefree splitter made to return y + t + 3, which does not divide
 # y^2 + t: the multiplicity loop finds it zero times, which must raise
 # rather than report a factor of multiplicity 0, also under python -O.

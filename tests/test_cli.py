@@ -311,6 +311,15 @@ def test_examples_hadamard():
 BAD_ARGUMENTS = [
     ["examples", "--which", "eg2", "--d", "7"],
     ["examples", "--which", "eg2", "--d", "0"],
+    ["examples", "--which", "eg2", "--n", "0"],
+    ["examples", "--which", "eg1", "--n", "-1"],
+    ["examples", "--which", "eg1", "--n", "0"],
+    ["examples", "--which", "eg1", "--d", "0"],
+    ["hitset", "--n", "1", "--s", "1", "--d", "1", "--k", "1",
+     "--limit", "-1"],
+    ["factor", "--cap", "0",
+     "x1^2*x2 + x1*x2^2*x3 + x1*x3 + x2*x3^2"],
+    ["polytope", "--cap", "0", "x1*x2+x1"],
     ["hitset", "--n", "0", "--s", "1", "--d", "1", "--k", "1"],
     ["examples", "--which", "hadamard", "--m", "5"],
     ["factor", "--sb-constant", "0", "x1"],

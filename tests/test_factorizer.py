@@ -13,7 +13,8 @@ from sparsefact.errors import (GuessInvalid, Reject, FieldTooSmall,
                                NotMonic, ShapeMismatch)
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
-                                   normalize_scalar, project_y, phi_score)
+                                   normalize_scalar, project_y, phi_score,
+                                   lift_poly)
 from sparsefact.unifactor import UniPoly, factor_univariate
 from sparsefact.bifactor import factor_bivariate
 from sparsefact.factorizer import (Guess, factor, factor_monic,
@@ -311,6 +312,14 @@ def test_reconstruct_rejects_wrong_degree_count():
         reconstruct_sparse(lambda pt: F7.zero(), 2, (1, 1, 1), 5, F7)
 
 
+def test_reconstruct_rejects_bad_degrees():
+    # a negative degree would give an empty grid axis and so the zero
+    # polynomial whatever the oracle says; no variables, no grid at all
+    for n, d in ((2, -1), (2, (1, -1)), (0, 1), (0, ())):
+        with pytest.raises(ValueError):
+            reconstruct_sparse(lambda pt: F7.one(), n, d, None, F7)
+
+
 def test_reconstruct_random_round_trip():
     rng = random.Random(1)
     for _ in range(15):
@@ -487,19 +496,33 @@ def test_factor_monic_lift_path():
     assert multiset(fac) == multiset(Factorization(F7.one(), [(g, 1), (h, 1)]))
 
 
-def test_factor_monic_lift_rejects_unretractable_factor(monkeypatch):
-    # the lifted driver must hand back base-field factors; one that does not
-    # retract is an internal fault, reported by an exception that survives -O
+def test_factor_monic_lift_skips_unretractable_candidate(monkeypatch):
+    # over F_49, (z*g)(h/z) multiplies to f = g*h but is no factorization
+    # over F_7: the lifted driver must pass over it and still find g, h
     g = P("y + x1^4*x2")
     h = P("y + 3*x1^3", nvars=2)
+    F49 = make_field(7, 2)
+    reconstruct = factorizer._reconstruct_candidate
+    offered = []
 
-    def unretractable(f, sb, _base):
-        z = f.ctx.elem((0, 1))
-        return Factorization(f.ctx.one(), [(f.scale(z), 1)])
+    def unretractable_first(f, guess, grid_axes, cap, cache):
+        cand = reconstruct(f, guess, grid_axes, cap, cache)
+        if offered or cand is None or len(cand.parts) != 2:
+            return cand
+        z = F49.elem((0, 1))
+        (a, e), (b, k) = cand.parts
+        cand = Factorization(F49.one(), [(a.scale(z), e),
+                                         (b.scale(z.inverse()), k)])
+        offered.append(cand)
+        return cand
 
-    monkeypatch.setattr(factorizer, "factor_monic", unretractable)
-    with pytest.raises(NoFactorizationFound):
-        factor_monic(g * h)
+    monkeypatch.setattr(factorizer, "_reconstruct_candidate",
+                        unretractable_first)
+    fac = factor_monic(g * h)
+    assert len(offered) == 1
+    assert verify_factorization(lift_poly(g * h, F49), offered[0])
+    assert all(p.ctx is F7 for p, _ in fac.parts)
+    assert multiset(fac) == multiset(Factorization(F7.one(), [(g, 1), (h, 1)]))
 
 
 # -- anchor grid --------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 from sparsefact.errors import NotPrime, DivByZero, CtxMismatch, ShapeMismatch
 from sparsefact.field import (make_field, FieldCtx, FieldElem, MAX_FIELD_SIZE,
-                              is_prime, _polymul_mod_p, _polydivmod_mod_p)
+                              is_prime, extensions, _polymul_mod_p,
+                              _polydivmod_mod_p)
 
 
 def test_prime_field_context():
@@ -32,6 +33,15 @@ def test_composite_characteristic_rejected():
 def test_desk_scale_cap():
     with pytest.raises(Exception):
         make_field(2, 17)  # 2^17 > 2^16
+
+
+def test_extensions_of_prime_fields_only():
+    # the lift targets of both factoring engines, smallest first
+    assert [e.q for e in itertools.islice(extensions(make_field(2)), 3)] == [
+        4, 8, 16]
+    assert [(e.p, e.ell) for e in extensions(make_field(101))] == [(101, 2)]
+    assert list(extensions(make_field(257))) == []  # 257^2 > 2^16
+    assert list(extensions(make_field(3, 2))) == []
 
 
 def test_prime_field_add_mul():

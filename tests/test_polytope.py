@@ -128,6 +128,15 @@ def test_sbconfig_checks_its_constant():
             SBConfig(C=bad)
 
 
+def test_sbconfig_checks_its_user_cap():
+    # a cap below 1 admits no factor at all, so the driver would report
+    # every input as irreducible
+    assert SBConfig(user_cap=1).user_cap == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            SBConfig(user_cap=bad)
+
+
 def test_sparsity_cap_monotone():
     base = sparsity_cap(3, 4, 2)
     assert sparsity_cap(3, 5, 2) >= base

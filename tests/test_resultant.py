@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from sparsefact.errors import DegreeZero, NotMonic, ShapeMismatch
+from sparsefact.errors import ZeroDegree, NotMonic, ShapeMismatch
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import SparsePoly, parse_poly
 from sparsefact.unifactor import UniPoly
 from sparsefact.resultant import (sylvester_matrix, resultant_univariate,
                                   resultant_at_point)
+from tests_oracle import det_by_elimination
 
 F7 = make_field(7)
 
@@ -25,8 +26,8 @@ def P(text, nvars=None):
 
 
 def rand_uni(ctx, deg, rng):
-    coeffs = [ctx.elem(rng.randrange(ctx.q)) for _ in range(deg)]
-    coeffs.append(ctx.elem(rng.randrange(1, ctx.q)))
+    coeffs = [ctx.from_index(rng.randrange(ctx.q)) for _ in range(deg)]
+    coeffs.append(ctx.from_index(rng.randrange(1, ctx.q)))
     return UniPoly(ctx, coeffs)
 
 
@@ -48,9 +49,9 @@ def test_resultant_quadratics():
 
 
 def test_degree_zero_rejected():
-    with pytest.raises(DegreeZero):
+    with pytest.raises(ZeroDegree):
         resultant_univariate(U([3]), U([0, 1]))
-    with pytest.raises(DegreeZero):
+    with pytest.raises(ZeroDegree):
         resultant_univariate(U([0, 1]), U([5]))
 
 
@@ -59,6 +60,24 @@ def test_sylvester_layout():
     M = sylvester_matrix(U([3, 2, 1]), U([4, 1]))
     ser = [[v.serialize() for v in row] for row in M]
     assert ser == [[1, 2, 3], [1, 4, 0], [0, 1, 4]]
+
+
+@pytest.mark.parametrize("p,ell", [(2, 1), (3, 1), (7, 1), (101, 1),
+                                   (3, 2), (2, 3)])
+def test_resultant_is_sylvester_determinant(p, ell):
+    # the Euclidean recurrence against the determinant of the Sylvester
+    # matrix by elimination; every third pair shares a random factor, so
+    # zero resultants and remainders that vanish early are covered
+    ctx = make_field(p, ell)
+    rng = random.Random(p * 10 + ell)
+    for trial in range(100):
+        f = rand_uni(ctx, rng.randint(1, 5), rng)
+        g = rand_uni(ctx, rng.randint(1, 5), rng)
+        if trial % 3 == 0:
+            c = rand_uni(ctx, rng.randint(1, 2), rng)
+            f, g = f * c, g * c
+        want = det_by_elimination(sylvester_matrix(f, g), ctx)
+        assert resultant_univariate(f, g) == want
 
 
 def test_zero_iff_gcd_nonconstant():

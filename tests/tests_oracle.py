@@ -12,6 +12,10 @@ including those that put one factor into two parts.
 blackbox_eval_by_line_factors: black-box factor evaluation by a complete
 factorization of the line restriction, each bivariate factor routed to the
 unique part one of whose univariate pieces divides its t=0 projection.
+
+det_by_elimination: the determinant of a square matrix of field elements
+by Gaussian elimination, the reference for resultants computed by the
+Euclidean recurrence.
 """
 
 import itertools
@@ -137,3 +141,28 @@ def blackbox_eval_by_line_factors(f, guess, b):
         if accs[i].degree() != sum(g.degree() for g in part):
             raise GuessInvalid("inconsistent part degree")
     return accs
+
+
+def det_by_elimination(rows, ctx):
+    """Exact determinant by Gaussian elimination, first-nonzero-pivot order."""
+    n = len(rows)
+    M = [row[:] for row in rows]
+    det = ctx.one()
+    for col in range(n):
+        piv = None
+        for i in range(col, n):
+            if not M[i][col].is_zero():
+                piv = i
+                break
+        if piv is None:
+            return ctx.zero()
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            det = -det
+        det = det * M[col][col]
+        inv = M[col][col].inverse()
+        for i in range(col + 1, n):
+            if not M[i][col].is_zero():
+                c = M[i][col] * inv
+                M[i] = [a - c * b for a, b in zip(M[i], M[col])]
+    return det
