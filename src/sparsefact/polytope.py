@@ -1,9 +1,13 @@
 """Newton-polytope analytics over exact rational arithmetic.
 
-Vertex enumeration answers, per support point p, the exact feasibility
-question "is p a convex combination of the other points?" with a
-Fraction-based phase-1 simplex (Bland's rule, hence terminating and
-deterministic).  No floating point is used anywhere.
+Vertex enumeration first looks, per support point p, for an integer
+certificate that p is a vertex: p is the unique maximizer over the support
+of its bounding-box sign vector or of its direction from the centroid.
+Only the points left over ask the exact feasibility question "is p a
+convex combination of the other points?", answered by a Fraction-based
+phase-1 simplex (Bland's rule, hence terminating and deterministic) over
+the other points not yet shown to be inner.  No floating point is used
+anywhere.
 
 Also houses the factor-sparsity cap SB(n,s,d), a corner-point bound checker,
 a brute-force uniform-combination certifier, and the Hadamard-matrix support
@@ -101,12 +105,20 @@ def _lp_feasible(A, b):
     return obj[ncols] == 0
 
 
+def _dimension(points):
+    """The common length of the points; ShapeMismatch if two differ."""
+    dims = {len(p) for p in points}
+    if len(dims) > 1:
+        raise ShapeMismatch("points of dimensions %s mixed" % sorted(dims))
+    return dims.pop() if dims else 0
+
+
 def in_hull(point, points):
     """Exact test: point in conv(points)?"""
     pts = list(points)
+    n = _dimension([point] + pts)
     if not pts:
         return False
-    n = len(point)
     A = []
     for i in range(n):
         A.append([Fraction(p[i]) for p in pts])
@@ -122,19 +134,45 @@ def support_of(f):
     return set(f.terms)
 
 
+def _exposes(c, p, pts):
+    """Is p the unique maximizer of the linear functional c over pts?  Then
+    the face of conv(pts) that c exposes is {p}, so p is a vertex."""
+    top = sum(a * b for a, b in zip(c, p))
+    return all(sum(a * b for a, b in zip(c, q)) < top
+               for q in pts if q != p)
+
+
 def newton_vertices(E):
     """Exact vertex set of conv(E), canonically (lexicographically) ordered.
 
-    A point is a vertex iff it is not a convex combination of the others.
+    A point p is accepted as a vertex without an LP when an integer
+    certificate exists: p is the unique maximizer over E of its
+    bounding-box sign vector (+1 where p attains the box's maximum, -1
+    where it attains the minimum, 0 elsewhere) or of its centroid
+    direction |E|*p - sum(E).  Every other point is a vertex iff it is not
+    a convex combination of the others, decided by one in_hull LP over the
+    other points minus those already shown to be inner: a non-vertex is a
+    convex combination of vertices, so dropping them changes no answer.
     """
     pts = sorted(set(map(tuple, E)))
     if not pts:
         raise EmptySupport("empty support")
+    _dimension(pts)
+    cols = list(zip(*pts))
+    lo = [min(c) for c in cols]
+    hi = [max(c) for c in cols]
+    total = [sum(c) for c in cols]
+    inner = set()
     out = []
     for p in pts:
-        others = [q for q in pts if q != p]
-        if not others or not in_hull(p, others):
+        box = [1 if v == h else -1 if v == l else 0
+               for v, l, h in zip(p, lo, hi)]
+        centroid = [len(pts) * v - s for v, s in zip(p, total)]
+        if (_exposes(box, p, pts) or _exposes(centroid, p, pts) or not
+                in_hull(p, [q for q in pts if q != p and q not in inner])):
             out.append(p)
+        else:
+            inner.add(p)
     return out
 
 
@@ -142,8 +180,7 @@ def minkowski_sum(A, B):
     """Pairwise point sums (contains all vertices of the polytope sum)."""
     A = list(map(tuple, A))
     B = list(map(tuple, B))
-    if A and B and len(A[0]) != len(B[0]):
-        raise ShapeMismatch("dimension mismatch")
+    _dimension(A + B)
     return sorted({tuple(a + b for a, b in zip(p, q)) for p in A for q in B})
 
 
@@ -223,12 +260,19 @@ def caratheodory_check(E, d, cfg=None, uniform_k=None):
     k-uniform combination of the vertices.
 
     Returns a report dict, whose "vertex_list" is newton_vertices(E);
-    raises BoundViolation if the inequality fails.
+    raises BoundViolation if the inequality fails, and ValueError for d < 0,
+    a point outside {0..d}^n, or a uniform cover asked with k < 1 or d < 1.
     """
+    if d < 0:
+        raise ValueError("caratheodory_check needs d >= 0")
+    if uniform_k is not None and (uniform_k < 1 or d < 1):
+        raise ValueError("the uniform cover needs k >= 1 and d >= 1")
     pts = sorted(set(map(tuple, E)))
     if not pts:
         raise EmptySupport("empty support")
-    n = len(pts[0])
+    n = _dimension(pts)
+    if any(not 0 <= v <= d for p in pts for v in p):
+        raise ValueError("support point outside {0..%d}^%d" % (d, n))
     if cfg is None:
         cfg = SBConfig()
     verts = newton_vertices(pts)

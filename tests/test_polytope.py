@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from sparsefact.errors import EmptySupport, ShapeMismatch
+from sparsefact import polytope
+from sparsefact.errors import BoundViolation, EmptySupport, ShapeMismatch
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import parse_poly
 from tests_oracle import brute_force_vertices
@@ -66,6 +67,93 @@ def test_vertices_match_brute_force_oracle():
         E = {tuple(rng.randint(0, 3) for _ in range(n))
              for _ in range(rng.randint(1, 10))}
         assert newton_vertices(E) == brute_force_vertices(E)
+
+
+def lp_vertices(E):
+    """The reference: one in_hull LP per point over all the other points."""
+    pts = sorted(set(map(tuple, E)))
+    return [p for p in pts
+            if not in_hull(p, [q for q in pts if q != p])]
+
+
+# supports for the certificate paths: a constant coordinate (box minimum
+# equal to its maximum), collinear points, one point, duplicates, n = 1, and
+# sorted orders that put inner points before the vertices covering them
+CERTIFICATE_CASES = [
+    [(0, 2, 1), (1, 2, 0), (2, 2, 2), (1, 2, 1), (2, 2, 0)],
+    [(0, 0), (1, 1), (2, 2), (3, 3)],
+    [(1, 0, 2), (2, 1, 2), (3, 2, 2)],
+    [(4, 1)],
+    [(2,)],
+    [(0, 1), (0, 1), (1, 0), (1, 0), (0, 0), (0, 0)],
+    [(3,), (0,), (1,), (2,), (1,)],
+    [(0, 2), (1, 1), (2, 0)],
+    [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)],
+    # (1,1) is found inner by an LP, then (1,2) needs an LP without it
+    [(0, 0), (1, 1), (1, 2), (3, 3)],
+    [(0, 0), (0, 1), (1, 1), (2, 2)],
+]
+
+
+@pytest.mark.parametrize("E", CERTIFICATE_CASES)
+def test_certificate_cases_match_brute_force_oracle(E):
+    assert newton_vertices(E) == brute_force_vertices(E) == lp_vertices(E)
+
+
+def test_vertices_match_one_lp_per_point(monkeypatch):
+    # larger supports than the brute-force oracle can take; both LP answers
+    # must occur, so the pruned LP path is exercised and not only certificates
+    answers = []
+
+    def recorded(p, pts):
+        answers.append(in_hull(p, pts))
+        return answers[-1]
+
+    monkeypatch.setattr(polytope, "in_hull", recorded)
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        d = rng.randint(1, 3)
+        E = {tuple(rng.randint(0, d) for _ in range(n))
+             for _ in range(rng.randint(11, 30))}
+        if rng.randrange(3) == 0:
+            E = {p[:-1] + (d,) for p in E}     # a constant coordinate
+        assert newton_vertices(E) == lp_vertices(E)
+    assert True in answers and False in answers
+
+
+def test_cube_subsets_need_no_lp(monkeypatch):
+    # every point of a subset of {0,1}^n is exposed by its box sign vector
+    def no_lp(p, pts):
+        raise AssertionError("in_hull called for %r" % (p,))
+
+    monkeypatch.setattr(polytope, "in_hull", no_lp)
+    rng = random.Random(6)
+    for n in range(1, 6):
+        cube = list(itertools.product((0, 1), repeat=n))
+        if n <= 3:
+            subsets = [S for r in range(1, len(cube) + 1)
+                       for S in itertools.combinations(cube, r)]
+        else:
+            subsets = [rng.sample(cube, rng.randint(1, len(cube)))
+                       for _ in range(100)]
+        for S in subsets:
+            assert newton_vertices(S) == sorted(S)
+
+
+def test_mixed_dimensions_raise_shape_mismatch():
+    with pytest.raises(ShapeMismatch):
+        in_hull((0,), [(0, 5), (1, 5)])
+    with pytest.raises(ShapeMismatch):
+        in_hull((0, 0), [(0, 0), (1,)])
+    with pytest.raises(ShapeMismatch):
+        newton_vertices([(0,), (1, 1), (2,)])
+    with pytest.raises(ShapeMismatch):
+        minkowski_sum([(0, 0), (1,)], [(0, 0)])
+    with pytest.raises(ShapeMismatch):
+        minkowski_sum([(0, 0)], [(0, 0), (1, 2, 3)])
+    with pytest.raises(ShapeMismatch):
+        caratheodory_check([(0, 0), (1,)], 1)
 
 
 # -- Minkowski sums -----------------------------------------------------------
@@ -172,6 +260,31 @@ def test_caratheodory_uniform_cover_tiny():
     E = list(itertools.product((0, 1), repeat=2))
     rep = caratheodory_check(E, 1, uniform_k=3)
     assert rep["uniform_distinct_cover"]
+
+
+def test_caratheodory_rejects_bad_input():
+    square = list(itertools.product((0, 1), repeat=2))
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            caratheodory_check(square, 1, uniform_k=k)
+    with pytest.raises(ValueError):
+        caratheodory_check([(0, 0)], -1)
+    # points outside {0..d}^n are bad input, not a failed bound
+    with pytest.raises(ValueError):
+        caratheodory_check([(0, 0), (1, 1)], 0)
+    with pytest.raises(ValueError):
+        caratheodory_check([(0, -1), (1, 1)], 1)
+    with pytest.raises(ValueError):
+        caratheodory_check([(0, 0)], 0, uniform_k=1)
+    assert caratheodory_check([(0, 0)], 0)["bound_holds"]
+
+
+def test_caratheodory_bound_violation_under_tiny_constant():
+    # the full grid {0..2}^2 has 4 vertices and 9 points; C = 1/100 gives
+    # exponent ceil(4/100) = 1, and 4^1 < 9
+    E = list(itertools.product(range(3), repeat=2))
+    with pytest.raises(BoundViolation):
+        caratheodory_check(E, 2, SBConfig(C="1/100"))
 
 
 # -- Hadamard family ----------------------------------------------------------
