@@ -13,7 +13,7 @@ from .unifactor import UniPoly, UniFactorization, factor_univariate, \
     squarefree_decompose, is_irreducible
 from .resultant import (sylvester_matrix, resultant_univariate,
                         resultant_at_point)
-from .bifactor import factor_bivariate, hensel_lift, bi_gcd
+from .bifactor import hensel_lift, bi_gcd
 from .factorizer import (factor, factor_monic, blackbox_eval,
                          reconstruct_sparse, verify_factorization)
 
@@ -28,7 +28,7 @@ __all__ = [
     "UniPoly", "UniFactorization", "factor_univariate",
     "squarefree_decompose", "is_irreducible",
     "sylvester_matrix", "resultant_univariate", "resultant_at_point",
-    "factor_bivariate", "hensel_lift", "bi_gcd",
+    "hensel_lift", "bi_gcd",
     "factor", "factor_monic", "blackbox_eval",
     "reconstruct_sparse", "verify_factorization",
 ]

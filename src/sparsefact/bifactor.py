@@ -1,7 +1,9 @@
 """Deterministic complete factorization of bivariate polynomials over F_q.
 
-Polynomials live in (y, t) with y = index 0, t = index 1 (the convention
-produced by restricting a y-monic polynomial to a line).  The pipeline:
+factor() is the only entry: it hands `factor_bivariate` a polynomial in
+(y, t), y = index 0 and t = index 1, in which both occur and whose monomial
+content is 1, and canonicalizes the factors it returns (unsorted, unit one)
+with Factorization.assemble, which re-verifies them.  The pipeline:
 
   content in y  ->  univariate factoring of the content;
   primitive part -> separable squarefree part via gcd with the y-derivative,
@@ -9,22 +11,20 @@ produced by restricting a y-monic polynomial to a line).  The pipeline:
   precision 2*deg_t+1, and recombined by subset search (smallest subsets
   first, lexicographic tie-break); multiplicities recovered by exact trial
   division; the char-p leftover (all y-exponents divisible by p) is handled
-  by the z = y^p substitution and recursion.  A prime field with no good t0
-  is lifted to the smallest extension (field.extensions) that has one, where
-  recombination admits only the candidates that retract to the prime field.
+  by the z = y^p substitution and recursion.  The search for t0 walks F_q,
+  then its extensions (field.extensions), smallest first; over an extension,
+  recombination admits only the candidates that retract to F_q.
 
 Representation.  Inside the pipeline a polynomial is a y-list: one UniPoly
 in t per y-degree, y-degree 0 first, trailing zero rows trimmed.
 `factor_bivariate` converts its SparsePoly input once and converts the
 factors back once at the end; the other SparsePoly conversions are at the
-public wrappers (`bi_gcd`, `hensel_lift`, `project_t`) and in the
-extension-field fallback, which lifts and retracts on SparsePoly.  Every
-exact division in F_q[t][y] (the gcd quotient, the multiplicity loop,
+public wrappers (`bi_gcd`, `hensel_lift`, `project_t`) and on the
+extension route, which lifts and retracts on SparsePoly.  Every exact
+division in F_q[t][y] (the gcd quotient, the multiplicity loop,
 recombination's trial division) is `_ylist_div`.
 
-Everything is exact and order-deterministic; the final record goes through
-Factorization.assemble, the toolkit's one canonicalizer, which re-verifies it
-by multiplication before it is returned.
+Everything is exact and order-deterministic.
 """
 
 import itertools
@@ -61,13 +61,6 @@ def from_ylist(ctx, ylist):
             if v != zl:
                 terms[(i, j)] = exp[v]
     return SparsePoly(ctx, 2, terms)
-
-
-def _ylist_retract(ylist, ext, base):
-    """A y-list over ext with coefficients in its prime field base, over
-    base; None when a coefficient leaves base."""
-    h = retract_poly(from_ylist(ext, ylist), base)
-    return None if h is None else to_ylist(h)
 
 
 def project_t(f, t0):
@@ -316,59 +309,56 @@ def _recombine(F, lifted, prec, ctx, admit=None):
 
 # -- the driver ---------------------------------------------------------------
 
-def _hat_factors(Shat, ctx, base=None):
+def _hat_factors(Shat, ctx):
     """Monic-in-y irreducible factors of a y-monic squarefree separable
-    y-list, via lift-and-recombine at the first point whose projection
-    stays squarefree.  When base is given, ctx is an extension of it and
-    Shat has base-field coefficients: recombination admits only the
-    factors that retract to base, and they are returned over base."""
-    t0 = None
-    for cand in ctx.elements():
-        fe = UniPoly(ctx, [u.evaluate(cand) for u in Shat])
-        if fe.gcd(fe.derivative()).degree() == 0:
-            t0 = cand
+    y-list over ctx, via lift-and-recombine at the first point of ctx, or
+    else of its smallest extension that has one, whose projection stays
+    squarefree.  Over an extension, recombination admits only the factors
+    that retract to ctx, and they are returned over ctx."""
+    for field in itertools.chain((ctx,), extensions(ctx)):
+        S = Shat if field is ctx else to_ylist(
+            lift_poly(from_ylist(ctx, Shat), field))
+        t0 = next((c for c in field.elements() if _squarefree_at(S, c)), None)
+        if t0 is not None:
             break
-    if t0 is None:
-        raise FieldTooSmall(message="no squarefree projection point in F_%d^%d"
-                            % (ctx.p, ctx.ell))
+    else:
+        raise FieldTooSmall(message=(
+            "no extension of F_%d fits the cap" % ctx.p if ctx.ell == 1 else
+            "no squarefree projection point in F_%d^%d" % (ctx.p, ctx.ell)))
 
     def back(F):
-        # a factor of the shifted Shat, shifted back and, over an extension,
+        # a factor of the shifted S, shifted back and, over an extension,
         # retracted (None when it does not retract)
         F = [u.shift(-t0) for u in F]
-        return F if base is None else _ylist_retract(F, ctx, base)
+        if field is ctx:
+            return F
+        h = retract_poly(from_ylist(field, F), ctx)
+        return None if h is None else to_ylist(h)
 
-    shifted = [u.shift(t0) for u in Shat]
+    shifted = [u.shift(t0) for u in S]
     seeds = [g for g, _ in factor_univariate(
-        UniPoly(ctx, [u[0] for u in shifted])).parts]
+        UniPoly(field, [u[0] for u in shifted])).parts]
     seeds.sort(key=UniPoly.sort_key)
     if len(seeds) == 1:
-        return [Shat if base is None else _ylist_retract(Shat, ctx, base)]
-    # any true factor has t-degree at most deg_t(Shat), so lifting one
+        return [Shat]
+    # any true factor has t-degree at most deg_t(S), so lifting one
     # coefficient past that recovers it exactly
     prec = max(_ylist_deg_t(shifted), 0) + 1
-    Ft = [UniPoly.from_logs(ctx, u.logs[:prec]) for u in shifted]
-    lifted = _lift_list(Ft, seeds, prec, ctx)
-    combined = _recombine(shifted, lifted, prec, ctx, None if base is None
+    Ft = [UniPoly.from_logs(field, u.logs[:prec]) for u in shifted]
+    lifted = _lift_list(Ft, seeds, prec, field)
+    combined = _recombine(shifted, lifted, prec, field, None if field is ctx
                           else lambda F: back(F) is not None)
     out = [back(F) for F in combined]
     if any(F is None for F in out):
         raise NoFactorizationFound("a factor over %r does not retract to %r"
-                                   % (ctx, base))
+                                   % (field, ctx))
     return out
 
 
-def _hat_factors_lifted(Shat, ctx):
-    """Fallback when every projection over the prime field ctx is
-    squarefree-defective: factor over the smallest extension with a
-    squarefree projection point, admitting only factors over ctx."""
-    for ext in extensions(ctx):
-        lifted = to_ylist(lift_poly(from_ylist(ctx, Shat), ext))
-        try:
-            return _hat_factors(lifted, ext, base=ctx)
-        except FieldTooSmall:
-            pass
-    raise FieldTooSmall(message="no extension of F_%d fits the cap" % ctx.p)
+def _squarefree_at(S, t0):
+    """Is the projection S(y, t0) squarefree?"""
+    fe = UniPoly(t0.ctx, [u.evaluate(t0) for u in S])
+    return fe.gcd(fe.derivative()).degree() == 0
 
 
 def _factor_sqfree_primitive(S, ctx):
@@ -391,12 +381,7 @@ def _factor_sqfree_primitive(S, ctx):
             if j > 0:
                 power = power * lc
         monic_case = False
-    try:
-        hat_factors = _hat_factors(shat, ctx)
-    except FieldTooSmall:
-        if ctx.ell != 1:
-            raise
-        hat_factors = _hat_factors_lifted(shat, ctx)
+    hat_factors = _hat_factors(shat, ctx)
     if monic_case:
         return hat_factors
     out = []
@@ -457,23 +442,12 @@ def _factor_primitive(g, ctx):
 
 
 def factor_bivariate(f):
-    """Complete factorization of a nonzero bivariate polynomial in (y, t)."""
-    if f.is_zero():
-        raise ZeroPolynomial("factor_bivariate of the zero polynomial")
+    """Irreducible factors of a polynomial in (y, t) in which both occur and
+    whose monomial content is 1, unsorted, with unit one (see above)."""
     ctx = f.ctx
-    if f.is_constant():
-        return Factorization(f.constant_value(), [])
-    ylist = to_ylist(f)
-    if _ylist_deg_t(ylist) == 0:
-        uf = factor_univariate(UniPoly(ctx, [u[0] for u in ylist]))
-        parts = [([UniPoly.from_logs(ctx, (v,)) for v in g.logs], m)
-                 for g, m in uf.parts]
-    else:
-        parts = []
-        cont, prim = _primitive(ylist, ctx)
-        if cont.degree() >= 1:
-            parts = [([g], m) for g, m in factor_univariate(cont).parts]
-        if _ylist_deg_y(prim) >= 1:
-            parts.extend(_factor_primitive(prim, ctx))
-    return Factorization.assemble(
-        f, [(from_ylist(ctx, h), m) for h, m in parts])
+    cont, prim = _primitive(to_ylist(f), ctx)
+    parts = ([([g], m) for g, m in factor_univariate(cont).parts]
+             if cont.degree() >= 1 else [])
+    parts.extend(_factor_primitive(prim, ctx))
+    return Factorization(ctx.one(), [(from_ylist(ctx, h), m)
+                                     for h, m in parts])

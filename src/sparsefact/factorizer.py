@@ -32,14 +32,16 @@ Three layers:
 
   * factor — the general driver: splits off the monomial content, drops
     the variables absent from the rest and factors that core
-    (_factor_full): n <= 2 goes to the bivariate / univariate engines;
+    (_factor_full): n = 1 goes to the univariate engine, n = 2 to
+    bifactor.factor_bivariate, the only way into bivariate factoring;
     otherwise it eliminates the last variable with the monic transform,
     factors the transform, maps factors back by the substitution
     y -> lc * x_n, recursively factors the leading coefficient, and strips
     its factors with bookkeeping of net multiplicities.  The core's factors
     are re-embedded and, with the content's x_i^c_i, go through one
     Factorization.assemble (sparsepoly), the toolkit's one canonicalizer,
-    which normalizes, sorts and re-verifies them.
+    which normalizes, sorts and re-verifies them; the engines return their
+    factors unsorted and never call it.
 """
 
 import itertools
@@ -355,6 +357,10 @@ def factor_monic(f, sb=None):
     for anchor in _full_grid(ctx, nx):
         fa = project_y(fs, anchor)
         ufac = factor_univariate(fa)
+        anchor_max = _score_bound(ufac.parts)
+        score_ub = anchor_max if score_ub is None else min(score_ub, anchor_max)
+        if best_phi >= score_ub:
+            break  # provably complete; no guess here can do better
         improved = False
         # the anchor projection and the lifted seeds of each line, shared by
         # all guesses at this anchor
@@ -364,10 +370,6 @@ def factor_monic(f, sb=None):
         # the first surviving reconstruction is already the final answer
         guesses = sorted(_enumerate_guesses(ufac.parts),
                          key=lambda pe: -phi_score(pe[1]))
-        anchor_max = _score_bound(ufac.parts)
-        score_ub = anchor_max if score_ub is None else min(score_ub, anchor_max)
-        if best_phi >= score_ub:
-            break  # provably complete; no guess here can do better
         for parts, exps in guesses:
             phi = phi_score(exps)
             if phi <= best_phi:

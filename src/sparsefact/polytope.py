@@ -6,8 +6,9 @@ of its bounding-box sign vector or of its direction from the centroid.
 Only the points left over ask the exact feasibility question "is p a
 convex combination of the other points?", answered by a Fraction-based
 phase-1 simplex (Bland's rule, hence terminating and deterministic) over
-the other points not yet shown to be inner.  No floating point is used
-anywhere.
+the other points not yet shown to be inner.  The LPs use no floating
+point; the sparsity-cap exponent starts from a float estimate, which it
+trusts only outside a proven error bound of an integer.
 
 Also houses the factor-sparsity cap SB(n,s,d), a corner-point bound checker,
 a brute-force uniform-combination certifier, and the Hadamard-matrix support
@@ -187,19 +188,35 @@ def minkowski_sum(A, B):
 # -- the sparsity cap ---------------------------------------------------------
 
 def _ceil_c_d2_log2(C, d2, M):
-    """Smallest integer a with a >= C*d2*log2(M), decided exactly.
+    """Smallest integer a with a >= C*d2*log2(M), decided exactly:
 
     a >= C*d2*log2(M)  <=>  2^(a*C.den) >= M^(C.num*d2).
+
+    When M is a power of two the bound is rational.  Otherwise log2(M) is
+    irrational, and a float estimate decides unless it lies within 2^-40 of
+    an integer, relatively (its five rounding steps err by a few 2^-53 at
+    most); only then are the powers compared.
     """
     if M <= 1:
         return 0
-    a = max(0, math.ceil(float(C) * d2 * math.log2(M)))
+    if M & (M - 1) == 0:  # log2(M) is an integer
+        return -(-C.numerator * d2 * (M.bit_length() - 1) // C.denominator)
+    x = float(C) * d2 * math.log2(M)
+    a = math.ceil(x)
+    if min(a - x, x - a + 1) > x * 2.0 ** -40:
+        return a
     rhs = M ** (C.numerator * d2)
     while 2 ** (a * C.denominator) < rhs:
         a += 1
     while a > 0 and 2 ** ((a - 1) * C.denominator) >= rhs:
         a -= 1
     return a
+
+
+def _pow_at_least(b, a, N):
+    """b^a >= N for integers b, N >= 1, a >= 0; b^a is not built when
+    b >= 2 and a >= N.bit_length(), as then b^a >= 2^a > N."""
+    return (b >= 2 and a >= N.bit_length()) or b ** a >= N
 
 
 def sparsity_cap(n, s, d, cfg=None):
@@ -211,7 +228,8 @@ def sparsity_cap(n, s, d, cfg=None):
     if cfg is None:
         cfg = SBConfig()
     exponent = _ceil_c_d2_log2(cfg.C, d * d, max(n, 2))
-    cap = min(s ** exponent, (d + 1) ** n)
+    dense = (d + 1) ** n
+    cap = dense if _pow_at_least(s, exponent, dense) else s ** exponent
     if cfg.user_cap is not None:
         cap = min(cap, cfg.user_cap)
     return cap
@@ -278,7 +296,7 @@ def caratheodory_check(E, d, cfg=None, uniform_k=None):
     verts = newton_vertices(pts)
     t = len(verts)
     exponent = _ceil_c_d2_log2(cfg.C, d * d, max(n, 2))
-    ok = t ** exponent >= len(pts)
+    ok = _pow_at_least(t, exponent, len(pts))
     report = {
         "size": len(pts),
         "vertices": t,

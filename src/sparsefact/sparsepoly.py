@@ -611,12 +611,10 @@ def parse_poly(text, ctx, nvars=None):
     return SparsePoly(ctx, n, terms)
 
 
-def format_poly(f, var_names=None):
+def format_poly(f):
     """Deterministic text form: graded-lex descending, '+'-separated."""
     if f.is_zero():
         return "0"
-    if var_names is None:
-        var_names = ["x%d" % (i + 1) for i in range(f.n)]
     parts = []
     for e, c in f.canonical_terms():
         factors = []
@@ -625,8 +623,8 @@ def format_poly(f, var_names=None):
             factors.append(str(cs).replace(" ", ""))
         for i, ei in enumerate(e):
             if ei == 1:
-                factors.append(var_names[i])
+                factors.append("x%d" % (i + 1))
             elif ei > 1:
-                factors.append("%s^%d" % (var_names[i], ei))
+                factors.append("x%d^%d" % (i + 1, ei))
         parts.append("*".join(factors))
     return " + ".join(parts)

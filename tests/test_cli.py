@@ -3,6 +3,9 @@ byte-for-byte determinism."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -85,13 +88,15 @@ def test_factor_lifted_golden(monkeypatch):
     assert text == LIFTED_F3_JSON
 
 
-# Products with repeated factors over F_3, F_11 and F_101.  On the
-# three-variable ones nearly every line restriction is not squarefree, so
-# factor_bivariate runs the gcd with the y-derivative, the division by the
-# gcd and the multiplicity loop; the bivariate ones go there directly.  The
-# expected bytes of the first seven were produced by the FieldElem-coefficient
-# polynomial kernels that preceded the int-log ones, those of the last three
-# by the SparsePoly-based bivariate code that preceded the y-list one.
+# Products with repeated factors over F_3, F_11 and F_101.  The
+# three-variable ones go to the monic driver, whose anchor projections are
+# not squarefree, so the guesses carry block exponents and blackbox_eval
+# takes their roots; the bivariate ones go to the bivariate engine, which
+# runs the gcd with the y-derivative, the division by the gcd and the
+# multiplicity loop.  The expected bytes of the first seven were produced
+# by the FieldElem-coefficient polynomial kernels that preceded the int-log
+# ones, those of the last three by the SparsePoly-based bivariate code that
+# preceded the y-list one.
 NONSQUAREFREE = [
     (11, ["x1*x2 + x3 + 1"] * 2 + ["x1 + x2*x3 + 2"],
       '{"factors": [{"multiplicity": 1, "poly": "x2*x3 + x1 + 2"}, '
@@ -230,6 +235,22 @@ def test_polytope_text():
     status, text = invoke(["polytope", "x1^2 + 6"])
     assert status == 0
     assert "sparsity: 2" in text and "vertices: 2" in text
+
+
+def test_polytope_high_degree_binomial_is_fast():
+    # the sparsity-bound exponent for d = 12000 is 5 * 12000^2; deciding it
+    # and the cap must not build 2^(5 * 12000^2)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run(
+        [sys.executable, "-m", "sparsefact.cli", "polytope", "x1^12000 + 1"],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == ("sparsity: 2\nvertices: 2\nvertex: (0,)\n"
+                          "vertex: (12000,)\nfactor sparsity cap: 12001\n"
+                          "bound holds: true\n")
 
 
 # -- hitset -------------------------------------------------------------------

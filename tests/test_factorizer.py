@@ -384,6 +384,17 @@ def test_factor_monic_irreducible():
     assert verify_factorization(f, fac)
 
 
+def test_certified_anchor_enumerates_no_guesses(monkeypatch):
+    # y^2 + 1 is irreducible over F_7, so the first anchor's score bound 1
+    # certifies the trivial candidate before any guess is enumerated
+    calls = {"enumerate": 0}
+    monkeypatch.setattr(factorizer, "_enumerate_guesses", counted(
+        calls, "enumerate", factorizer._enumerate_guesses))
+    f = P("y^2 + x1")
+    assert factor_monic(f).parts == [(f, 1)]
+    assert calls["enumerate"] == 0
+
+
 def test_factor_monic_repeated_root():
     f = P("y + 6*x1") * P("y + 6*x1")
     fac = factor_monic(f)
@@ -718,15 +729,46 @@ def test_factor_monomial_content():
 
 
 def test_factor_agrees_with_bivariate():
+    # on an n = 2 input with both variables and monomial content 1, factor()
+    # returns the bivariate engine's factors, canonicalized once
     rng = random.Random(2)
-    for _ in range(10):
+    checked = 0
+    while checked < 10:
         g = rand_irreducible_ish(F7, 2, rng)
         h = rand_irreducible_ish(F7, 2, rng)
         f = g * h
+        if (len(f.present_vars()) < 2
+                or any(min(e[i] for e in f.terms) for i in range(2))):
+            continue
         a = factor(f)
         b = factor_bivariate(f)
-        assert a.expand() == f and b.expand() == f
-        assert multiset(a) == multiset(b)
+        assert a.expand() == f and b.unit.is_one()
+        want = Factorization.assemble(f, b.parts)
+        assert (a.unit, a.parts) == (want.unit, want.parts)
+        checked += 1
+
+
+def test_factor_assembles_once_per_factor_call(monkeypatch):
+    # the engines return unsorted factors; only factor() canonicalizes: once
+    # for an n = 2 input, and once more for the recursive factor() of an
+    # n = 3 input's bivariate leading coefficient x1 + x2
+    calls = {"assemble": 0}
+    assemble = Factorization.assemble.__func__
+
+    def counted_assemble(cls, f, parts):
+        calls["assemble"] += 1
+        return assemble(cls, f, parts)
+
+    monkeypatch.setattr(Factorization, "assemble",
+                        classmethod(counted_assemble))
+    for text, want in [("x1^2*x2 + x2^2 + x1 + 3", 1),
+                       ("x1^2*x3 + x1*x2*x3 + x1*x3^2 + x2*x3^2 + 2*x1*x3"
+                        " + 2*x2*x3 + x1 + x3 + 2", 2)]:
+        calls["assemble"] = 0
+        f = P(text)
+        fac = factor(f)
+        assert fac.expand() == f
+        assert calls["assemble"] == want, text
 
 
 def test_factor_known_products_round_trip():

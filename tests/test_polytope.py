@@ -2,7 +2,9 @@
 factor-sparsity cap, corner-point bound checks, and the Hadamard family."""
 
 import itertools
+import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from sparsefact import polytope
 from sparsefact.errors import BoundViolation, EmptySupport, ShapeMismatch
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import parse_poly
-from tests_oracle import brute_force_vertices
+from tests_oracle import brute_force_vertices, ceil_c_d2_log2_by_powers
 from sparsefact.polytope import (SBConfig, in_hull, support_of,
                                  newton_vertices, minkowski_sum, sparsity_cap,
                                  caratheodory_check, hadamard_example)
@@ -223,6 +225,74 @@ def test_sbconfig_checks_its_user_cap():
     for bad in (0, -3):
         with pytest.raises(ValueError):
             SBConfig(user_cap=bad)
+
+
+SB_CONSTANTS = [Fraction(5), Fraction(1), Fraction(1, 2), Fraction(7, 3),
+                Fraction(1, 10), Fraction(3, 7), Fraction(13, 4),
+                Fraction(2, 5)]
+
+
+def test_sparsity_exponent_matches_power_comparison():
+    # every power of two M takes the exact rational route, the others the
+    # float estimate; d = 0 puts the estimate on an integer
+    for C in SB_CONSTANTS:
+        for d in range(41):
+            for n in range(1, 10):
+                M = max(n, 2)
+                assert polytope._ceil_c_d2_log2(C, d * d, M) == \
+                    ceil_c_d2_log2_by_powers(C, d * d, M), (C, d, n)
+
+
+@pytest.mark.parametrize("skew", [1 - 2.0 ** -41, 1, 1 + 2.0 ** -41])
+@pytest.mark.parametrize("M,C", [
+    (3, Fraction(190537, 301994)), (7, Fraction(453601, 1273419)),
+    (11, Fraction(851365, 2945239)), (6, Fraction(190537, 164177))])
+def test_sparsity_exponent_near_integer_falls_back(M, C, skew, monkeypatch):
+    # C*log2(M) lies within the estimate's error bound of an integer, so
+    # only the exact power comparison can decide the ceiling, even when a
+    # log2 that errs by less than the bound moves the estimate across it
+    x = float(C) * math.log2(M)
+    assert abs(x - round(x)) <= x * 2.0 ** -40
+    want = ceil_c_d2_log2_by_powers(C, 1, M)
+    monkeypatch.setattr(polytope, "math", types.SimpleNamespace(
+        ceil=math.ceil, log2=lambda v: math.log2(v) * skew))
+    assert polytope._ceil_c_d2_log2(C, 1, M) == want
+
+
+def test_sparsity_cap_and_verdict_match_powers():
+    for C in SB_CONSTANTS:
+        cfg = SBConfig(C=C)
+        for d in range(1, 41):
+            for n in range(1, 10):
+                a = ceil_c_d2_log2_by_powers(C, d * d, max(n, 2))
+                for s in (1, 2, 3, 7, 50):
+                    assert sparsity_cap(n, s, d, cfg) == \
+                        min(s ** a, (d + 1) ** n), (C, d, n, s)
+                for t, size in ((1, 1), (1, 2), (2, 3), (3, 10 ** 6),
+                                (2, 2 ** a), (2, 2 ** a + 1)):
+                    assert polytope._pow_at_least(t, a, size) == \
+                        (t ** a >= size), (C, d, n, t, size)
+
+
+def test_caratheodory_verdict_matches_powers():
+    verdicts = set()
+    for C in (Fraction(1, 10), Fraction(1, 40), Fraction(1, 200)):
+        for E in [list(itertools.product((0, 1), repeat=3)),
+                  [(i,) for i in range(12)],
+                  [(i, j) for i in range(4) for j in range(4)]]:
+            d = max(max(p) for p in E)
+            a = ceil_c_d2_log2_by_powers(C, d * d, max(len(E[0]), 2))
+            t = len(newton_vertices(E))
+            try:
+                rep = caratheodory_check(E, d, SBConfig(C=C))
+            except BoundViolation:
+                assert t ** a < len(E)
+                verdicts.add(False)
+            else:
+                assert rep["exponent"] == a and rep["bound_holds"]
+                assert t ** a >= len(E)
+                verdicts.add(True)
+    assert verdicts == {False, True}
 
 
 def test_sparsity_cap_monotone():

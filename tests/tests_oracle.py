@@ -13,6 +13,9 @@ blackbox_eval_by_line_factors: black-box factor evaluation by a complete
 factorization of the line restriction, each bivariate factor routed to the
 unique part one of whose univariate pieces divides its t=0 projection.
 
+ceil_c_d2_log2_by_powers: the sparsity-bound exponent ceil(C*d2*log2(M))
+by comparing the integer powers 2^(a*C.den) and M^(C.num*d2) outright.
+
 det_by_elimination: the determinant of a square matrix of field elements
 by Gaussian elimination, the reference for resultants computed by the
 Euclidean recurrence.
@@ -120,12 +123,13 @@ def enumerate_guesses_unbounded(uni_parts, k):
 def blackbox_eval_by_line_factors(f, guess, b):
     from sparsefact.errors import GuessInvalid
     from sparsefact.sparsepoly import restrict_to_line
-    from sparsefact.bifactor import factor_bivariate, project_t
+    from sparsefact.bifactor import project_t
+    from sparsefact.factorizer import factor
     from sparsefact.unifactor import UniPoly
     ctx = f.ctx
     ft = restrict_to_line(f, list(guess.anchor), list(b))
     accs = [UniPoly.constant(ctx, 1) for _ in guess.parts]
-    for F, v in factor_bivariate(ft).parts:
+    for F, v in factor(ft).parts:
         F0, F1 = project_t(F, ctx.zero()), project_t(F, ctx.one())
         hits = [i for i, part in enumerate(guess.parts)
                 if any((F0 % g).is_zero() for g in part)]
@@ -166,3 +170,18 @@ def det_by_elimination(rows, ctx):
                 c = M[i][col] * inv
                 M[i] = [a - c * b for a, b in zip(M[i], M[col])]
     return det
+
+
+def ceil_c_d2_log2_by_powers(C, d2, M):
+    """Smallest integer a >= 0 with 2^(a*C.den) >= M^(C.num*d2), that is
+    a >= C*d2*log2(M), from a float start by exact power comparisons."""
+    import math
+    if M <= 1:
+        return 0
+    a = max(0, math.ceil(float(C) * d2 * math.log2(M)))
+    rhs = M ** (C.numerator * d2)
+    while 2 ** (a * C.denominator) < rhs:
+        a += 1
+    while a > 0 and 2 ** ((a - 1) * C.denominator) >= rhs:
+        a -= 1
+    return a
