@@ -1,14 +1,15 @@
 """Newton-polytope analytics over exact rational arithmetic.
 
 Vertex enumeration first looks, per support point p, for an integer
-certificate that p is a vertex: p is the unique maximizer over the support
-of its bounding-box sign vector or of its direction from the centroid.
-Only the points left over ask the exact feasibility question "is p a
-convex combination of the other points?", answered by a Fraction-based
-phase-1 simplex (Bland's rule, hence terminating and deterministic) over
-the other points not yet shown to be inner.  The LPs use no floating
-point; the sparsity-cap exponent starts from a float estimate, which it
-trusts only outside a proven error bound of an integer.
+certificate: p is a vertex when it uniquely maximizes its bounding-box sign
+vector or its direction from the centroid, and inner when it lies strictly
+between two other support points.  Only the points left over ask the exact
+feasibility question "is p a convex combination of the other points?",
+answered by a phase-1 simplex on ints and Fractions (Bland's rule, hence
+terminating and deterministic) over the other points not yet shown to be
+inner.  The LPs use no floating point; the sparsity-cap exponent starts
+from a float estimate, which it trusts only outside a proven error bound
+of an integer.
 
 Also houses the factor-sparsity cap SB(n,s,d), a corner-point bound checker,
 a brute-force uniform-combination certifier, and the Hadamard-matrix support
@@ -43,67 +44,36 @@ class SBConfig:
 # -- exact feasibility LP -----------------------------------------------------
 
 def _lp_feasible(A, b):
-    """Does Ax = b, x >= 0 have a solution?  Exact phase-1 simplex.
-
-    A is a list of rows of Fractions, b a list of Fractions.
+    """Does Ax = b, x >= 0 have a solution?  Exact phase-1 simplex on ints
+    or Fractions, by Bland's rule: minimize the sum of one artificial
+    variable per row.  The tableau holds only A's columns, as an artificial
+    that leaves the basis never needs to re-enter: forcing it to 0 keeps
+    every solution of Ax = b, x >= 0.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    A = [list(row) for row in A]
-    b = list(b)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-    # tableau with one artificial variable per row; minimize their sum
-    ncols = n + m
-    T = []
-    for i in range(m):
-        row = A[i] + [Fraction(0)] * m + [b[i]]
-        row[n + i] = Fraction(1)
-        T.append(row)
-    basis = [n + i for i in range(m)]
-    # objective row for sum of artificials, reduced against the basis
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(n + m + 1):
-        s = Fraction(0)
-        for i in range(m):
-            s += T[i][j]
-        obj[j] = s
-    for j in range(n, n + m):
-        obj[j] -= 1
+    m, n = len(A), len(A[0]) if A else 0
+    T = [list(row) + [v] if v >= 0 else [-a for a in row] + [-v]
+         for row, v in zip(A, b)]
+    basis = list(range(n, n + m))  # artificial i has index n + i
+    obj = [sum(col) for col in zip(*T)] if m else [0]
     while True:
-        # Bland: entering column = smallest index with positive reduced cost
-        enter = -1
-        for j in range(ncols):
-            if obj[j] > 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        # ratio test; Bland tie-break on smallest basis variable
-        leave = -1
-        best = None
-        for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][ncols] / T[i][enter]
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            break  # unbounded direction; cannot happen in phase 1
-        piv = T[leave][enter]
-        T[leave] = [v / piv for v in T[leave]]
-        for i in range(m):
-            if i != leave and T[i][enter] != 0:
-                c = T[i][enter]
-                T[i] = [v - c * w for v, w in zip(T[i], T[leave])]
-        if obj[enter] != 0:
-            c = obj[enter]
-            obj = [v - c * w for v, w in zip(obj, T[leave])]
+        # Bland: the first column of positive reduced cost enters; the row
+        # of least ratio leaves, ties to the smallest basis variable
+        enter = next((j for j in range(n) if obj[j] > 0), None)
+        rows = [] if enter is None else [i for i in range(m)
+                                         if T[i][enter] > 0]
+        if not rows:  # optimal, or unbounded (which phase 1 never is)
+            return obj[n] == 0
+        leave = min(rows, key=lambda i: (T[i][n] / Fraction(T[i][enter]),
+                                         basis[i]))
+        piv = Fraction(T[leave][enter])
+        prow = T[leave] = [v / piv for v in T[leave]]
+        nz = [j for j, v in enumerate(prow) if v]
+        for row in T + [obj]:  # each row only where the pivot row is nonzero
+            c = row[enter]
+            if c and row is not prow:
+                for j in nz:
+                    row[j] -= c * prow[j]
         basis[leave] = enter
-    return obj[ncols] == 0
 
 
 def _dimension(points):
@@ -115,17 +85,14 @@ def _dimension(points):
 
 
 def in_hull(point, points):
-    """Exact test: point in conv(points)?"""
+    """Exact test: point in conv(points)?  Coordinates are ints or
+    Fractions."""
     pts = list(points)
-    n = _dimension([point] + pts)
+    _dimension([point] + pts)
     if not pts:
         return False
-    A = []
-    for i in range(n):
-        A.append([Fraction(p[i]) for p in pts])
-    A.append([Fraction(1)] * len(pts))
-    b = [Fraction(v) for v in point] + [Fraction(1)]
-    return _lp_feasible(A, b)
+    A = [list(col) for col in zip(*pts)] + [[1] * len(pts)]
+    return _lp_feasible(A, list(point) + [1])
 
 
 # -- supports and vertices ----------------------------------------------------
@@ -143,17 +110,39 @@ def _exposes(c, p, pts):
                for q in pts if q != p)
 
 
-def newton_vertices(E):
-    """Exact vertex set of conv(E), canonically (lexicographically) ordered.
+def _on_segment(p, pts, lo, hi):
+    """Is p strictly inside a segment between two other points of pts?  For
+    each q, take the k steps from p along the primitive lattice direction
+    of p - q that stay inside the box [lo, hi]; a step that lands on a
+    point r of pts puts p strictly between q and r."""
+    for q in pts:
+        if q == p:
+            continue
+        step = [a - b for a, b in zip(p, q)]
+        g = math.gcd(*step)
+        step = [s // g for s in step]
+        k = min((h - v) // s if s > 0 else (v - l) // -s
+                for v, s, l, h in zip(p, step, lo, hi) if s)
+        for i in range(1, k + 1):
+            if tuple(a + i * s for a, s in zip(p, step)) in pts:
+                return True
+    return False
 
-    A point p is accepted as a vertex without an LP when an integer
-    certificate exists: p is the unique maximizer over E of its
-    bounding-box sign vector (+1 where p attains the box's maximum, -1
-    where it attains the minimum, 0 elsewhere) or of its centroid
-    direction |E|*p - sum(E).  Every other point is a vertex iff it is not
-    a convex combination of the others, decided by one in_hull LP over the
-    other points minus those already shown to be inner: a non-vertex is a
-    convex combination of vertices, so dropping them changes no answer.
+
+def newton_vertices(E):
+    """Exact vertex set of conv(E) for integer points E, canonically
+    (lexicographically) ordered.
+
+    A point p is accepted as a vertex without an LP when p is the unique
+    maximizer over E of its bounding-box sign vector (+1 where p attains
+    the box's maximum, -1 where it attains the minimum, 0 elsewhere) or of
+    its centroid direction |E|*p - sum(E), and rejected without one when
+    it lies strictly between two other points of E (_on_segment, a
+    two-point Caratheodory certificate).  Every other point is a vertex
+    iff it is not a convex combination of the others, decided by one
+    in_hull LP over the other points minus those already shown to be
+    inner: a non-vertex is a convex combination of vertices, so dropping
+    them changes no answer.
     """
     pts = sorted(set(map(tuple, E)))
     if not pts:
@@ -163,17 +152,20 @@ def newton_vertices(E):
     lo = [min(c) for c in cols]
     hi = [max(c) for c in cols]
     total = [sum(c) for c in cols]
+    present = set(pts)
     inner = set()
     out = []
     for p in pts:
         box = [1 if v == h else -1 if v == l else 0
                for v, l, h in zip(p, lo, hi)]
         centroid = [len(pts) * v - s for v, s in zip(p, total)]
-        if (_exposes(box, p, pts) or _exposes(centroid, p, pts) or not
-                in_hull(p, [q for q in pts if q != p and q not in inner])):
+        if _exposes(box, p, pts) or _exposes(centroid, p, pts):
             out.append(p)
-        else:
+        elif _on_segment(p, present, lo, hi) or \
+                in_hull(p, [q for q in pts if q != p and q not in inner]):
             inner.add(p)
+        else:
+            out.append(p)
     return out
 
 

@@ -13,7 +13,8 @@ from sparsefact import polytope
 from sparsefact.errors import BoundViolation, EmptySupport, ShapeMismatch
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import parse_poly
-from tests_oracle import brute_force_vertices, ceil_c_d2_log2_by_powers
+from tests_oracle import (brute_force_vertices, ceil_c_d2_log2_by_powers,
+                          feasible_by_elimination)
 from sparsefact.polytope import (SBConfig, in_hull, support_of,
                                  newton_vertices, minkowski_sum, sparsity_cap,
                                  caratheodory_check, hadamard_example)
@@ -94,6 +95,13 @@ CERTIFICATE_CASES = [
     # (1,1) is found inner by an LP, then (1,2) needs an LP without it
     [(0, 0), (1, 1), (1, 2), (3, 3)],
     [(0, 0), (0, 1), (1, 1), (2, 2)],
+    # the walk from (1,1) away from (0,0) passes the missing (2,2)
+    [(0, 0), (1, 1), (3, 3)],
+    # (0,1) is a vertex exposed by neither functional: its rays pass the
+    # missing (0,2) and leave the box, or leave it at once
+    [(0, 0), (0, 1), (1, 2)],
+    # (1,1) lies on no segment, so only an LP shows it inner
+    [(0, 0), (3, 0), (0, 3), (1, 1)],
 ]
 
 
@@ -141,6 +149,39 @@ def test_cube_subsets_need_no_lp(monkeypatch):
                        for _ in range(100)]
         for S in subsets:
             assert newton_vertices(S) == sorted(S)
+
+
+def test_box_grids_need_no_lp(monkeypatch):
+    # a grid point that is not a corner has a coordinate strictly inside
+    # the box, so it lies between its two neighbours along that axis
+    def no_lp(p, pts):
+        raise AssertionError("in_hull called for %r" % (p,))
+
+    monkeypatch.setattr(polytope, "in_hull", no_lp)
+    for n in range(1, 5):
+        for d in range(1, 4):
+            grid = list(itertools.product(range(d + 1), repeat=n))
+            assert newton_vertices(grid) == \
+                list(itertools.product((0, d), repeat=n))
+
+
+@pytest.mark.parametrize("E,verts,asked", [
+    # (1,1) lies on no segment between support points
+    ([(0, 0), (3, 0), (0, 3), (1, 1)], [(0, 0), (0, 3), (3, 0)], [(1, 1)]),
+    # (2,) is found between (0,) and (5,) by unit steps; steps of p - q,
+    # 2 and -3, would miss both
+    ([(0,), (2,), (5,)], [(0,), (5,)], []),
+])
+def test_lp_only_for_points_on_no_segment(E, verts, asked, monkeypatch):
+    seen = []
+
+    def recorded(p, pts):
+        seen.append(p)
+        return in_hull(p, pts)
+
+    monkeypatch.setattr(polytope, "in_hull", recorded)
+    assert newton_vertices(E) == verts
+    assert seen == asked
 
 
 def test_mixed_dimensions_raise_shape_mismatch():
@@ -380,3 +421,86 @@ def test_in_hull_basic():
     sq = [(0, 0), (2, 0), (0, 2), (2, 2)]
     assert in_hull((1, 1), sq)
     assert not in_hull((3, 0), sq)
+
+
+# -- the exact LP against elimination -----------------------------------------
+
+def hull_system(p, pts):
+    """in_hull's system: the points as columns over a row of ones."""
+    return [list(c) for c in zip(*pts)] + [[1] * len(pts)], list(p) + [1]
+
+
+def check_lp(A, b, answers):
+    want = feasible_by_elimination(A, b)
+    assert polytope._lp_feasible(A, b) == want, (A, b)
+    assert polytope._lp_feasible([[Fraction(v) for v in row] for row in A],
+                                 [Fraction(v) for v in b]) == want
+    answers.add(want)
+
+
+def check_hull(p, pts, answers):
+    want = feasible_by_elimination(*hull_system(p, pts))
+    assert in_hull(p, pts) == want, (p, pts)
+    answers.add(want)
+
+
+def test_lp_rank_deficient_systems():
+    # collinear supports in 3 to 5 dimensions, and a constant coordinate:
+    # the hull system has fewer independent rows than rows
+    rng = random.Random(7)
+    answers = set()
+    for n in range(3, 6):
+        for _ in range(8):
+            w = [rng.randint(-3, 3) for _ in range(n)]
+            v = [rng.randint(-2, 2) for _ in range(n)]
+            v[rng.randrange(n)] = rng.choice((-1, 1))
+            line = [tuple(a + t * c for a, c in zip(w, v))
+                    for t in sorted(rng.sample(range(-4, 5), 4))]
+            for t in range(-5, 6):
+                check_hull(tuple(a + t * c for a, c in zip(w, v)), line,
+                           answers)
+            off = list(line[1])
+            off[rng.randrange(n)] += 1
+            check_hull(tuple(off), line, answers)
+            A, b = hull_system(line[1], line)
+            check_lp(A, b, answers)
+    flat = [(x, 2, z) for x in range(3) for z in range(3) if x + z <= 2]
+    for p in itertools.product(range(-1, 4), (1, 2, 3), range(-1, 4)):
+        check_hull(p, flat, answers)
+    assert answers == {False, True}
+
+
+def test_lp_hadamard_columns():
+    # entries +-1 and right-hand sides with negative entries
+    rng = random.Random(8)
+    answers = set()
+    for m in (1, 2, 3):
+        E, columns, _ = hadamard_example(m)   # the vertices are H's columns
+        k = 1 << m
+        assert len(columns) == k
+        for p in E:
+            check_hull(p, columns, answers)
+            check_hull(tuple(-v for v in p), columns, answers)
+        H = [list(row) for row in zip(*columns)]
+        vectors = (itertools.product((-1, 0, 1), repeat=k) if k <= 4 else
+                   [[rng.randint(-2, 2) for _ in range(k)]
+                    for _ in range(60)])
+        for b in vectors:
+            check_lp(H, list(b), answers)
+    assert answers == {False, True}
+
+
+def test_lp_duplicate_columns():
+    rng = random.Random(9)
+    answers = set()
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        pts = [tuple(rng.randint(0, 3) for _ in range(n))
+               for _ in range(rng.randint(1, 4))]
+        pts += rng.sample(pts, rng.randint(1, len(pts)))
+        p = tuple(rng.randint(0, 3) for _ in range(n))
+        check_hull(p, pts, answers)
+        A = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(n)]
+        A = [row + row[:2] for row in A]
+        check_lp(A, [rng.randint(-3, 3) for _ in range(n)], answers)
+    assert answers == {False, True}

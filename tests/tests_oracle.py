@@ -2,7 +2,11 @@
 
 brute_force_vertices: a point is a vertex iff no affinely independent
 subset of the remaining points contains it in its convex hull, decided with
-exact Fraction linear algebra.
+exact fraction-free integer elimination.
+
+feasible_by_elimination: whether Ax = b, x >= 0 has a solution, decided by
+the same elimination on every linearly independent subset of columns (a
+basic solution exists whenever any solution does).
 
 enumerate_guesses_unbounded: guess enumeration over every sub-multiset of
 the univariate factors, every partition of it into parts and every exponent
@@ -22,49 +26,51 @@ Euclidean recurrence.
 """
 
 import itertools
-from fractions import Fraction
+import math
+
+
+def _solve_nonneg(cols, rhs):
+    """Solve sum_j lam_j * cols[j] = rhs over the rationals by fraction-free
+    Gauss-Jordan elimination of integer rows.  False when there is no
+    solution, None when the columns are linearly dependent (another subset
+    decides), otherwise whether the unique solution has every lam_j >= 0,
+    read from the signs of its pivot and right-hand side."""
+    m, k = len(rhs), len(cols)
+    aug = [[c[i] for c in cols] + [rhs[i]] for i in range(m)]
+    piv_cols = []
+    r = 0
+    for c in range(k):
+        sel = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        top = aug[r]
+        for i in range(m):
+            f = aug[i][c]
+            if i != r and f != 0:
+                row = [top[c] * a - f * b for a, b in zip(aug[i], top)]
+                g = math.gcd(*row)
+                aug[i] = [v // g for v in row] if g > 1 else row
+        piv_cols.append(c)
+        r += 1
+    if any(all(v == 0 for v in row[:-1]) and row[-1] != 0 for row in aug):
+        return False
+    if r < k:
+        return None
+    return all(aug[i][-1] == 0 or (aug[i][-1] > 0) == (aug[i][c] > 0)
+               for i, c in enumerate(piv_cols))
 
 
 def brute_force_vertices(E):
     pts = sorted(set(map(tuple, E)))
     n = len(pts[0])
-
-    def solvable(p, subset):
-        rows = [[Fraction(q[i]) for q in subset] for i in range(n)]
-        rows.append([Fraction(1)] * len(subset))
-        rhs = [Fraction(v) for v in p] + [Fraction(1)]
-        m, k = len(rows), len(subset)
-        aug = [rows[i] + [rhs[i]] for i in range(m)]
-        piv_cols = []
-        r = 0
-        for c in range(k):
-            sel = next((i for i in range(r, m) if aug[i][c] != 0), None)
-            if sel is None:
-                continue
-            aug[r], aug[sel] = aug[sel], aug[r]
-            aug[r] = [v / aug[r][c] for v in aug[r]]
-            for i in range(m):
-                if i != r and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-            piv_cols.append(c)
-            r += 1
-        if any(all(v == 0 for v in row[:-1]) and row[-1] != 0 for row in aug):
-            return False
-        if r < k:
-            return None  # affinely dependent subset: another one decides
-        lam = [Fraction(0)] * k
-        for i, c in enumerate(piv_cols):
-            lam[c] = aug[i][-1]
-        return all(v >= 0 for v in lam)
-
     out = []
     for p in pts:
-        others = [q for q in pts if q != p]
+        others = [q + (1,) for q in pts if q != p]
         inside = False
         for size in range(1, min(len(others), n + 1) + 1):
             for subset in itertools.combinations(others, size):
-                if solvable(p, subset):
+                if _solve_nonneg(subset, p + (1,)):
                     inside = True
                     break
             if inside:
@@ -72,6 +78,18 @@ def brute_force_vertices(E):
         if not inside:
             out.append(p)
     return out
+
+
+def feasible_by_elimination(A, b):
+    """Does Ax = b, x >= 0 have a solution, for integer A and b?  If one
+    does, a basic one does: a nonnegative solution on linearly independent
+    columns.  So try every such subset of columns, smallest first."""
+    if all(v == 0 for v in b):
+        return True
+    cols = list(zip(*A))
+    return any(_solve_nonneg(subset, b)
+               for size in range(1, min(len(cols), len(b)) + 1)
+               for subset in itertools.combinations(cols, size))
 
 
 def multiset_partitions(items):
