@@ -1,15 +1,15 @@
 """Newton-polytope analytics over exact rational arithmetic.
 
 Vertex enumeration first looks, per support point p, for an integer
-certificate: p is a vertex when it uniquely maximizes its bounding-box sign
-vector or its direction from the centroid, and inner when it lies strictly
-between two other support points.  Only the points left over ask the exact
-feasibility question "is p a convex combination of the other points?",
-answered by a phase-1 simplex on ints and Fractions (Bland's rule, hence
-terminating and deterministic) over the other points not yet shown to be
-inner.  The LPs use no floating point; the sparsity-cap exponent starts
-from a float estimate, which it trusts only outside a proven error bound
-of an integer.
+certificate: p is a vertex when a walk down its faces, each cut out by a
+coordinate in which p is extreme, ends at {p}, and inner when it lies
+strictly between two other support points.  Only the points left over ask
+the exact feasibility question "is p a convex combination of the other
+points?", answered by a phase-1 simplex on ints and Fractions (Bland's
+rule, hence terminating and deterministic) over the other points not yet
+shown to be inner.  The LPs use no floating point; the sparsity-cap
+exponent starts from a float estimate, which it trusts only outside a
+proven error bound of an integer.
 
 Also houses the factor-sparsity cap SB(n,s,d), a corner-point bound checker,
 a brute-force uniform-combination certifier, and the Hadamard-matrix support
@@ -102,12 +102,23 @@ def support_of(f):
     return set(f.terms)
 
 
-def _exposes(c, p, pts):
-    """Is p the unique maximizer of the linear functional c over pts?  Then
-    the face of conv(pts) that c exposes is {p}, so p is a vertex."""
-    top = sum(a * b for a, b in zip(c, p))
-    return all(sum(a * b for a, b in zip(c, q)) < top
-               for q in pts if q != p)
+def _face(p, pts):
+    """A face of conv(pts) that contains p, found by walking: for each
+    coordinate in which p attains the maximum or minimum over the current
+    points, keep only the points equal to p in it, until a pass over the
+    coordinates drops no point.  Each step cuts the face by a supporting
+    hyperplane, so the result is a face; as p stays extreme over every
+    subset that holds it, the order of the steps does not change the
+    result.  {p} proves p a vertex: the unique lexicographic extreme
+    under a signed coordinate order."""
+    face, size = pts, 0
+    while 1 < len(face) != size:
+        size = len(face)
+        for i, v in enumerate(p):
+            col = [q[i] for q in face]
+            if v == max(col) or v == min(col):
+                face = [q for q in face if q[i] == v]
+    return face
 
 
 def _on_segment(p, pts, lo, hi):
@@ -131,35 +142,34 @@ def _on_segment(p, pts, lo, hi):
 
 def newton_vertices(E):
     """Exact vertex set of conv(E) for integer points E, canonically
-    (lexicographically) ordered.
+    (lexicographically) ordered; ValueError names a point with a
+    coordinate that is not an int.
 
-    A point p is accepted as a vertex without an LP when p is the unique
-    maximizer over E of its bounding-box sign vector (+1 where p attains
-    the box's maximum, -1 where it attains the minimum, 0 elsewhere) or of
-    its centroid direction |E|*p - sum(E), and rejected without one when
-    it lies strictly between two other points of E (_on_segment, a
-    two-point Caratheodory certificate).  Every other point is a vertex
-    iff it is not a convex combination of the others, decided by one
-    in_hull LP over the other points minus those already shown to be
-    inner: a non-vertex is a convex combination of vertices, so dropping
-    them changes no answer.
+    A point p is accepted as a vertex without an LP when its face walk
+    (_face) ends at {p}, and rejected without one when it lies strictly
+    between two other points of E (_on_segment, a two-point Caratheodory
+    certificate).  Every other point is a vertex iff it is not a convex
+    combination of the others, decided by one in_hull LP over the other
+    points minus those already shown to be inner: a non-vertex is a convex
+    combination of vertices, so dropping them changes no answer.
     """
-    pts = sorted(set(map(tuple, E)))
+    pts = list(map(tuple, E))
+    for p in pts:
+        if not all(isinstance(v, int) for v in p):
+            raise ValueError("newton_vertices needs integer points, got %r"
+                             % (p,))
+    pts = sorted(set(pts))
     if not pts:
         raise EmptySupport("empty support")
     _dimension(pts)
     cols = list(zip(*pts))
     lo = [min(c) for c in cols]
     hi = [max(c) for c in cols]
-    total = [sum(c) for c in cols]
     present = set(pts)
     inner = set()
     out = []
     for p in pts:
-        box = [1 if v == h else -1 if v == l else 0
-               for v, l, h in zip(p, lo, hi)]
-        centroid = [len(pts) * v - s for v, s in zip(p, total)]
-        if _exposes(box, p, pts) or _exposes(centroid, p, pts):
+        if len(_face(p, pts)) == 1:
             out.append(p)
         elif _on_segment(p, present, lo, hi) or \
                 in_hull(p, [q for q in pts if q != p and q not in inner]):

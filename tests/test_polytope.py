@@ -4,6 +4,7 @@ factor-sparsity cap, corner-point bound checks, and the Hadamard family."""
 import itertools
 import math
 import random
+import re
 import types
 from fractions import Fraction
 
@@ -13,8 +14,8 @@ from sparsefact import polytope
 from sparsefact.errors import BoundViolation, EmptySupport, ShapeMismatch
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import parse_poly
-from tests_oracle import (brute_force_vertices, ceil_c_d2_log2_by_powers,
-                          feasible_by_elimination)
+from tests_oracle import (box_sign_exposes, brute_force_vertices,
+                          ceil_c_d2_log2_by_powers, feasible_by_elimination)
 from sparsefact.polytope import (SBConfig, in_hull, support_of,
                                  newton_vertices, minkowski_sum, sparsity_cap,
                                  caratheodory_check, hadamard_example)
@@ -97,8 +98,9 @@ CERTIFICATE_CASES = [
     [(0, 0), (0, 1), (1, 1), (2, 2)],
     # the walk from (1,1) away from (0,0) passes the missing (2,2)
     [(0, 0), (1, 1), (3, 3)],
-    # (0,1) is a vertex exposed by neither functional: its rays pass the
-    # missing (0,2) and leave the box, or leave it at once
+    # (0,1) is a vertex that its box sign vector ties with (0,0), and that
+    # the face walk separates; its rays pass the missing (0,2) and leave
+    # the box, or leave it at once
     [(0, 0), (0, 1), (1, 2)],
     # (1,1) lies on no segment, so only an LP shows it inner
     [(0, 0), (3, 0), (0, 3), (1, 1)],
@@ -182,6 +184,115 @@ def test_lp_only_for_points_on_no_segment(E, verts, asked, monkeypatch):
     monkeypatch.setattr(polytope, "in_hull", recorded)
     assert newton_vertices(E) == verts
     assert seen == asked
+
+
+# -- the face walk -------------------------------------------------------------
+
+def supports_like_test_04(rng, count):
+    """test_04's draws, in its order: n 1-6, d 1-3, at most 40 points."""
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        d = rng.randint(1, 3)
+        size = rng.randint(1, 40)
+        yield n, d, {tuple(rng.randint(0, d) for _ in range(n))
+                     for _ in range(size)}
+
+
+def walk_certified(E):
+    pts = sorted(E)
+    faces = [polytope._face(p, pts) for p in pts]
+    assert all(p in F for p, F in zip(pts, faces))
+    return [p for p, F in zip(pts, faces) if len(F) == 1]
+
+
+def test_walk_separates_box_ties(monkeypatch):
+    # the box sign vector (0,-1) and the centroid direction (0,-3) of (2,0)
+    # both tie it with (3,0); fixing y = 0 leaves the face {(2,0), (3,0)},
+    # on which x = 2 is the minimum
+    def no_lp(p, pts):
+        raise AssertionError("in_hull called for %r" % (p,))
+
+    monkeypatch.setattr(polytope, "in_hull", no_lp)
+    E = [(1, 3), (2, 0), (3, 0)]
+    assert newton_vertices(E) == E
+
+
+def test_walk_certifies_vertices_symmetrically():
+    rng = random.Random(11)
+    sym = random.Random(12)
+    beyond_box = 0
+    for n, d, E in supports_like_test_04(rng, 150):
+        if sym.randrange(4) == 0:                # a constant coordinate
+            k, c = sym.randrange(n), sym.randint(0, d)
+            E = {p[:k] + (c,) + p[k + 1:] for p in E}
+        pts = sorted(E)
+        certified = walk_certified(pts)
+        if len(pts) <= 10:
+            assert set(certified) <= set(brute_force_vertices(pts))
+        else:
+            for p in certified:
+                assert not in_hull(p, [q for q in pts if q != p]), (p, pts)
+        boxed = [p for p in pts if box_sign_exposes(p, pts)]
+        assert set(boxed) <= set(certified)
+        beyond_box += len(certified) - len(boxed)
+        # a permutation of the coordinates and reflections e_i -> d - e_i
+        perm = sym.sample(range(n), n)
+        flip = [sym.randrange(2) for _ in range(n)]
+
+        def image(p):
+            return tuple(d - p[j] if f else p[j] for j, f in zip(perm, flip))
+
+        assert walk_certified([image(p) for p in pts]) == \
+            sorted(map(image, certified))
+    assert beyond_box > 0
+
+
+def test_04_supports_lp_count(monkeypatch):
+    # counts are deterministic: the face walk leaves 271 LPs here, where
+    # the box and centroid functionals left 864, so a weaker walk fails
+    calls = []
+
+    def counted(p, pts):
+        calls.append(p)
+        return in_hull(p, pts)
+
+    monkeypatch.setattr(polytope, "in_hull", counted)
+    for n, d, E in supports_like_test_04(random.Random(4), 500):
+        newton_vertices(E)
+    assert len(calls) <= 271
+
+
+@pytest.mark.parametrize("E,bad", [
+    ([(Fraction(1, 2),), (0,), (1,)], (Fraction(1, 2),)),
+    ([(0, 0), (1, Fraction(4, 2)), (2, 1)], (1, Fraction(2, 1))),
+    ([(0, 0), (1.0, 2), (2, 1)], (1.0, 2)),
+    ([(0.5,), (1,)], (0.5,)),
+])
+def test_non_integer_points_raise(E, bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        newton_vertices(E)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        caratheodory_check(E, 3)
+
+
+def test_in_hull_takes_fractions():
+    assert in_hull((Fraction(1, 2),), [(0,), (1,)])
+    assert not in_hull((Fraction(3, 2), 0), [(0, 0), (1, 0), (0, 1)])
+
+
+def test_non_integer_check_survives_optimize_flag(run_optimized):
+    assert run_optimized([
+        "from fractions import Fraction",
+        "from sparsefact.polytope import newton_vertices",
+        "for E in ([(Fraction(1, 2),), (0,), (1,)], [(0, 0), (0.5, 1)]):",
+        "    try:",
+        "        print(newton_vertices(E))",
+        "    except ValueError as e:",
+        "        print('raised', e)",
+    ]) == ("False\n"
+           "raised newton_vertices needs integer points, "
+           "got (Fraction(1, 2),)\n"
+           "raised newton_vertices needs integer points, got (0.5, 1)\n")
 
 
 def test_mixed_dimensions_raise_shape_mismatch():

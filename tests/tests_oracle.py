@@ -8,6 +8,11 @@ feasible_by_elimination: whether Ax = b, x >= 0 has a solution, decided by
 the same elimination on every linearly independent subset of columns (a
 basic solution exists whenever any solution does).
 
+box_sign_exposes: whether a point uniquely maximizes its bounding-box sign
+vector (+1 where it attains a coordinate's maximum, -1 where it attains
+the minimum, 0 elsewhere), the one-functional vertex certificate that the
+face walk of newton_vertices extends.
+
 enumerate_guesses_unbounded: guess enumeration over every sub-multiset of
 the univariate factors, every partition of it into parts and every exponent
 in 1..k for every part, keeping the guesses that cover the projection,
@@ -90,6 +95,16 @@ def feasible_by_elimination(A, b):
     return any(_solve_nonneg(subset, b)
                for size in range(1, min(len(cols), len(b)) + 1)
                for subset in itertools.combinations(cols, size))
+
+
+def box_sign_exposes(p, pts):
+    """Is p the unique maximizer over pts of its bounding-box sign vector?"""
+    cols = list(zip(*pts))
+    c = [1 if v == max(col) else -1 if v == min(col) else 0
+         for v, col in zip(p, cols)]
+    top = sum(a * b for a, b in zip(c, p))
+    return all(sum(a * b for a, b in zip(c, q)) < top
+               for q in pts if q != p)
 
 
 def multiset_partitions(items):
