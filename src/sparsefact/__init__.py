@@ -8,7 +8,7 @@ from .sparsepoly import (SparsePoly, Factorization, parse_poly, format_poly,
 from .polytope import (SBConfig, in_hull, support_of, newton_vertices,
                        minkowski_sum, sparsity_cap, caratheodory_check,
                        hadamard_example)
-from .hitting import HittingSet, gen_hitting_set, gen_anchor_set
+from .hitting import HittingSet, gen_hitting_set
 from .unifactor import UniPoly, UniFactorization, factor_univariate, \
     squarefree_decompose, is_irreducible
 from .resultant import (sylvester_matrix, resultant_univariate,
@@ -24,7 +24,7 @@ __all__ = [
     "normalize_scalar",
     "SBConfig", "in_hull", "support_of", "newton_vertices", "minkowski_sum",
     "sparsity_cap", "caratheodory_check", "hadamard_example",
-    "HittingSet", "gen_hitting_set", "gen_anchor_set",
+    "HittingSet", "gen_hitting_set",
     "UniPoly", "UniFactorization", "factor_univariate",
     "squarefree_decompose", "is_irreducible",
     "sylvester_matrix", "resultant_univariate", "resultant_at_point",

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 parse/validation failure, 2 field too small.
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -86,8 +87,6 @@ def _build_parser():
     ph.add_argument("--k", type=int, required=True, help="product arity")
     ph.add_argument("--limit", type=int, default=None,
                     help="print at most this many points")
-    ph.add_argument("--strategy", choices=("grid", "ks"), default="grid",
-                    help="hitting-set strategy (default grid)")
 
     pe = sub.add_parser("examples", help="sparsity demonstrations")
     common(pe)
@@ -194,13 +193,18 @@ def _cmd_polytope(args, out):
 
 def _cmd_hitset(args, out):
     ctx = _field(args)
-    hs = gen_hitting_set(ctx, args.n, args.s, args.d, args.k,
-                         strategy=args.strategy)
-    pts = hs.points(args.limit) if args.limit is not None else list(hs)
+    hs = gen_hitting_set(ctx, args.n, args.s, args.d, args.k)
+    if args.limit is not None and args.limit < 0:
+        raise ValueError("negative point limit %d" % args.limit)
+    # points are written as they come: the grid has (k*d + 1)^n of them
+    pts = itertools.islice(hs, args.limit)
     if args.json:
-        out.write(json.dumps({"size": hs.size,
-                              "points": [[v.serialize() for v in pt]
-                                         for pt in pts]}) + "\n")
+        # the bytes of json.dumps({"size": ..., "points": [...]})
+        out.write('{"size": %d, "points": [' % hs.size)
+        for i, pt in enumerate(pts):
+            out.write((", " if i else "")
+                      + json.dumps([v.serialize() for v in pt]))
+        out.write("]}\n")
         return 0
     out.write("size: %d\n" % hs.size)
     for pt in pts:

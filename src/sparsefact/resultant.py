@@ -1,11 +1,12 @@
 """Sylvester-matrix resultants of univariate projections.
 
-The production path never materializes a symbolic multivariate resultant:
-to certify coprimality of two y-monic multivariate polynomials at a point,
-project both to univariate polynomials first and take their resultant, the
-determinant of their Sylvester matrix, by the Euclidean recurrence.  For
-monic inputs the projection cannot drop the y-degree, so projecting and
-taking resultants commute.
+Library API, checked against the paper's resultant identities; no
+factoring engine imports it.  No symbolic multivariate resultant is
+materialized: to test coprimality of two y-monic multivariate polynomials
+at a point, project both to univariate polynomials first and take their
+resultant, the determinant of their Sylvester matrix, by the Euclidean
+recurrence.  For monic inputs the projection cannot drop the y-degree, so
+projecting and taking resultants commute.
 """
 
 from .errors import ZeroDegree, NotMonic

@@ -4,8 +4,11 @@ byte-for-byte determinism."""
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -171,7 +174,7 @@ def test_factor_parse_error():
 
 
 def test_factor_rejects_strategy_flag():
-    # the factoring drivers read no hitting-set strategy; only hitset does
+    # no subcommand takes a hitting-set strategy
     status, _ = invoke(["factor", "--strategy", "ks", "x1*x2 + x2"])
     assert status == 1
     status, _ = invoke(["factor", "--strategy", "grid", "x1*x2 + x2"])
@@ -272,19 +275,43 @@ def test_hitset_limit_and_json():
     assert doc["size"] == 9 and doc["points"] == [[0, 0], [0, 1], [0, 2]]
 
 
-def test_hitset_strategy_ks():
-    # the ks construction, pinned to its bytes; --strategy is hitset's flag
-    status, text = invoke(["hitset", "--n", "2", "--s", "2", "--d", "1",
-                           "--k", "1", "--strategy", "ks", "--limit", "10"])
-    assert status == 0
-    assert text == ("size: 84\n0 0\n1 1\n2 2\n3 3\n4 4\n5 5\n6 6\n"
-                    "0 0\n1 1\n2 4\n")
-    status, text = invoke(["hitset", "--prime", "5", "--n", "2", "--s", "2",
-                           "--d", "1", "--k", "1", "--strategy", "ks",
-                           "--json", "--limit", "8"])
-    assert status == 0
-    assert text == ('{"size": 60, "points": [[0, 0], [1, 1], [2, 2], [3, 3], '
-                    '[4, 4], [0, 0], [1, 1], [2, 4]]}\n')
+def test_hitset_strategy_flag_exit_1():
+    # the grid is the one construction; --strategy is a usage error
+    for strategy in ("ks", "grid"):
+        status, _ = invoke(["hitset", "--n", "2", "--s", "2", "--d", "1",
+                            "--k", "1", "--strategy", strategy])
+        assert status == 1
+
+
+class _StopReading(Exception):
+    pass
+
+
+class _ShortReader:
+    """An output stream whose reader leaves after a few writes."""
+
+    def __init__(self, writes):
+        self.writes = writes
+
+    def write(self, text):
+        self.writes -= 1
+        if self.writes < 0:
+            raise _StopReading
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_hitset_streams_points(extra):
+    # points are written as the grid yields them: a reader that leaves
+    # after a few lines costs nothing like the memory of all 2^16 points
+    tracemalloc.start()
+    try:
+        with pytest.raises(_StopReading):
+            run(["hitset", "--prime", "2", "--n", "16", "--s", "2",
+                 "--d", "1", "--k", "1"] + extra, out=_ShortReader(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_hitset_field_too_small_exit_2():
@@ -423,3 +450,19 @@ def test_parser_built_once_matches_fresh_parser(capsys):
     assert shared[2][1] == "verdict: true\n"
     assert shared[3][1] == "verdict: false\n"
     assert run_all(fresh=True) == shared
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line, comments=True)
+            for line in block.splitlines() if line.startswith("sparsefact ")]
+
+
+def test_readme_cli_lines_run():
+    # every command in README's CLI block is a valid invocation
+    lines = _readme_cli_lines()
+    assert len(lines) >= 7    # the block's seven commands are all found
+    for argv in lines:
+        assert invoke(argv[1:])[0] == 0, argv

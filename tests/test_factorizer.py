@@ -584,8 +584,9 @@ def test_factor_full_grid_fallback_memory():
     assert peak < 16 << 20
 
 
-# Products over F_101 that a lexicographic scan of the certified anchor grid
-# (gen_anchor_set) returned with a reducible factor reported as irreducible:
+# Products over F_101 that a lexicographic scan of a certified anchor grid
+# (a hitting set for the factors' pairwise resultants) returned with a
+# reducible factor reported as irreducible:
 # the anchors it meets first have zero coordinates, and it gave up after
 # ANCHOR_PATIENCE of them without a better candidate.
 F101_MISSED = [

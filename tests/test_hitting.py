@@ -8,11 +8,12 @@ import pytest
 from sparsefact.errors import FieldTooSmall
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import SparsePoly, parse_poly
-from sparsefact.hitting import HittingSet, gen_hitting_set, gen_anchor_set
+from sparsefact.hitting import gen_hitting_set
 from sparsefact.resultant import resultant_at_point
 
 F7 = make_field(7)
 F5 = make_field(5)
+F101 = make_field(101)
 
 
 def test_grid_univariate_linear():
@@ -58,7 +59,6 @@ def test_determinism():
     a = gen_hitting_set(F7, 2, 3, 2, 2).points()
     b = gen_hitting_set(F7, 2, 3, 2, 2).points()
     assert a == b
-    assert gen_hitting_set(F7, 2, 3, 2, 2).params == (2, 3, 2, 2, "grid")
 
 
 def test_lexicographic_order():
@@ -85,24 +85,23 @@ def test_exhaustive_grid_soundness_small_family():
         f = SparsePoly(F7, 1, {(i,): F7.elem(c)
                                for i, c in enumerate(coeffs) if c})
         assert any(not f.evaluate(list(p)).is_zero() for p in pts)
-
-
-def test_ks_strategy_runs():
-    hs = gen_hitting_set(F7, 3, 2, 1, 1, strategy="ks")
-    pts = hs.points(limit=10)
-    assert len(pts) == 10 and all(len(p) == 3 for p in pts)
-    assert pts == gen_hitting_set(F7, 3, 2, 1, 1, strategy="ks").points(10)
-
-
-def test_unknown_strategy():
-    with pytest.raises(ValueError):
-        gen_hitting_set(F7, 1, 1, 1, 1, strategy="bogus")
+    # prod_{j=0..7} (x1 - j) over F_101: eight 2-sparse linear factors whose
+    # product vanishes on 0..7, so only the ninth grid value hits it
+    f = SparsePoly.constant(F101, 1, 1)
+    for j in range(8):
+        f = f * parse_poly("x1 + %d" % (101 - j), F101)
+    hs = gen_hitting_set(F101, 1, 2, 1, 8)
+    assert hs.size == 9
+    hits = [not f.evaluate(list(p)).is_zero() for p in hs]
+    assert hits == [False] * 8 + [True]
 
 
 def test_anchor_set_separates_square_difference():
     # f = y^2 - x1^2 = (y - x1)(y + x1); Res_y = 2*a at x1 = a, so any
-    # anchor point with a != 0 works and the set must contain one
-    hs = gen_anchor_set(F7, 1, 2, 1)
+    # anchor point with a != 0 works and the set must contain one.  At d = 1
+    # the pairwise resultant 2*x1 has individual degree <= 2d^2 and the
+    # product has arity d^2
+    hs = gen_hitting_set(F7, 1, 1, 2, 1)
     g = parse_poly("y + 6*x1", F7)   # y - x1
     h = parse_poly("y + x1", F7)
     found = False
@@ -113,8 +112,3 @@ def test_anchor_set_separates_square_difference():
             found = True
             break
     assert found
-
-
-def test_anchor_set_single_factor_nonempty():
-    hs = gen_anchor_set(F7, 2, 1, 1)
-    assert hs.size >= 1 and len(hs.points(limit=1)) == 1
