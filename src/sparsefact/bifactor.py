@@ -8,7 +8,7 @@ with Factorization.assemble, which re-verifies them.  The pipeline:
   content in y  ->  univariate factoring of the content;
   primitive part -> separable squarefree part via gcd with the y-derivative,
   monicized, projected at the first good t0, factored there, Hensel-lifted to
-  precision 2*deg_t+1, and recombined by subset search (smallest subsets
+  precision deg_t+1, and recombined by subset search (smallest subsets
   first, lexicographic tie-break); multiplicities recovered by exact trial
   division; the char-p leftover (all y-exponents divisible by p) is handled
   by the z = y^p substitution and recursion.  The search for t0 walks F_q,
@@ -23,6 +23,15 @@ public wrappers (`bi_gcd`, `hensel_lift`, `project_t`) and on the
 extension route, which lifts and retracts on SparsePoly.  Every exact
 division in F_q[t][y] (the gcd quotient, the multiplicity loop,
 recombination's trial division) is `_ylist_div`.
+
+Hensel lifting.  Every lift, the engine's, `hensel_lift`'s and the monic
+driver's along each line through an anchor (factorizer.blackbox_eval),
+follows a lift plan (`_lift_plan`) of its seeds, the pairwise-coprime
+factors of F(y, 0).  For each split g0 = seeds[i], h0 = prod(seeds[i+1:])
+the plan holds the Bezout cofactor's tables: the correction of a step is
+linear in [t^m](F - G*H), so `_pair_lift` applies them on logs, with no
+xgcd or division per step.  The plan depends on the seeds alone, so the
+driver builds it once per anchor and shares it among all lines there.
 
 Everything is exact and order-deterministic.
 """
@@ -189,49 +198,106 @@ def bi_gcd(f, g):
 
 
 # -- Hensel lifting -----------------------------------------------------------
+#
+# A lift keeps each factor as its t-columns: column m lists the logs of the
+# t^m coefficient, a polynomial in y.  Column 0 is the seed; for m >= 1 the
+# column stops below the seed's degree, since the lifted factor keeps the
+# seed's leading coefficient.
 
-def _pair_lift(F, g0, h0, prec, ctx):
-    """Lift f(y,0) = g0*h0 (coprime, monic) to G*H == F mod t^prec.
+def _split_tables(g0, h0, ctx):
+    """The tables that solve every Hensel step of the split g0*h0.
 
-    F is a y-list truncated mod t^prec, monic in y.  Returns (G, H)."""
-    d, s, u = g0.xgcd(h0)
+    With u the Bezout cofactor of h0 (u*h0 == 1 mod g0) and n = deg g0 +
+    deg h0, returns (g0 logs, h0 logs, T), where for k < n the row T[k]
+    holds the logs of G_k = (u*y^k) mod g0, padded to deg g0 entries, then
+    those of H_k = (y^k - G_k*h0)/g0, padded to deg h0.  A step's
+    correction e = sum_k e_k y^k then lifts G by sum_k e_k*G_k and H by
+    sum_k e_k*H_k.  Row k+1 comes from row k: with c the y^deg(g0)
+    coefficient of y*G_k over lc(g0), G_(k+1) = y*G_k - c*g0 and
+    H_(k+1) = y*H_k + c*h0.  Raises NotCoprime when g0 and h0 share a root,
+    and NoFactorizationFound when the division that gives H_0 leaves a
+    remainder."""
+    d, _, u = g0.xgcd(h0)
     if d.degree() != 0:
         raise NotCoprime("seed factors share a root")
-    red, zech, zl = ctx.reduce, ctx.zech, ctx.zero_log
-    # G[a][r]: log of the t^r coefficient of G's y^a coefficient (H alike);
-    # step m fills column m
-    G = [[v] + [zl] * (prec - 1) for v in g0.logs]
-    H = [[v] + [zl] * (prec - 1) for v in h0.logs]
-    width = max(len(F), len(G) + len(H) - 1)
+    G = u % g0
+    H, r = (UniPoly.constant(ctx, 1) - G * h0).divmod(g0)
+    if not r.is_zero():
+        raise NoFactorizationFound("the Bezout cofactor leaves a remainder")
+    dg, dh, zl = g0.degree(), h0.degree(), ctx.zero_log
+    y, inv = UniPoly.x(ctx), g0.lc().inverse()
+    T = []
+    for _ in range(dg + dh):
+        T.append(G.logs + (zl,) * (dg - len(G.logs))
+                 + H.logs + (zl,) * (dh - len(H.logs)))
+        c = G[dg - 1] * inv
+        G, H = y * G - g0.scale(c), y * H + h0.scale(c)
+    return g0.logs, h0.logs, T
+
+
+def _lift_plan(seeds, ctx):
+    """The lift plan of pairwise-coprime seeds: for each i below the last
+    seed, the split g0 = seeds[i], h0 = prod(seeds[i+1:]) with its tables
+    (_split_tables).  It depends on the seeds alone, so every line whose
+    t = 0 fibre they factor shares it."""
+    plan = []
+    h0 = seeds[-1]
+    for g0 in reversed(seeds[:-1]):
+        plan.append(_split_tables(g0, h0, ctx))
+        h0 = g0 * h0
+    return plan[::-1]
+
+
+def _pair_lift(Fc, split, prec, ctx):
+    """Lift the split g0*h0 of F(y, 0) to G*H == F mod t^prec.
+
+    Fc holds F's t-columns (only columns 1 .. prec-1 are read); F is monic
+    in y of degree n = deg g0 + deg h0.  Step m forms, on logs, the
+    correction e = [t^m](F - G*H), a polynomial in y: only the columns
+    1 .. m-1 of G and H meet in it, as columns m are still zero.  The
+    split's tables turn e into G's and H's column m with no division.
+    Returns the t-columns of G and H; raises NoFactorizationFound if e has
+    a term of y-degree n or more."""
+    g0, h0, T = split
+    red, zech, zl, m1 = ctx.reduce, ctx.zech, ctx.zero_log, ctx.minus_one_log
+    n, dg = len(T), len(g0) - 1
+    Gc, Hc = [g0], [h0]
     for m in range(1, prec):
-        # e = the t^m coefficient of F - G*H, a polynomial in y
-        prod = [zl] * width
-        for a, Ga in enumerate(G):
-            for b, Hb in enumerate(H):
-                acc = prod[a + b]
-                for r in range(m + 1):
-                    x, y = Ga[r], Hb[m - r]
-                    if x == zl or y == zl:
-                        continue
-                    t = x + y
-                    acc = red[t] if acc == zl else red[acc + zech[t - acc]]
-                prod[a + b] = acc
-        e = (UniPoly.from_logs(ctx, [row.logs[m] if m < len(row.logs) else zl
-                                     for row in F])
-             - UniPoly.from_logs(ctx, prod))
-        if e.is_zero():
-            continue
-        dG = (u * e) % g0
-        num = e - dG * h0
-        dH, r = num.divmod(g0)
-        if not r.is_zero():
-            raise NoFactorizationFound("Hensel step leaves a remainder")
-        for j, v in enumerate(dG.logs):
-            G[j][m] = v
-        for j, v in enumerate(dH.logs):
-            H[j][m] = v
-    return ([UniPoly.from_logs(ctx, row) for row in G],
-            [UniPoly.from_logs(ctx, row) for row in H])
+        e = list(Fc[m])
+        e.extend([zl] * (n - len(e)))
+        for r in range(1, m):
+            Hr = Hc[m - r]
+            for a, x in enumerate(Gc[r]):
+                if x == zl:
+                    continue
+                x = red[x + m1]
+                for k, y in enumerate(Hr, a):
+                    if y != zl:
+                        t = x + y
+                        o = e[k]
+                        e[k] = red[t] if o == zl else red[o + zech[t - o]]
+        if any(v != zl for v in e[n:]):
+            raise NoFactorizationFound("Hensel step exceeds the seeds' degree")
+        d = [zl] * n  # G's column m, then H's
+        for k in range(n):
+            ek = e[k]
+            if ek == zl:
+                continue
+            for j, v in enumerate(T[k]):
+                if v != zl:
+                    t = ek + v
+                    o = d[j]
+                    d[j] = red[t] if o == zl else red[o + zech[t - o]]
+        Gc.append(d[:dg])
+        Hc.append(d[dg:])
+    return Gc, Hc
+
+
+def _rows(cols, ctx):
+    """The y-list of a factor given by its t-columns."""
+    top = len(cols[0]) - 1
+    return ([UniPoly.from_logs(ctx, [c[a] for c in cols]) for a in range(top)]
+            + [UniPoly.from_logs(ctx, cols[0][top:])])
 
 
 def hensel_lift(f, g0, h0, t0, precision):
@@ -246,23 +312,28 @@ def hensel_lift(f, g0, h0, t0, precision):
         raise NotCoprime("seed product does not match the projection")
     shifted = [u.shift(t0) for u in to_ylist(f)]  # t -> t + t0
     Ft = [UniPoly.from_logs(ctx, u.logs[:precision]) for u in shifted]
-    G, H = _pair_lift(Ft, g0, h0, precision, ctx)
+    G, H = _lift_list(Ft, _lift_plan([g0, h0], ctx), precision, ctx)
     Gp = from_ylist(ctx, [u.shift(-t0) for u in G])
     Hp = from_ylist(ctx, [u.shift(-t0) for u in H])
     return Gp, Hp
 
 
-def _lift_list(F, seeds, prec, ctx):
-    """Multifactor lift: seeds are pairwise-coprime monic polynomials with
-    prod(seeds) = F(y,0); returns lifted y-lists, one per seed."""
-    if len(seeds) == 1:
+def _lift_list(F, plan, prec, ctx):
+    """Multifactor lift of F mod t^prec along a lift plan (_lift_plan) of
+    pairwise-coprime seeds with prod(seeds) = F(y,0); returns the lifted
+    y-lists, one per seed.  Split i lifts seeds[i] and the product of the
+    seeds after it out of the previous split's lifted cofactor (F first)."""
+    if not plan:
         return [F]
-    g0 = seeds[0]
-    h0 = UniPoly.constant(ctx, 1)
-    for s in seeds[1:]:
-        h0 = h0 * s
-    G, H = _pair_lift(F, g0, h0, prec, ctx)
-    return [G] + _lift_list(H, seeds[1:], prec, ctx)
+    zl = ctx.zero_log
+    Fc = [None] + [[row.logs[m] if m < len(row.logs) else zl for row in F]
+                   for m in range(1, prec)]
+    out = []
+    for split in plan:
+        Gc, Fc = _pair_lift(Fc, split, prec, ctx)
+        out.append(_rows(Gc, ctx))
+    out.append(_rows(Fc, ctx))
+    return out
 
 
 # -- recombination ------------------------------------------------------------
@@ -345,7 +416,7 @@ def _hat_factors(Shat, ctx):
     # coefficient past that recovers it exactly
     prec = max(_ylist_deg_t(shifted), 0) + 1
     Ft = [UniPoly.from_logs(field, u.logs[:prec]) for u in shifted]
-    lifted = _lift_list(Ft, seeds, prec, field)
+    lifted = _lift_list(Ft, _lift_plan(seeds, field), prec, field)
     combined = _recombine(shifted, lifted, prec, field, None if field is ctx
                           else lambda F: back(F) is not None)
     out = [back(F) for F in combined]

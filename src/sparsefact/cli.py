@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -303,13 +304,23 @@ def run(argv, out=None):
     except FieldTooSmall as e:
         out.write("error: %s\n" % e)
         return 2
+    except BrokenPipeError:
+        raise  # the reader has left: nothing more can be written to it
     except (SparsefactError, ValueError, OSError) as e:
         out.write("error: %s\n" % e)
         return 1
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (`| head`); point it at devnull so that
+        # the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

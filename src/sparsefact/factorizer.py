@@ -9,7 +9,9 @@ Three layers:
     seeds the line: the restriction of f to the line through (anchor, b) is
     Hensel-lifted from the pairwise-coprime seeds g^u_g, and each part's
     value is the e-th root of its lifted seeds' product at t=1 (Kaltofen and
-    Trager's lines through one point).  A guess that splits a g across parts
+    Trager's lines through one point).  The seeds' lift plan and each
+    guess's check are made once per anchor and kept in the driver's
+    per-anchor cache.  A guess that splits a g across parts
     or does not reproduce the projection, and a line where the parts' lifts
     are not polynomial factors or not e-th powers, raise GuessInvalid, which
     simply discards the guess.
@@ -56,7 +58,7 @@ from .sparsepoly import (SparsePoly, Factorization, make_monic, sparse_divide,
 from .polytope import sparsity_cap
 from .unifactor import UniPoly, addmul_logs, factor_univariate, monic_root
 from .bifactor import (factor_bivariate, to_ylist, _ylist_deg_t, _ylist_mul,
-                       _lift_list)
+                       _lift_plan, _lift_list)
 
 
 # stop scanning anchors after this many consecutive ones that fail to
@@ -100,37 +102,38 @@ def blackbox_eval(f, guess, b, cache=None):
     truncated products are not a factorization of F) or when a value is not
     an e_i-th power.
 
-    cache is a dict owned by the caller for one f and anchor; it keeps the
-    anchor projection under the key None (a caller that has f(anchor, y)
-    may put it there) and the lifted seeds of each line.
+    cache is a dict owned by the caller for one f and anchor, shared by
+    every guess and point there.  It keeps the anchor projection under the
+    key None (a caller that has f(anchor, y) may put it there), each
+    guess's check under (parts, exps): its seeds and the part of each seed,
+    or the reason it is invalid, so that a guess is checked once however
+    many points it is evaluated at.  Every line through the anchor has the
+    same fibre at t = 0, so the lift plan of the seeds (bifactor._lift_plan:
+    Bezout cofactors and step tables) is kept once under the seeds, and the
+    lifted seeds of each line under (b, seeds).
     """
     ctx = f.ctx
-    owner, u = {}, {}  # piece -> its part, and u_g
-    for i, (part, e) in enumerate(zip(guess.parts, guess.exps)):
-        for g in part:
-            if owner.setdefault(g, i) != i:
-                raise GuessInvalid("a univariate piece lies in two parts")
-            u[g] = u.get(g, 0) + e
-    gs = sorted(owner, key=UniPoly.sort_key)
-    seeds = tuple(g ** u[g] for g in gs)
     if cache is None:
         cache = {}
     if None not in cache:  # the anchor projection
         cache[None] = project_y(f, list(guess.anchor))
-    prod = UniPoly.constant(ctx, 1)
-    for s in seeds:
-        prod = prod * s
-    if prod != cache[None]:
-        raise GuessInvalid("the guess does not reproduce the projection")
-    key = (tuple(v.coeffs for v in b), seeds)
+    key = (guess.parts, guess.exps)
     if key not in cache:
+        cache[key] = _check_guess(guess, cache[None])
+    checked = cache[key]
+    if isinstance(checked, str):
+        raise GuessInvalid(checked)
+    owners, seeds = checked
+    line = (tuple(v.coeffs for v in b), seeds)
+    if line not in cache:
+        if seeds not in cache:
+            cache[seeds] = _lift_plan(seeds, ctx)
         F = to_ylist(restrict_to_line(f, list(guess.anchor), list(b)))
         prec = _ylist_deg_t(F) + 1
-        cache[key] = (prec, _lift_list(F, seeds, prec, ctx))
-    prec, lifted = cache[key]
+        cache[line] = (prec, _lift_list(F, cache[seeds], prec, ctx))
+    prec, lifted = cache[line]
     products = [None] * len(guess.parts)  # part -> its lifts' product
-    for g, G in zip(gs, lifted):
-        i = owner[g]
+    for i, G in zip(owners, lifted):
         products[i] = G if products[i] is None else _ylist_mul(
             products[i], G, ctx, prec)
     if sum(_ylist_deg_t(P) for P in products) != prec - 1:
@@ -143,6 +146,27 @@ def blackbox_eval(f, guess, b, cache=None):
             raise GuessInvalid("part value is not a %d-th power" % e)
         out.append(r)
     return out
+
+
+def _check_guess(guess, projection):
+    """(owners, seeds) for a guess that puts each univariate piece g in one
+    part and reproduces the projection: seeds are the g^u_g in sort_key
+    order and owners[j] the part of seeds[j].  For any other guess, the
+    reason it is invalid."""
+    owner, u = {}, {}  # piece -> its part, and u_g
+    for i, (part, e) in enumerate(zip(guess.parts, guess.exps)):
+        for g in part:
+            if owner.setdefault(g, i) != i:
+                return "a univariate piece lies in two parts"
+            u[g] = u.get(g, 0) + e
+    gs = sorted(owner, key=UniPoly.sort_key)
+    seeds = tuple(g ** u[g] for g in gs)
+    prod = UniPoly.constant(projection.ctx, 1)
+    for s in seeds:
+        prod = prod * s
+    if prod != projection:
+        return "the guess does not reproduce the projection"
+    return tuple(owner[g] for g in gs), seeds
 
 
 # -- sparse reconstruction ----------------------------------------------------

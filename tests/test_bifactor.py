@@ -15,9 +15,10 @@ from sparsefact.errors import (NotCoprime, NoFactorizationFound, Reject,
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import (SparsePoly, Factorization, sparse_divide,
                                    parse_poly, format_poly)
-from sparsefact.unifactor import UniPoly, factor_univariate
+from sparsefact.unifactor import UniPoly, factor_univariate, is_irreducible
 from sparsefact.bifactor import hensel_lift, bi_gcd
 from sparsefact.factorizer import factor
+from tests_oracle import pair_lift_by_division
 
 F7 = make_field(7)
 F2 = make_field(2)
@@ -82,6 +83,86 @@ def test_hensel_congruence_random():
         G, H = hensel_lift(f, U([a0, 1]), U([b0, 1]), F7.zero(), prec)
         # full precision: the lift is the exact factorization
         assert {G, H} == {a, b}
+
+
+def test_hensel_rejects_terms_above_the_seeds_degree():
+    # f = t*y^3 + y^2 - 1 is not monic in y: a step's correction has a y^3
+    # term that no lift of the seeds y - 1 and y + 1 can carry
+    f = B({(3, 1): 1, (2, 0): 1, (0, 0): 6})
+    with pytest.raises(NoFactorizationFound):
+        hensel_lift(f, U([6, 1]), U([1, 1]), F7.zero(), 3)
+
+
+def _seeded_line(ctx, rng):
+    """(F, seeds): 2-4 pairwise-coprime monic seeds, one of them a square
+    or a cube of an irreducible, and a y-monic F(y, t) with F(y, 0) their
+    product and random t-terms of lower y-degree."""
+    irreducibles, k = [], rng.randint(2, 4)
+    while len(irreducibles) < k:
+        g = UniPoly(ctx, [ctx.from_index(rng.randrange(ctx.q))
+                          for _ in range(rng.randint(1, 2))] + [ctx.one()])
+        if is_irreducible(g) and g not in irreducibles:
+            irreducibles.append(g)
+    seeds = [g ** rng.randint(2, 3) if i == 0 else g ** rng.randint(1, 2)
+             for i, g in enumerate(irreducibles)]
+    rng.shuffle(seeds)
+    F0 = UniPoly.constant(ctx, 1)
+    for s in seeds:
+        F0 = F0 * s
+    rows = [[c] + [ctx.from_index(rng.randrange(ctx.q))
+                   for _ in range(rng.randint(0, 4))] for c in F0.coeffs]
+    rows[-1] = [ctx.one()]
+    return [UniPoly(ctx, row) for row in rows], seeds
+
+
+@pytest.mark.parametrize("p,ell", [(7, 1), (101, 1), (3, 2)])
+def test_lift_list_matches_division_steps(p, ell):
+    # the lift plan's table-driven steps give what a step that divides by
+    # the seed afresh gives, split by split, at every precision
+    ctx = make_field(p, ell)
+    rng = random.Random(p * 10 + ell)
+    for _ in range(12):
+        F, seeds = _seeded_line(ctx, rng)
+        prec = rng.randint(1, 6)
+        Ft = [UniPoly.from_logs(ctx, u.logs[:prec]) for u in F]
+        want, rest = [], Ft
+        for i in range(len(seeds) - 1):
+            h0 = UniPoly.constant(ctx, 1)
+            for s in seeds[i + 1:]:
+                h0 = h0 * s
+            G, rest = pair_lift_by_division(rest, seeds[i], h0, prec, ctx)
+            want.append(G)
+        want.append(rest)
+        plan = bifactor._lift_plan(seeds, ctx)
+        assert bifactor._lift_list(Ft, plan, prec, ctx) == want
+
+
+# Building a lift plan checks coprimality and the Bezout cofactor's exact
+# division with raises, not asserts; a wrong cofactor (patched in) must
+# trip the second check.
+PLAN_CHECK_LINES = [
+    "from sparsefact.bifactor import _lift_plan",
+    "from sparsefact.errors import NotCoprime, NoFactorizationFound",
+    "from sparsefact.field import make_field",
+    "from sparsefact.unifactor import UniPoly",
+    "F = make_field(7)",
+    "g, h = UniPoly(F, (F.elem(6), F.one())), UniPoly(F, (F.one(), F.one()))",
+    "try:",
+    "    _lift_plan([g, g], F)",
+    "except NotCoprime:",
+    "    print('NotCoprime')",
+    "one, zero = UniPoly.constant(F, 1), UniPoly(F)",
+    "UniPoly.xgcd = lambda a, b: (one, zero, zero)",
+    "try:",
+    "    _lift_plan([g, h], F)",
+    "except NoFactorizationFound:",
+    "    print('NoFactorizationFound')",
+]
+
+
+def test_lift_plan_checks_survive_optimize_flag(run_optimized):
+    assert run_optimized(PLAN_CHECK_LINES) == (
+        "False\nNotCoprime\nNoFactorizationFound\n")
 
 
 # -- complete bivariate factorization -----------------------------------------

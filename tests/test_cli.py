@@ -314,6 +314,28 @@ def test_hitset_streams_points(extra):
     assert peak < 1 << 20
 
 
+def test_closed_stdout_exits_1_quietly():
+    # `sparsefact hitset ... | head -2`: the reader leaves after two lines,
+    # and the process ends with status 1 and nothing on stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sparsefact.cli", "hitset", "--prime", "2",
+         "--n", "16", "--s", "2", "--d", "1", "--k", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head[0] == b"size: 65536\n"
+    assert err == b"" and status == 1
+
+
 def test_hitset_field_too_small_exit_2():
     status, text = invoke(["hitset", "--prime", "5", "--n", "3", "--s", "2",
                            "--d", "5", "--k", "1"])

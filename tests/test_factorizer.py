@@ -496,6 +496,74 @@ def test_one_projection_per_anchor(monkeypatch):
     assert calls["anchor"] >= 2 and calls["projection"] == calls["anchor"]
 
 
+def test_one_bezout_cofactor_per_anchor_split(monkeypatch):
+    # every line through an anchor has the same fibre at t = 0, so the lift
+    # plan, and with it each split's xgcd, is made once per anchor, not
+    # once per grid point
+    calls = {"xgcd": 0, "eval": 0}
+    anchors = set()
+    evaluate = factorizer.blackbox_eval
+
+    def blackbox(f, guess, b, cache=None):
+        calls["eval"] += 1
+        anchors.add(guess.anchor)
+        return evaluate(f, guess, b, cache)
+
+    monkeypatch.setattr(factorizer, "blackbox_eval", blackbox)
+    monkeypatch.setattr(UniPoly, "xgcd", counted(calls, "xgcd", UniPoly.xgcd))
+    g = P("y^3 + x1*x2^2 + 3", nvars=2)
+    h = P("y^2 + x2*y + x1^2 + 4", nvars=2)
+    f = g * h
+    fac = factor_monic(f)
+    assert multiset(fac) == multiset(Factorization(F7.one(), [(g, 1), (h, 1)]))
+    splits = sum(len(factor_univariate(project_y(f, list(a))).parts) - 1
+                 for a in anchors)
+    assert len(anchors) == 3 and splits == 5
+    assert calls == {"xgcd": splits, "eval": 20}
+
+
+def test_blackbox_shared_cache_matches_fresh_cache():
+    # a cache shared by every guess and point of an anchor gives what a
+    # fresh cache gives, call by call, in either order of guesses
+    f = P("y^3 + 6*x1*y")
+    y0, y1, y6 = U([0, 1]), U([1, 1]), U([6, 1])
+    # the second guess has the first one's parts and does not cover the
+    # projection; the third fails on the lines
+    guesses = [Guess(anchor=(F7.one(),), parts=parts, exps=exps)
+               for parts, exps in [(((y0,), (y6, y1)), (1, 1)),
+                                   (((y0,), (y6, y1)), (1, 2)),
+                                   (((y0,), (y6,), (y1,)), (1, 1, 1)),
+                                   (((y0, y6, y1),), (1,))]]
+    points = [(F7.elem(v),) for v in range(7)]
+    for order in (guesses, guesses[::-1]):
+        cache = {}
+        for guess in order:
+            for b in points:
+                try:
+                    want = blackbox_eval(f, guess, b)
+                except GuessInvalid:
+                    with pytest.raises(GuessInvalid):
+                        blackbox_eval(f, guess, b, cache)
+                    continue
+                assert blackbox_eval(f, guess, b, cache) == want
+
+
+def test_blackbox_invalid_guess_raises_on_every_call():
+    # a guess's check is cached under (parts, exps): every later call with
+    # the same cache raises again, for a valid guess before it or after it
+    f = P("y^2 + 6*x1^2")
+    y0, y1, y6 = U([0, 1]), U([1, 1]), U([6, 1])
+    good = Guess(anchor=(F7.one(),), parts=((y6,), (y1,)), exps=(1, 1))
+    bads = [Guess(anchor=(F7.one(),), parts=((y6,),), exps=(1,)),
+            Guess(anchor=(F7.one(),), parts=((y6,), (y6, y1)), exps=(1, 1))]
+    cache = {}
+    for b in [(F7.elem(v),) for v in (2, 3, 2, 5)]:
+        for bad in bads:
+            with pytest.raises(GuessInvalid):
+                blackbox_eval(f, bad, b, cache)
+        assert len(blackbox_eval(f, good, b, cache)) == 2
+
+
 def test_factor_monic_lift_path():
     # reconstruction needs more points than F_7 has; the driver must lift
     # internally and still return base-field factors

@@ -28,6 +28,11 @@ by comparing the integer powers 2^(a*C.den) and M^(C.num*d2) outright.
 det_by_elimination: the determinant of a square matrix of field elements
 by Gaussian elimination, the reference for resultants computed by the
 Euclidean recurrence.
+
+pair_lift_by_division: one two-factor Hensel lift whose every step computes
+its correction afresh from the Bezout cofactor, with a polynomial
+remainder and an exact division, the reference for the lift plan's
+table-driven steps.
 """
 
 import itertools
@@ -218,3 +223,39 @@ def ceil_c_d2_log2_by_powers(C, d2, M):
     while a > 0 and 2 ** ((a - 1) * C.denominator) >= rhs:
         a -= 1
     return a
+
+
+def pair_lift_by_division(F, g0, h0, prec, ctx):
+    """Lift F(y, 0) = g0*h0 (coprime, monic) to G*H == F mod t^prec, for a
+    y-list F monic in y and truncated mod t^prec; returns the y-lists
+    (G, H).  Step m takes e = [t^m](F - G*H) and sets G's t^m column to
+    (u*e) mod g0, u the Bezout cofactor of h0, and H's to
+    (e - that*h0)/g0."""
+    from sparsefact.errors import NotCoprime, NoFactorizationFound
+    from sparsefact.unifactor import UniPoly
+    d, s, u = g0.xgcd(h0)
+    if d.degree() != 0:
+        raise NotCoprime("seed factors share a root")
+    zl = ctx.zero_log
+    G = [[v] + [zl] * (prec - 1) for v in g0.logs]
+    H = [[v] + [zl] * (prec - 1) for v in h0.logs]
+    for m in range(1, prec):
+        prod = UniPoly(ctx)
+        for r in range(m + 1):
+            Gr = UniPoly.from_logs(ctx, [row[r] for row in G])
+            Hr = UniPoly.from_logs(ctx, [row[m - r] for row in H])
+            prod = prod + Gr * Hr
+        e = UniPoly.from_logs(ctx, [row.logs[m] if m < len(row.logs) else zl
+                                    for row in F]) - prod
+        if e.is_zero():
+            continue
+        dG = (u * e) % g0
+        dH, r = (e - dG * h0).divmod(g0)
+        if not r.is_zero():
+            raise NoFactorizationFound("Hensel step leaves a remainder")
+        for j, v in enumerate(dG.logs):
+            G[j][m] = v
+        for j, v in enumerate(dH.logs):
+            H[j][m] = v
+    return ([UniPoly.from_logs(ctx, row) for row in G],
+            [UniPoly.from_logs(ctx, row) for row in H])
