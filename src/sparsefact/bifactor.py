@@ -19,10 +19,12 @@ Representation.  Inside the pipeline a polynomial is a y-list: one UniPoly
 in t per y-degree, y-degree 0 first, trailing zero rows trimmed.
 `factor_bivariate` converts its SparsePoly input once and converts the
 factors back once at the end; the other SparsePoly conversions are at the
-public wrappers (`bi_gcd`, `hensel_lift`, `project_t`) and on the
-extension route, which lifts and retracts on SparsePoly.  Every exact
-division in F_q[t][y] (the gcd quotient, the multiplicity loop,
-recombination's trial division) is `_ylist_div`.
+public wrappers (`bi_gcd`, `hensel_lift`) and on the extension route, which
+lifts and retracts on SparsePoly.  Projections at t = t0 are taken on
+y-lists (a lift reads the t^0 column of the rows shifted by t0), never by
+substituting into a SparsePoly.  Every exact division in F_q[t][y] (the
+gcd quotient, the multiplicity loop, recombination's trial division) is
+`_ylist_div`.
 
 Hensel lifting.  Every lift, the engine's, `hensel_lift`'s and the monic
 driver's along each line through an anchor (factorizer.blackbox_eval),
@@ -70,11 +72,6 @@ def from_ylist(ctx, ylist):
             if v != zl:
                 terms[(i, j)] = exp[v]
     return SparsePoly(ctx, 2, terms)
-
-
-def project_t(f, t0):
-    """f(y, t0) as a UniPoly in y."""
-    return UniPoly(f.ctx, [u.evaluate(t0) for u in to_ylist(f)])
 
 
 def _ylist_deg_y(ylist):
@@ -305,12 +302,14 @@ def hensel_lift(f, g0, h0, t0, precision):
 
     f must be monic in y with f(y, t0) = g0 * h0, g0 and h0 monic and coprime.
     Returns (G, H) as bivariate polynomials with G*H == f mod (t-t0)^precision,
-    G == g0 and H == h0 mod (t-t0).
+    G == g0 and H == h0 mod (t-t0).  The seeds are checked against the t^0
+    column of f shifted by t -> t + t0, the rows the lift reads (NotCoprime
+    when their product is not f(y, t0)).
     """
     ctx = f.ctx
-    if (g0 * h0) != project_t(f, t0):
-        raise NotCoprime("seed product does not match the projection")
     shifted = [u.shift(t0) for u in to_ylist(f)]  # t -> t + t0
+    if g0 * h0 != UniPoly(ctx, [u[0] for u in shifted]):
+        raise NotCoprime("seed product does not match the projection")
     Ft = [UniPoly.from_logs(ctx, u.logs[:precision]) for u in shifted]
     G, H = _lift_list(Ft, _lift_plan([g0, h0], ctx), precision, ctx)
     Gp = from_ylist(ctx, [u.shift(-t0) for u in G])

@@ -38,6 +38,16 @@ class _Args(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+def _fraction(text):
+    """Fraction(text); a zero denominator is bad usage like any other text
+    that is not a fraction."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            "invalid Fraction value: %r" % text) from None
+
+
 @functools.cache
 def _build_parser():
     # built once per process: parse_args reads the parser and changes nothing
@@ -56,7 +66,7 @@ def _build_parser():
 
     def cap_flags(p):
         # only the subcommands that compute a sparsity cap take these
-        p.add_argument("--sb-constant", type=Fraction, default=Fraction(5),
+        p.add_argument("--sb-constant", type=_fraction, default=Fraction(5),
                        help="constant C of the sparsity cap (default 5)")
         p.add_argument("--cap", type=int, default=None,
                        help="user override for the sparsity cap")

@@ -292,15 +292,6 @@ def _enumerate_guesses(uni_parts):
                    for block, e in zip(blocks, exps)], exps
 
 
-def _score_bound(uni_parts):
-    """The largest refinement score of a guess covering f(anchor, y) =
-    prod g^u_g over k distinct g, splitting a g across parts or not:
-    2*sum(u_g) - k.  A covering guess with m parts P_i of exponents e_i has
-    sum(u_g) = sum(e_i*|P_i|) and sum(|P_i| - 1) >= k - m, so its score
-    2*sum(e_i) - m is at most 2*sum(u_g) - k."""
-    return 2 * sum(u for _, u in uni_parts) - len(uni_parts)
-
-
 # -- the monic driver ---------------------------------------------------------
 
 def _full_grid(ctx, n):
@@ -372,16 +363,19 @@ def factor_monic(f, sb=None):
     best_phi = 1
     stale = 0
     # every verified factorization projects, at every anchor, to a guess
-    # covering f(anchor, y), though perhaps one that puts a g into two parts
-    # (blackbox_eval rejects those, so they are not enumerated); _score_bound
-    # bounds all of them, so its minimum over anchors bounds the complete
-    # factorization's score from above, certifying completeness once the
-    # best verified score reaches it
+    # covering f(anchor, y) = prod g^u_g over k distinct g, though perhaps
+    # one that puts a g into two parts (blackbox_eval rejects those, so they
+    # are not enumerated).  A covering guess with m parts P_i of exponents
+    # e_i has sum(u_g) = sum(e_i*|P_i|) and sum(|P_i| - 1) >= k - m, so its
+    # score 2*sum(e_i) - m is at most 2*sum(u_g) - k, the score of the
+    # projection's multiplicities.  The minimum of that over anchors bounds
+    # the complete factorization's score from above, certifying
+    # completeness once the best verified score reaches it
     score_ub = None
     for anchor in _full_grid(ctx, nx):
         fa = project_y(fs, anchor)
         ufac = factor_univariate(fa)
-        anchor_max = _score_bound(ufac.parts)
+        anchor_max = phi_score(u for _, u in ufac.parts)
         score_ub = anchor_max if score_ub is None else min(score_ub, anchor_max)
         if best_phi >= score_ub:
             break  # provably complete; no guess here can do better

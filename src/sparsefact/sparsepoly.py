@@ -12,6 +12,11 @@ Variable conventions used by the factoring pipeline:
     polynomial in (x1..xn, y));
   * bivariate restrictions to a line live in (y, t) with y = index 0,
     t = index 1.
+
+restrict_to_line is the one code that substitutes field values into a
+polynomial, on the coefficients' discrete logs: a point's value
+(SparsePoly.evaluate) and an anchor projection f(a, y) (project_y) are
+read from the restriction to the line that stays at the point.
 """
 
 import heapq
@@ -190,42 +195,12 @@ class SparsePoly:
     # -- evaluation and substitution -----------------------------------------
 
     def evaluate(self, point):
-        """Full evaluation at a length-n point of field elements."""
+        """The value at a length-n point of field elements: the constant of
+        the restriction to the line that stays at the point."""
         if len(point) != self.n:
             raise ShapeMismatch("point has wrong dimension")
-        return self.eval_partial(dict(enumerate(point))).constant_value()
-
-    def eval_partial(self, assign):
-        """Substitute constants for a subset of variables.
-
-        assign maps variable index -> FieldElem.  The result keeps n variables
-        (substituted ones no longer occur)."""
-        for i in assign:
-            if not 0 <= i < self.n:
-                raise ShapeMismatch("variable index out of range")
-        out = {}
-        pow_cache = {i: {0: self.ctx.one()} for i in assign}
-        for e, c in self.terms.items():
-            v = c
-            new_e = list(e)
-            for i, val in assign.items():
-                ei = e[i]
-                if ei:
-                    cache = pow_cache[i]
-                    if ei not in cache:
-                        cache[ei] = val ** ei
-                    v = v * cache[ei]
-                new_e[i] = 0
-            key = tuple(new_e)
-            if key in out:
-                s = out[key] + v
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
-            elif not v.is_zero():
-                out[key] = v
-        return SparsePoly(self.ctx, self.n, out)
+        return restrict_to_line(self, point, point).terms.get(
+            (0, 0), self.ctx.zero())
 
     def substitute(self, i, g):
         """Replace variable i by the polynomial g (same arity)."""
@@ -370,13 +345,22 @@ def restrict_to_line(f, a, b):
 
     f has either n variables (no y) or n+1 with y last, where n = len(a).
     The result is bivariate in (y, t) with y = index 0, t = index 1.
-    Evaluating at t=0 gives f(y, a); at t=1 gives f(y, b).
+    Evaluating at t=0 gives f(y, a); at t=1 gives f(y, b).  With b = a it
+    is project_y and SparsePoly.evaluate, the only other ways to put field
+    values into f.  The coordinates must be elements of f's field
+    (TypeError for any other object, CtxMismatch for another field's).
     """
     n = len(a)
     if len(b) != n or f.n not in (n, n + 1):
         raise ShapeMismatch("line endpoints do not match the polynomial")
     has_y = f.n == n + 1
     ctx = f.ctx
+    for v in (*a, *b):
+        if not isinstance(v, FieldElem):
+            raise TypeError("a point coordinate must be a FieldElem, not %s"
+                            % type(v).__name__)
+        if v.ctx is not ctx and v.ctx != ctx:
+            raise CtxMismatch("a point coordinate from a different field")
     # per-variable linear polynomials in t, a_i + (b_i - a_i) t, and their
     # powers, as dense exponent lists (see unifactor)
     lines = [(a[i].log, (b[i] - a[i]).log) for i in range(n)]
@@ -407,15 +391,17 @@ def restrict_to_line(f, a, b):
 
 def project_y(f, a):
     """f(a, y) as a UniPoly in y, for f with y at the last index and a point
-    a for the other f.n - 1 variables."""
+    a for the other f.n - 1 variables: the t^0 row of the restriction to
+    the line that stays at a."""
     nx = f.n - 1
     if len(a) != nx:
         raise ShapeMismatch("point has %d coordinates, expected %d"
                             % (len(a), nx))
-    out = [f.ctx.zero()] * (f.degree(nx) + 1)
-    for e, c in f.eval_partial(dict(enumerate(a))).terms.items():
-        out[e[nx]] = c
-    return UniPoly(f.ctx, out)
+    logs = [f.ctx.zero_log] * (f.degree(nx) + 1)
+    for (ey, j), c in restrict_to_line(f, a, a).terms.items():
+        if not j:
+            logs[ey] = c.log
+    return UniPoly.from_logs(f.ctx, logs)
 
 
 # -- the monic transform ------------------------------------------------------

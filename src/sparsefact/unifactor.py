@@ -184,6 +184,8 @@ class UniPoly:
                                  mul_logs(self.ctx, self.logs, other.logs))
 
     def scale(self, c):
+        if c.ctx is not self.ctx and c.ctx != self.ctx:
+            raise CtxMismatch("scalar from a different field")
         return self._scale_log(c.log)
 
     def _scale_log(self, lc):
@@ -242,6 +244,8 @@ class UniPoly:
     def evaluate(self, x):
         """The value at the field element x."""
         ctx = self.ctx
+        if x.ctx is not ctx and x.ctx != ctx:
+            raise CtxMismatch("point from a different field")
         red, zech, zl, lx = ctx.reduce, ctx.zech, ctx.zero_log, x.log
         acc = zl
         for c in reversed(self.logs):

@@ -397,6 +397,17 @@ BAD_ARGUMENTS = [
 ]
 
 
+@pytest.mark.parametrize("cmd", ["factor", "polytope"])
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_bad_sb_constant_is_usage_error(cmd, value, capsys):
+    # a zero denominator used to escape argparse as a ZeroDivisionError
+    status, text = invoke([cmd, "--sb-constant", value, "x1"])
+    err = capsys.readouterr().err
+    assert status == 1 and text == ""
+    assert err.endswith("error: argument --sb-constant: invalid Fraction "
+                        "value: %r\n" % value)
+
+
 @pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=" ".join)
 def test_bad_arguments_exit_1(argv):
     status, text = invoke(argv)

@@ -20,9 +20,9 @@ from sparsefact.bifactor import factor_bivariate
 from sparsefact.factorizer import (Guess, factor, factor_monic,
                                    blackbox_eval, reconstruct_sparse,
                                    verify_factorization, _full_grid,
-                                   _enumerate_guesses, _score_bound)
+                                   _enumerate_guesses)
 from tests_oracle import (enumerate_guesses_unbounded,
-                          blackbox_eval_by_line_factors)
+                          blackbox_eval_by_line_factors, ref_projection)
 
 F7 = make_field(7)
 F13 = make_field(13)
@@ -102,10 +102,7 @@ def test_blackbox_products_multiply_to_projection():
         for h, e in zip(hs, guess.exps):
             for _ in range(e):
                 prod = prod * h
-        fb = f.eval_partial({0: b[0]})
-        want = UniPoly(F7, [fb.terms.get((0, j), F7.zero())
-                            for j in range(f.degree(1) + 1)])
-        assert prod == want
+        assert prod == ref_projection(f, b)
 
 
 def test_blackbox_ambiguity_partition():
@@ -265,11 +262,11 @@ def test_enumerate_guesses_matches_unbounded(name):
 
 @pytest.mark.parametrize("name", sorted(GUESS_PATTERNS))
 def test_score_bound_is_largest_covering_score(name):
-    # the driver's completeness certificate must bound every covering
-    # guess, split ones included
+    # the driver's completeness certificate, the score of the projection's
+    # multiplicities, must bound every covering guess, split ones included
     uni = pattern(name)
-    assert _score_bound(uni) == max(phi_score(exps)
-                                    for _, exps in covering_guesses(uni))
+    assert phi_score(u for _, u in uni) == max(
+        phi_score(exps) for _, exps in covering_guesses(uni))
 
 
 def test_enumerate_guesses_six_simple_factors():

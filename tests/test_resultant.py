@@ -12,7 +12,7 @@ from sparsefact.sparsepoly import SparsePoly, parse_poly
 from sparsefact.unifactor import UniPoly
 from sparsefact.resultant import (sylvester_matrix, resultant_univariate,
                                   resultant_at_point)
-from tests_oracle import det_by_elimination
+from tests_oracle import det_by_elimination, ref_projection
 
 F7 = make_field(7)
 
@@ -148,10 +148,7 @@ def test_commutation_with_projection():
         f = monic(rng.randint(1, 3))
         g = monic(rng.randint(1, 3))
         a = [F7.elem(rng.randrange(7))]
-        fa = UniPoly(F7, [f.eval_partial({0: a[0]}).terms.get((0, j), F7.zero())
-                          for j in range(f.degree(1) + 1)])
-        ga = UniPoly(F7, [g.eval_partial({0: a[0]}).terms.get((0, j), F7.zero())
-                          for j in range(g.degree(1) + 1)])
+        fa, ga = ref_projection(f, a), ref_projection(g, a)
         assert resultant_at_point(f, g, a) == resultant_univariate(fa, ga)
         # nonzero resultant iff projections coprime
         assert resultant_at_point(f, g, a).is_zero() == \

@@ -52,3 +52,47 @@ def test_import_leaves_out_dataclasses():
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+# the only private names one module takes from another: the monic driver
+# lifts along lines with the bivariate engine's y-list kernels and lift
+# plan, and the char-p route of the engine takes univariate p-th roots
+PRIVATE_IMPORTS = {
+    ("factorizer", "bifactor", "_ylist_deg_t"),
+    ("factorizer", "bifactor", "_ylist_mul"),
+    ("factorizer", "bifactor", "_lift_plan"),
+    ("factorizer", "bifactor", "_lift_list"),
+    ("bifactor", "unifactor", "_pth_root_poly"),
+}
+
+
+def _private_imports(module):
+    """(module, source module, name) for each _-prefixed name that module
+    takes from another sparsefact module, by `from ... import` or as an
+    attribute of a module it imported that way."""
+    path = SOURCE / (module + ".py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("sparsefact")):
+            source = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                if not source or source == "sparsefact":  # a module itself
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.add((module, source, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            found.add((module, modules[node.value.id], node.attr))
+    return found
+
+
+def test_private_names_stay_in_their_module():
+    # a module's _-prefixed names are its own; a new coupling between
+    # module internals goes through a public name or onto this list
+    found = set().union(*(_private_imports(p.stem)
+                          for p in SOURCE.glob("*.py")))
+    assert found == PRIVATE_IMPORTS

@@ -11,10 +11,13 @@ from sparsefact.errors import (ShapeMismatch, ZeroPolynomial, ZeroDegree,
                                NoFactorizationFound, CtxMismatch)
 from sparsefact.field import make_field
 from sparsefact.polytope import sparsity_cap
+from sparsefact.resultant import resultant_at_point
 from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
                                    format_poly, make_monic, sparse_divide,
-                                   phi_score, restrict_to_line,
+                                   phi_score, restrict_to_line, project_y,
                                    normalize_scalar, lift_poly, retract_poly)
+from sparsefact.unifactor import UniPoly
+from tests_oracle import ref_restrict, ref_value, ref_projection
 
 F7 = make_field(7)
 F5 = make_field(5)
@@ -91,14 +94,6 @@ def test_evaluate_example():
     assert f.evaluate([F7.elem(2), F7.elem(3)]).serialize() == 6
 
 
-def test_partial_evaluation():
-    f = P("x1*x2")
-    assert f.eval_partial({1: F7.zero()}).is_zero()
-    g = P("y^2 + 6*x1")   # y maps to the last index
-    got = g.eval_partial({0: F7.one()})
-    assert got == P("y^2 + 6", nvars=1)
-
-
 # -- line restriction ---------------------------------------------------------
 
 def test_restrict_to_line_example():
@@ -143,27 +138,8 @@ def test_restriction_endpoints():
         a = [F7.elem(rng.randrange(7)) for _ in range(3)]
         b = [F7.elem(rng.randrange(7)) for _ in range(3)]
         ft = restrict_to_line(f, a, b)
-        assert ft.evaluate([F7.zero(), F7.zero()]) == f.evaluate(a)
-        assert ft.evaluate([F7.zero(), F7.one()]) == f.evaluate(b)
-
-
-def ref_restrict(f, a, b):
-    """The restriction on FieldElem coefficient lists, term by term."""
-    ctx, n = f.ctx, len(a)
-    out = {}
-    for e, c in f.terms.items():
-        tco = [c]
-        for i in range(n):
-            for _ in range(e[i]):
-                new = [ctx.zero()] * (len(tco) + 1)
-                for j, v in enumerate(tco):
-                    new[j] = new[j] + v * a[i]
-                    new[j + 1] = new[j + 1] + v * (b[i] - a[i])
-                tco = new
-        ey = e[n] if f.n > n else 0
-        for j, v in enumerate(tco):
-            out[(ey, j)] = out.get((ey, j), ctx.zero()) + v
-    return SparsePoly(ctx, 2, out)
+        assert ref_value(ft, [F7.zero(), F7.zero()]) == ref_value(f, a)
+        assert ref_value(ft, [F7.zero(), F7.one()]) == ref_value(f, b)
 
 
 @pytest.mark.parametrize("p,ell", [(2, 1), (7, 1), (101, 1), (3, 2), (2, 3)])
@@ -177,6 +153,85 @@ def test_restrict_to_line_matches_reference(p, ell):
         b = list(a) if rng.random() < 0.2 else \
             [ctx.from_index(rng.randrange(ctx.q)) for _ in range(n)]
         assert restrict_to_line(f, a, b) == ref_restrict(f, a, b)
+
+
+@pytest.mark.parametrize("p,ell", [(2, 1), (7, 1), (101, 1), (3, 2), (2, 3)])
+def test_line_t0_row_is_projection_and_value(p, ell):
+    # project_y and evaluate are restrictions to the line that stays at a
+    # point: every line through a has the same t^0 row, and the value is
+    # the reference's, for zero coordinates, constants and f without y
+    ctx = make_field(p, ell)
+    rng = random.Random(10 * p + ell)
+    for k in range(40):
+        n = rng.randint(1, 3)
+        maxdeg = 0 if k % 4 == 0 else 3  # every fourth f is a constant
+        f = rand_poly(ctx, n + 1, maxdeg, rng.randint(0, 6), rng)
+        if k % 3 == 0:  # no y
+            f = SparsePoly(ctx, n + 1, {e[:n] + (0,): c
+                                        for e, c in f.terms.items()})
+        a = [ctx.zero() if rng.random() < 0.3 else
+             ctx.from_index(rng.randrange(ctx.q)) for _ in range(n)]
+        b = [ctx.from_index(rng.randrange(ctx.q)) for _ in range(n)]
+        fa = project_y(f, a)
+        assert fa == ref_projection(f, a)
+        ft = restrict_to_line(f, a, b)
+        assert fa == UniPoly(ctx, [ft.terms.get((j, 0), ctx.zero())
+                                   for j in range(f.degree(n) + 1)])
+        point = a + [ctx.from_index(rng.randrange(ctx.q))]
+        assert f.evaluate(point) == ref_value(f, point)
+
+
+def _point_checks(F7, F11):
+    """The exception each point-taking function raises for a point of F_11
+    and for int coordinates, over F_7."""
+    f = parse_poly("x1*y + x1^2 + 3", F7)
+    g, h = parse_poly("y^2 + x1", F7), parse_poly("y + 2*x1", F7)
+    calls = {
+        "restrict_to_line": lambda a: restrict_to_line(f, a, a),
+        "project_y": lambda a: project_y(f, a),
+        "evaluate": lambda a: f.evaluate(a + a),
+        "resultant_at_point": lambda a: resultant_at_point(g, h, a),
+    }
+    out = []
+    for name, call in calls.items():
+        for a in ([F11.elem(3)], [3]):
+            try:
+                call(a)
+                out.append("%s returned" % name)
+            except (CtxMismatch, TypeError) as err:
+                out.append("%s %s" % (name, type(err).__name__))
+    return out
+
+
+POINT_CHECKS = ["restrict_to_line CtxMismatch", "restrict_to_line TypeError",
+                "project_y CtxMismatch", "project_y TypeError",
+                "evaluate CtxMismatch", "evaluate TypeError",
+                "resultant_at_point CtxMismatch",
+                "resultant_at_point TypeError"]
+
+
+def test_points_from_another_field_raise():
+    # the F_11 line through 3 used to restrict x1*y + x1^2 + 3 over F_7 to
+    # 2*x1*x2 + 4*x2^2 + 3*x1 + 5*x2 + 5 without a word
+    assert _point_checks(F7, make_field(11)) == POINT_CHECKS
+    b = [F7.one()]
+    with pytest.raises(CtxMismatch):
+        restrict_to_line(P("x1*y"), [make_field(11).elem(3)], b)
+    with pytest.raises(TypeError):
+        restrict_to_line(P("x1*y"), b, [1])
+
+
+def test_point_checks_survive_optimize_flag(run_optimized):
+    import inspect
+    lines = [
+        "from sparsefact.errors import CtxMismatch",
+        "from sparsefact.field import make_field",
+        "from sparsefact.resultant import resultant_at_point",
+        "from sparsefact.sparsepoly import (parse_poly, restrict_to_line,",
+        "                                   project_y)",
+    ] + inspect.getsource(_point_checks).splitlines() + [
+        "print(_point_checks(make_field(7), make_field(11)))"]
+    assert run_optimized(lines) == "False\n%r\n" % POINT_CHECKS
 
 
 # -- leading coefficients -----------------------------------------------------

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from sparsefact import unifactor
-from sparsefact.errors import DivByZero, ZeroDegree, NoFactorizationFound
+from sparsefact.errors import (DivByZero, ZeroDegree, NoFactorizationFound,
+                               CtxMismatch)
 from sparsefact.field import make_field, is_prime
 from sparsefact.unifactor import (UniPoly, UniFactorization, factor_univariate,
                                   squarefree_decompose, is_irreducible,
@@ -393,3 +394,29 @@ CHECK_LINES = [
 
 def test_checks_survive_optimize_flag(run_optimized):
     assert run_optimized(CHECK_LINES) == "False\nraised\nraised\nraised\n"
+
+
+def test_scalar_and_point_from_another_field_raise():
+    # over F_7, (y + 1).scale(3 of F_11) used to return 2*y + 2 and
+    # (y + 1).evaluate(3 of F_11) returned 3
+    three = make_field(11).elem(3)
+    for call in (U([1, 1]).scale, U([1, 1]).evaluate):
+        with pytest.raises(CtxMismatch):
+            call(three)
+    assert U([1, 1]).scale(make_field(7).elem(3)) == U([3, 3])
+    assert U([1, 1]).evaluate(F7.elem(3)) == F7.elem(4)
+
+
+def test_field_checks_survive_optimize_flag(run_optimized):
+    assert run_optimized([
+        "from sparsefact.errors import CtxMismatch",
+        "from sparsefact.field import make_field",
+        "from sparsefact.unifactor import UniPoly",
+        "F7, three = make_field(7), make_field(11).elem(3)",
+        "y1 = UniPoly(F7, [F7.one(), F7.one()])",
+        "for call in (y1.scale, y1.evaluate):",
+        "    try:",
+        "        print(call(three))",
+        "    except CtxMismatch:",
+        "        print('raised')",
+    ]) == "False\nraised\nraised\n"

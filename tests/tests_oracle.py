@@ -22,6 +22,11 @@ blackbox_eval_by_line_factors: black-box factor evaluation by a complete
 factorization of the line restriction, each bivariate factor routed to the
 unique part one of whose univariate pieces divides its t=0 projection.
 
+ref_restrict, ref_value, ref_projection: the restriction of a polynomial to
+a line (1-t)*a + t*b, its value at a point and its projection f(a, y), on
+FieldElem coefficient lists term by term, the references for the one
+log-domain restriction kernel that all three share.
+
 ceil_c_d2_log2_by_powers: the sparsity-bound exponent ceil(C*d2*log2(M))
 by comparing the integer powers 2^(a*C.den) and M^(C.num*d2) outright.
 
@@ -161,14 +166,20 @@ def enumerate_guesses_unbounded(uni_parts, k):
 def blackbox_eval_by_line_factors(f, guess, b):
     from sparsefact.errors import GuessInvalid
     from sparsefact.sparsepoly import restrict_to_line
-    from sparsefact.bifactor import project_t
     from sparsefact.factorizer import factor
     from sparsefact.unifactor import UniPoly
     ctx = f.ctx
     ft = restrict_to_line(f, list(guess.anchor), list(b))
     accs = [UniPoly.constant(ctx, 1) for _ in guess.parts]
     for F, v in factor(ft).parts:
-        F0, F1 = project_t(F, ctx.zero()), project_t(F, ctx.one())
+        # F(y, 0) is F's t^0 row and F(y, 1) the sum of its rows
+        F0 = [ctx.zero()] * (F.degree(0) + 1)
+        F1 = list(F0)
+        for (i, j), c in F.terms.items():
+            F1[i] = F1[i] + c
+            if not j:
+                F0[i] = c
+        F0, F1 = UniPoly(ctx, F0), UniPoly(ctx, F1)
         hits = [i for i, part in enumerate(guess.parts)
                 if any((F0 % g).is_zero() for g in part)]
         if len(hits) != 1:
@@ -259,3 +270,36 @@ def pair_lift_by_division(F, g0, h0, prec, ctx):
             H[j][m] = v
     return ([UniPoly.from_logs(ctx, row) for row in G],
             [UniPoly.from_logs(ctx, row) for row in H])
+
+
+def ref_restrict(f, a, b):
+    """The restriction on FieldElem coefficient lists, term by term."""
+    from sparsefact.sparsepoly import SparsePoly
+    ctx, n = f.ctx, len(a)
+    out = {}
+    for e, c in f.terms.items():
+        tco = [c]
+        for i in range(n):
+            for _ in range(e[i]):
+                new = [ctx.zero()] * (len(tco) + 1)
+                for j, v in enumerate(tco):
+                    new[j] = new[j] + v * a[i]
+                    new[j + 1] = new[j + 1] + v * (b[i] - a[i])
+                tco = new
+        ey = e[n] if f.n > n else 0
+        for j, v in enumerate(tco):
+            out[(ey, j)] = out.get((ey, j), ctx.zero()) + v
+    return SparsePoly(ctx, 2, out)
+
+
+def ref_value(f, point):
+    """f at a point of all f.n coordinates."""
+    return ref_restrict(f, point, point).terms.get((0, 0), f.ctx.zero())
+
+
+def ref_projection(f, a):
+    """f(a, y) as a UniPoly, for f with y at the last index."""
+    from sparsefact.unifactor import UniPoly
+    ft = ref_restrict(f, a, a)
+    return UniPoly(f.ctx, [ft.terms.get((j, 0), f.ctx.zero())
+                           for j in range(f.degree(f.n - 1) + 1)])
