@@ -347,7 +347,8 @@ def restrict_to_line(f, a, b):
     The result is bivariate in (y, t) with y = index 0, t = index 1.
     Evaluating at t=0 gives f(y, a); at t=1 gives f(y, b).  With b = a it
     is project_y and SparsePoly.evaluate, the only other ways to put field
-    values into f.  The coordinates must be elements of f's field
+    values into f; a coordinate with b_i = a_i costs one log power per
+    term, whatever its degree.  The coordinates must be elements of f's field
     (TypeError for any other object, CtxMismatch for another field's).
     """
     n = len(a)
@@ -361,30 +362,32 @@ def restrict_to_line(f, a, b):
                             % type(v).__name__)
         if v.ctx is not ctx and v.ctx != ctx:
             raise CtxMismatch("a point coordinate from a different field")
+    exp, zl, q1 = ctx.exp, ctx.zero_log, ctx.q - 1
     # per-variable linear polynomials in t, a_i + (b_i - a_i) t, and their
     # powers, as dense exponent lists (see unifactor)
     lines = [(a[i].log, (b[i] - a[i]).log) for i in range(n)]
-    pow_cache = [{0: [0]} for _ in range(n)]
-
-    def line_power(i, e):
-        cache = pow_cache[i]
-        if e not in cache:
-            cache[e] = mul_logs(ctx, line_power(i, e - 1), lines[i])
-        return cache[e]
-
-    exp, zl = ctx.exp, ctx.zero_log
-    width = 1 + max((sum(e[:n]) for e in f.terms), default=0)
+    powers = [[[0]] for _ in range(n)]
+    moving = [i for i in range(n) if lines[i][1] != zl]
+    width = 1 + max((sum(e[i] for i in moving) for e in f.terms), default=0)
     rows = {}  # y-exponent -> t-coefficients
     for e, c in f.terms.items():
-        tco = None  # the product of the line powers, None for one
-        for i in range(n):
-            if e[i]:
-                pw = line_power(i, e[i])
-                tco = pw if tco is None else mul_logs(ctx, tco, pw)
+        # a coordinate that stays at a_i scales the term by a_i^e_i, one
+        # log; the others multiply its t-coefficients (None for one) by
+        # powers of their lines, built up as far as needed
+        lc, tco = c.log, None
+        for line, pows, k in zip(lines, powers, e):
+            if not k:
+                continue
+            if line[1] != zl:
+                while len(pows) <= k:
+                    pows.append(mul_logs(ctx, pows[-1], line))
+                tco = pows[k] if tco is None else mul_logs(ctx, tco, pows[k])
+            elif lc != zl:  # zero sticks once some a_i = 0
+                lc = zl if line[0] == zl else (lc + k * line[0]) % q1
         ey = e[n] if has_y else 0
         if ey not in rows:
             rows[ey] = [zl] * width
-        addmul_logs(ctx, rows[ey], (0,) if tco is None else tco, (c.log,))
+        addmul_logs(ctx, rows[ey], (0,) if tco is None else tco, (lc,))
     return SparsePoly(ctx, 2, {(ey, j): exp[v] for ey, row in rows.items()
                                for j, v in enumerate(row) if v != zl})
 
@@ -398,9 +401,8 @@ def project_y(f, a):
         raise ShapeMismatch("point has %d coordinates, expected %d"
                             % (len(a), nx))
     logs = [f.ctx.zero_log] * (f.degree(nx) + 1)
-    for (ey, j), c in restrict_to_line(f, a, a).terms.items():
-        if not j:
-            logs[ey] = c.log
+    for (ey, _), c in restrict_to_line(f, a, a).terms.items():
+        logs[ey] = c.log  # a line that stays at a has only a t^0 row
     return UniPoly.from_logs(f.ctx, logs)
 
 

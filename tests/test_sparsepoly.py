@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sparsefact.errors import (ShapeMismatch, ZeroPolynomial, ZeroDegree,
                                Reject, EmptyVector, ParseError,
                                NoFactorizationFound, CtxMismatch)
+from sparsefact.factorizer import factor
 from sparsefact.field import make_field
 from sparsefact.polytope import sparsity_cap
 from sparsefact.resultant import resultant_at_point
@@ -179,6 +180,22 @@ def test_line_t0_row_is_projection_and_value(p, ell):
                                    for j in range(f.degree(n) + 1)])
         point = a + [ctx.from_index(rng.randrange(ctx.q))]
         assert f.evaluate(point) == ref_value(f, point)
+
+
+def test_high_degree_point_projection_and_line():
+    # x-degrees past the interpreter's recursion limit: a line that stays at
+    # a point costs one power per variable, a moving one is built by a loop
+    f = P("x1^2000*y + x2^2500 + x1 + 3")
+    a = [F7.elem(3), F7.zero()]
+    assert project_y(f, a) == ref_projection(f, a)
+    point = a + [F7.elem(5)]
+    assert f.evaluate(point) == ref_value(f, point)
+    g = P("x1^2000 + 1")
+    assert g.evaluate([F7.elem(2)]) == F7.elem(2) ** 2000 + F7.one()
+    assert restrict_to_line(g, [F7.zero()], [F7.one()]) == \
+        SparsePoly(F7, 2, {(0, 2000): F7.one(), (0, 0): F7.one()})
+    h = P("y + x1^2000 + x2")
+    assert factor(h).parts == [(h, 1)]
 
 
 def _point_checks(F7, F11):

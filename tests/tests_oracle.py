@@ -280,6 +280,9 @@ def ref_restrict(f, a, b):
     for e, c in f.terms.items():
         tco = [c]
         for i in range(n):
+            if b[i] == a[i]:  # a_i^e_i by FieldElem powering
+                tco = [v * a[i] ** e[i] for v in tco]
+                continue
             for _ in range(e[i]):
                 new = [ctx.zero()] * (len(tco) + 1)
                 for j, v in enumerate(tco):
