@@ -304,7 +304,8 @@ def hensel_lift(f, g0, h0, t0, precision):
     Returns (G, H) as bivariate polynomials with G*H == f mod (t-t0)^precision,
     G == g0 and H == h0 mod (t-t0).  The seeds are checked against the t^0
     column of f shifted by t -> t + t0, the rows the lift reads (NotCoprime
-    when their product is not f(y, t0)).
+    when their product is not f(y, t0)).  t0 must be an element of f's
+    field (TypeError for any other object, CtxMismatch for another field's).
     """
     ctx = f.ctx
     shifted = [u.shift(t0) for u in to_ylist(f)]  # t -> t + t0

@@ -9,12 +9,13 @@ Three layers:
     seeds the line: the restriction of f to the line through (anchor, b) is
     Hensel-lifted from the pairwise-coprime seeds g^u_g, and each part's
     value is the e-th root of its lifted seeds' product at t=1 (Kaltofen and
-    Trager's lines through one point).  The seeds' lift plan and each
-    guess's check are made once per anchor and kept in the driver's
-    per-anchor cache.  A guess that splits a g across parts
-    or does not reproduce the projection, and a line where the parts' lifts
-    are not polynomial factors or not e-th powers, raise GuessInvalid, which
-    simply discards the guess.
+    Trager's lines through one point).  The projection, its factors, the
+    seeds' lift plan and each line's lifts belong to the anchor, so they sit
+    in one record per anchor (_Anchor) that all its guesses share.  A guess
+    whose pieces are not the projection's factors g, each in one part i and
+    there u_g/e_i times, and a line where the parts' lifts are not
+    polynomial factors or not e-th powers, raise GuessInvalid, which simply
+    discards the guess.
 
   * factor_monic — scans anchors over all of F^nx, nonzero coordinates
     first (_full_grid), projects f once at each, enumerates the guesses
@@ -86,54 +87,71 @@ class Guess:
 
 # -- black-box factor evaluation ----------------------------------------------
 
-def blackbox_eval(f, guess, b, cache=None):
+class _Anchor:
+    """What all guesses and lines at one anchor of f share: the projection
+    f(anchor, y) and its factors [(g, u_g)], monic irreducibles in sort_key
+    order; the lift plan of the seeds g^u_g in that order
+    (bifactor._lift_plan: Bezout cofactors and step tables), made on first
+    use; and the lifted seeds of each line, keyed by its point b."""
+
+    __slots__ = ("f", "anchor", "projection", "factors", "plan", "lines")
+
+    def __init__(self, f, anchor):
+        self.f = f
+        self.anchor = tuple(anchor)
+        self.projection = project_y(f, list(self.anchor))
+        self.factors = factor_univariate(self.projection).parts
+        self.plan = None
+        self.lines = {}  # b -> (precision, lifted seeds)
+
+
+def blackbox_eval(f, guess, b, at=None):
     """Evaluate the guessed factors of a y-monic f at the point b.
 
-    Returns one monic UniPoly in y per part.  The guess must put each
-    univariate piece g in one part only and, with u_g = e_i times g's count
-    in its part i, reproduce the anchor projection: prod g^u_g ==
-    f(anchor, y).  The restriction F(y, t) of f to the line (1-t)*anchor +
-    t*b then has F(y, 0) = prod g^u_g with pairwise-coprime seeds, which
-    lift uniquely modulo t^(deg_t F + 1).  If the guess is right, part i's
+    Returns one monic UniPoly in y per part.  The guess's pieces must be the
+    irreducible factors g of f(anchor, y) = prod g^u_g, each in one part i
+    and there u_g/e_i times; a product of them taken as one piece is
+    invalid.  The restriction F(y, t) of f to the line (1-t)*anchor + t*b
+    then has F(y, 0) = prod g^u_g with pairwise-coprime seeds, which lift
+    uniquely modulo t^(deg_t F + 1).  If the guess is right, part i's
     lifted seeds multiply, truncated there, to h_i^e_i on the line, which
     has no higher t-degree: part i's value is the monic e_i-th root of that
-    product at t=1.  GuessInvalid is raised when the guess fails either
+    product at t=1.  GuessInvalid is raised when the guess fails the first
     condition, when the parts' t-degrees do not add up to deg_t F (so their
     truncated products are not a factorization of F) or when a value is not
     an e_i-th power.
 
-    cache is a dict owned by the caller for one f and anchor, shared by
-    every guess and point there.  It keeps the anchor projection under the
-    key None (a caller that has f(anchor, y) may put it there), each
-    guess's check under (parts, exps): its seeds and the part of each seed,
-    or the reason it is invalid, so that a guess is checked once however
-    many points it is evaluated at.  Every line through the anchor has the
-    same fibre at t = 0, so the lift plan of the seeds (bifactor._lift_plan:
-    Bezout cofactors and step tables) is kept once under the seeds, and the
-    lifted seeds of each line under (b, seeds).
+    at is the _Anchor of f and guess.anchor, shared by every guess and
+    point there; one is made when it is None.  ValueError is raised when it
+    was made for another f or anchor.
     """
+    if at is None:
+        at = _Anchor(f, guess.anchor)
+    elif (at.f is not f and at.f != f) or (
+            at.anchor is not guess.anchor
+            and at.anchor != tuple(guess.anchor)):
+        raise ValueError("the anchor record was made for another f or anchor")
     ctx = f.ctx
-    if cache is None:
-        cache = {}
-    if None not in cache:  # the anchor projection
-        cache[None] = project_y(f, list(guess.anchor))
-    key = (guess.parts, guess.exps)
-    if key not in cache:
-        cache[key] = _check_guess(guess, cache[None])
-    checked = cache[key]
-    if isinstance(checked, str):
-        raise GuessInvalid(checked)
-    owners, seeds = checked
-    line = (tuple(v.coeffs for v in b), seeds)
-    if line not in cache:
-        if seeds not in cache:
-            cache[seeds] = _lift_plan(seeds, ctx)
-        F = to_ylist(restrict_to_line(f, list(guess.anchor), list(b)))
+    owner, u = {}, {}  # piece -> its part, and u_g
+    for i, (part, e) in enumerate(zip(guess.parts, guess.exps)):
+        for g in part:
+            if owner.setdefault(g, i) != i:
+                raise GuessInvalid("a univariate piece lies in two parts")
+            u[g] = u.get(g, 0) + e
+    if len(u) != len(at.factors) or any(u.get(g) != m for g, m in at.factors):
+        raise GuessInvalid("the guess does not reproduce the projection")
+    b = tuple(b)
+    line = at.lines.get(b)
+    if line is None:
+        if at.plan is None:
+            at.plan = _lift_plan([g ** m for g, m in at.factors], ctx)
+        F = to_ylist(restrict_to_line(f, list(at.anchor), list(b)))
         prec = _ylist_deg_t(F) + 1
-        cache[line] = (prec, _lift_list(F, cache[seeds], prec, ctx))
-    prec, lifted = cache[line]
+        line = at.lines[b] = (prec, _lift_list(F, at.plan, prec, ctx))
+    prec, lifted = line
     products = [None] * len(guess.parts)  # part -> its lifts' product
-    for i, G in zip(owners, lifted):
+    for (g, _), G in zip(at.factors, lifted):
+        i = owner[g]
         products[i] = G if products[i] is None else _ylist_mul(
             products[i], G, ctx, prec)
     if sum(_ylist_deg_t(P) for P in products) != prec - 1:
@@ -146,27 +164,6 @@ def blackbox_eval(f, guess, b, cache=None):
             raise GuessInvalid("part value is not a %d-th power" % e)
         out.append(r)
     return out
-
-
-def _check_guess(guess, projection):
-    """(owners, seeds) for a guess that puts each univariate piece g in one
-    part and reproduces the projection: seeds are the g^u_g in sort_key
-    order and owners[j] the part of seeds[j].  For any other guess, the
-    reason it is invalid."""
-    owner, u = {}, {}  # piece -> its part, and u_g
-    for i, (part, e) in enumerate(zip(guess.parts, guess.exps)):
-        for g in part:
-            if owner.setdefault(g, i) != i:
-                return "a univariate piece lies in two parts"
-            u[g] = u.get(g, 0) + e
-    gs = sorted(owner, key=UniPoly.sort_key)
-    seeds = tuple(g ** u[g] for g in gs)
-    prod = UniPoly.constant(projection.ctx, 1)
-    for s in seeds:
-        prod = prod * s
-    if prod != projection:
-        return "the guess does not reproduce the projection"
-    return tuple(owner[g] for g in gs), seeds
 
 
 # -- sparse reconstruction ----------------------------------------------------
@@ -373,30 +370,25 @@ def factor_monic(f, sb=None):
     # completeness once the best verified score reaches it
     score_ub = None
     for anchor in _full_grid(ctx, nx):
-        fa = project_y(fs, anchor)
-        ufac = factor_univariate(fa)
-        anchor_max = phi_score(u for _, u in ufac.parts)
+        at = _Anchor(fs, anchor)
+        anchor_max = phi_score(u for _, u in at.factors)
         score_ub = anchor_max if score_ub is None else min(score_ub, anchor_max)
         if best_phi >= score_ub:
             break  # provably complete; no guess here can do better
         improved = False
-        # the anchor projection and the lifted seeds of each line, shared by
-        # all guesses at this anchor
-        cache = {None: fa}
         # highest-scoring guesses first: the complete factorization always
         # scores maximally among verifiable candidates, so on a good anchor
         # the first surviving reconstruction is already the final answer
-        guesses = sorted(_enumerate_guesses(ufac.parts),
+        guesses = sorted(_enumerate_guesses(at.factors),
                          key=lambda pe: -phi_score(pe[1]))
         for parts, exps in guesses:
             phi = phi_score(exps)
             if phi <= best_phi:
                 break  # sorted descending: nothing below can improve
-            guess = Guess(anchor=tuple(anchor),
+            guess = Guess(anchor=at.anchor,
                           parts=tuple(tuple(p) for p in parts),
                           exps=tuple(exps))
-            candidate = _reconstruct_candidate(fs, guess, grid_axes, cap,
-                                               cache)
+            candidate = _reconstruct_candidate(at, guess, grid_axes, cap)
             if candidate is None:
                 continue
             if fs is not f:
@@ -417,16 +409,17 @@ def factor_monic(f, sb=None):
     return best
 
 
-def _reconstruct_candidate(f, guess, grid_axes, cap, cache):
-    """Tensor-grid reconstruction of all parts for one guess, or None.  One
-    interpolation recovers every y-coefficient below the leading one of
-    every part: h_i = y^dp + sum_{j<dp} c_ij(x) y^j."""
+def _reconstruct_candidate(at, guess, grid_axes, cap):
+    """Tensor-grid reconstruction of all parts for one guess at the anchor
+    record at, or None.  One interpolation recovers every y-coefficient
+    below the leading one of every part: h_i = y^dp + sum_{j<dp} c_ij y^j."""
+    f = at.f
     ctx = f.ctx
     nx = f.n - 1
     values = {}  # grid point -> the parts' lower y-coefficients, in order
     try:
         for b in itertools.product(*grid_axes):
-            values[b] = [c for u in blackbox_eval(f, guess, b, cache)
+            values[b] = [c for u in blackbox_eval(f, guess, b, at)
                          for c in u.coeffs[:-1]]
     except GuessInvalid:
         return None

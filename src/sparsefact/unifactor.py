@@ -114,8 +114,8 @@ class UniPoly:
     def __init__(self, ctx, coeffs=()):
         logs = []
         for c in coeffs:
-            if c.ctx is not ctx and c.ctx != ctx:
-                raise CtxMismatch("coefficient from a different field")
+            if getattr(c, "ctx", None) is not ctx:
+                _check_elem(c, ctx, "a coefficient")
             logs.append(c.log)
         self.ctx = ctx
         self.logs = _trimmed(logs, ctx.zero_log)
@@ -184,8 +184,8 @@ class UniPoly:
                                  mul_logs(self.ctx, self.logs, other.logs))
 
     def scale(self, c):
-        if c.ctx is not self.ctx and c.ctx != self.ctx:
-            raise CtxMismatch("scalar from a different field")
+        if getattr(c, "ctx", None) is not self.ctx:
+            _check_elem(c, self.ctx, "a scalar")
         return self._scale_log(c.log)
 
     def _scale_log(self, lc):
@@ -244,8 +244,8 @@ class UniPoly:
     def evaluate(self, x):
         """The value at the field element x."""
         ctx = self.ctx
-        if x.ctx is not ctx and x.ctx != ctx:
-            raise CtxMismatch("point from a different field")
+        if getattr(x, "ctx", None) is not ctx:
+            _check_elem(x, ctx, "a point")
         red, zech, zl, lx = ctx.reduce, ctx.zech, ctx.zero_log, x.log
         acc = zl
         for c in reversed(self.logs):
@@ -315,6 +315,17 @@ class UniPoly:
             else:
                 parts.append((cs + "*" if cs else "") + "y^%d" % i)
         return " + ".join(parts)
+
+
+def _check_elem(c, ctx, what):
+    """Raise TypeError unless c is a FieldElem and CtxMismatch unless it is
+    ctx's; the callers first test c.ctx is ctx, the one check their hot
+    path pays."""
+    if not isinstance(c, FieldElem):
+        raise TypeError("%s must be a FieldElem, not %s"
+                        % (what, type(c).__name__))
+    if c.ctx != ctx:
+        raise CtxMismatch("%s from a different field" % what)
 
 
 def _trimmed(logs, zl):

@@ -184,16 +184,40 @@ def test_blackbox_matches_line_factorization(p, ell):
                       parts=tuple(tuple(g for g, m in ps for _ in range(m))
                                   for ps in pieces),
                       exps=exps)
-        cache = {}
+        at = factorizer._Anchor(f, anchor)
         for _ in range(3):
             b = tuple(ctx.from_index(rng.randrange(ctx.q)) for _ in range(2))
             try:
                 want = blackbox_eval_by_line_factors(f, guess, b)
             except FieldTooSmall:
                 continue  # the reference needs a squarefree projection point
-            assert blackbox_eval(f, guess, b, cache) == want
+            assert blackbox_eval(f, guess, b, at) == want
             compared += 1
     assert compared >= 60
+
+
+def test_blackbox_record_for_another_anchor_raises():
+    # a record made at anchor (1) gave, at anchor (2), GuessInvalid for the
+    # valid guess {y+5},{y+2} and anchor (1)'s values for the invalid guess
+    # {y+6},{y+1}; a record of another f is refused too
+    f = P("y^2 + 6*x1^2")
+    y1, y2, y5, y6 = U([1, 1]), U([2, 1]), U([5, 1]), U([6, 1])
+    b = (F7.elem(3),)
+    at = factorizer._Anchor(f, (F7.one(),))
+    one = Guess(anchor=at.anchor, parts=((y6,), (y1,)), exps=(1, 1))
+    assert len(blackbox_eval(f, one, b, at)) == 2
+    for parts in (((y5,), (y2,)), ((y6,), (y1,))):
+        guess = Guess(anchor=(F7.elem(2),), parts=parts, exps=(1, 1))
+        with pytest.raises(ValueError):
+            blackbox_eval(f, guess, b, at)
+    assert len(blackbox_eval(
+        f, Guess(anchor=(F7.elem(2),), parts=((y5,), (y2,)), exps=(1, 1)),
+        b)) == 2
+    with pytest.raises(GuessInvalid):
+        blackbox_eval(f, Guess(anchor=(F7.elem(2),), parts=((y6,), (y1,)),
+                               exps=(1, 1)), b)
+    with pytest.raises(ValueError):
+        blackbox_eval(P("y^2 + 6*x1"), one, b, at)
 
 
 def test_guess_rejects_malformed_state():
@@ -258,6 +282,33 @@ def test_enumerate_guesses_matches_unbounded(name):
     want = sorted(guess_key(parts, exps) for parts, exps in
                   covering_guesses(uni) if not splits_a_piece(parts))
     assert want and sorted(guess_key(*pe) for pe in guesses) == want
+
+
+@pytest.mark.parametrize("name", sorted(GUESS_PATTERNS))
+def test_blackbox_check_matches_enumeration(name):
+    # f in y alone restricts to its projection on every line, so only the
+    # check on the pieces can refuse a guess there: every enumerated guess
+    # passes it and every covering guess that splits a piece fails it
+    uni = pattern(name)
+    f, fa = SparsePoly.constant(F7, 2, 1), UniPoly.constant(F7, 1)
+    for g, u in uni:
+        piece = SparsePoly(F7, 2, {(0, i): c for i, c in enumerate(g.coeffs)
+                                   if not c.is_zero()})
+        for _ in range(u):
+            f, fa = f * piece, fa * g
+    anchor, b = (F7.elem(2),), (F7.elem(5),)
+    at = factorizer._Anchor(f, anchor)
+    assert at.projection == fa
+    assert at.factors == sorted(uni, key=lambda gu: gu[0].sort_key())
+    for parts, exps in _enumerate_guesses(at.factors):
+        guess = Guess(anchor, tuple(map(tuple, parts)), tuple(exps))
+        assert len(blackbox_eval(f, guess, b, at)) == len(parts)
+    split = [pe for pe in covering_guesses(uni) if splits_a_piece(pe[0])]
+    for parts, exps in split:
+        guess = Guess(anchor, tuple(map(tuple, parts)), tuple(exps))
+        with pytest.raises(GuessInvalid):
+            blackbox_eval(f, guess, b, at)
+    assert split or all(u == 1 for _, u in uni)
 
 
 @pytest.mark.parametrize("name", sorted(GUESS_PATTERNS))
@@ -477,8 +528,9 @@ def test_driver_never_factors_bivariates(monkeypatch):
 
 
 def test_one_projection_per_anchor(monkeypatch):
-    # blackbox_eval takes f(anchor, y) from the driver's per-anchor cache
-    calls = {"anchor": 0, "projection": 0}
+    # blackbox_eval takes f(anchor, y) and its factors from the driver's
+    # record of the anchor, which projects and factors once
+    calls = {"anchor": 0, "projection": 0, "factorization": 0}
     full_grid = factorizer._full_grid
 
     def counted_grid(ctx, n):
@@ -489,8 +541,11 @@ def test_one_projection_per_anchor(monkeypatch):
     monkeypatch.setattr(factorizer, "_full_grid", counted_grid)
     monkeypatch.setattr(factorizer, "project_y", counted(
         calls, "projection", project_y))
+    monkeypatch.setattr(factorizer, "factor_univariate", counted(
+        calls, "factorization", factor_univariate))
     factor_monic_products()
-    assert calls["anchor"] >= 2 and calls["projection"] == calls["anchor"]
+    assert calls["anchor"] >= 2
+    assert calls["projection"] == calls["factorization"] == calls["anchor"]
 
 
 def test_one_bezout_cofactor_per_anchor_split(monkeypatch):
@@ -501,10 +556,10 @@ def test_one_bezout_cofactor_per_anchor_split(monkeypatch):
     anchors = set()
     evaluate = factorizer.blackbox_eval
 
-    def blackbox(f, guess, b, cache=None):
+    def blackbox(f, guess, b, at=None):
         calls["eval"] += 1
         anchors.add(guess.anchor)
-        return evaluate(f, guess, b, cache)
+        return evaluate(f, guess, b, at)
 
     monkeypatch.setattr(factorizer, "blackbox_eval", blackbox)
     monkeypatch.setattr(UniPoly, "xgcd", counted(calls, "xgcd", UniPoly.xgcd))
@@ -520,8 +575,8 @@ def test_one_bezout_cofactor_per_anchor_split(monkeypatch):
 
 
 def test_blackbox_shared_cache_matches_fresh_cache():
-    # a cache shared by every guess and point of an anchor gives what a
-    # fresh cache gives, call by call, in either order of guesses
+    # one anchor record shared by every guess and point of the anchor gives
+    # what a fresh record gives, call by call, in either order of guesses
     f = P("y^3 + 6*x1*y")
     y0, y1, y6 = U([0, 1]), U([1, 1]), U([6, 1])
     # the second guess has the first one's parts and does not cover the
@@ -533,32 +588,33 @@ def test_blackbox_shared_cache_matches_fresh_cache():
                                    (((y0, y6, y1),), (1,))]]
     points = [(F7.elem(v),) for v in range(7)]
     for order in (guesses, guesses[::-1]):
-        cache = {}
+        at = factorizer._Anchor(f, (F7.one(),))
         for guess in order:
             for b in points:
                 try:
                     want = blackbox_eval(f, guess, b)
                 except GuessInvalid:
                     with pytest.raises(GuessInvalid):
-                        blackbox_eval(f, guess, b, cache)
+                        blackbox_eval(f, guess, b, at)
                     continue
-                assert blackbox_eval(f, guess, b, cache) == want
+                assert blackbox_eval(f, guess, b, at) == want
 
 
 def test_blackbox_invalid_guess_raises_on_every_call():
-    # a guess's check is cached under (parts, exps): every later call with
-    # the same cache raises again, for a valid guess before it or after it
+    # an invalid guess leaves nothing in the anchor record: every later call
+    # with the same record raises again, for a valid guess before it or
+    # after it
     f = P("y^2 + 6*x1^2")
     y0, y1, y6 = U([0, 1]), U([1, 1]), U([6, 1])
     good = Guess(anchor=(F7.one(),), parts=((y6,), (y1,)), exps=(1, 1))
     bads = [Guess(anchor=(F7.one(),), parts=((y6,),), exps=(1,)),
             Guess(anchor=(F7.one(),), parts=((y6,), (y6, y1)), exps=(1, 1))]
-    cache = {}
+    at = factorizer._Anchor(f, (F7.one(),))
     for b in [(F7.elem(v),) for v in (2, 3, 2, 5)]:
         for bad in bads:
             with pytest.raises(GuessInvalid):
-                blackbox_eval(f, bad, b, cache)
-        assert len(blackbox_eval(f, good, b, cache)) == 2
+                blackbox_eval(f, bad, b, at)
+        assert len(blackbox_eval(f, good, b, at)) == 2
 
 
 def test_factor_monic_lift_path():
@@ -581,8 +637,8 @@ def test_factor_monic_lift_skips_unretractable_candidate(monkeypatch):
     reconstruct = factorizer._reconstruct_candidate
     offered = []
 
-    def unretractable_first(f, guess, grid_axes, cap, cache):
-        cand = reconstruct(f, guess, grid_axes, cap, cache)
+    def unretractable_first(at, guess, grid_axes, cap):
+        cand = reconstruct(at, guess, grid_axes, cap)
         if offered or cand is None or len(cand.parts) != 2:
             return cand
         z = F49.elem((0, 1))

@@ -1,6 +1,7 @@
 """Univariate factorization: squarefree decomposition, Berlekamp splitting,
 and irreducibility, with brute-force cross-checks."""
 
+import inspect
 import itertools
 import random
 
@@ -405,6 +406,43 @@ def test_scalar_and_point_from_another_field_raise():
             call(three)
     assert U([1, 1]).scale(make_field(7).elem(3)) == U([3, 3])
     assert U([1, 1]).evaluate(F7.elem(3)) == F7.elem(4)
+
+
+def _scalar_checks(name):
+    """The exceptions that one scalar-taking call over F_7 raises for an
+    element of F_11 and for an int."""
+    from sparsefact.bifactor import hensel_lift
+    from sparsefact.errors import CtxMismatch
+    from sparsefact.field import make_field
+    from sparsefact.sparsepoly import SparsePoly
+    from sparsefact.unifactor import UniPoly
+    F = make_field(7)
+    y1 = UniPoly(F, [F.one(), F.one()])
+    y6 = UniPoly(F, [F.elem(6), F.one()])
+    f = SparsePoly(F, 2, {(2, 0): F.one(), (0, 2): F.elem(6)})  # y^2 - t^2
+    calls = {"UniPoly": lambda c: UniPoly(F, [F.one(), c]),
+             "evaluate": y1.evaluate, "scale": y1.scale, "shift": y1.shift,
+             "hensel_lift": lambda c: hensel_lift(f, y6, y1, c, 3)}
+    out = []
+    for c in (make_field(11).elem(3), 3):
+        try:
+            calls[name](c)
+            out.append("returned")
+        except (CtxMismatch, TypeError) as err:
+            out.append(type(err).__name__)
+    return out
+
+
+@pytest.mark.parametrize("name", ["UniPoly", "evaluate", "scale", "shift",
+                                  "hensel_lift"])
+def test_int_scalars_raise_type_error(name, run_optimized):
+    # an int used to die with AttributeError: 'int' object has no
+    # attribute 'ctx'; the checks must hold under python -O too
+    want = ["CtxMismatch", "TypeError"]
+    assert _scalar_checks(name) == want
+    lines = inspect.getsource(_scalar_checks).splitlines()
+    assert run_optimized(lines + ["print(_scalar_checks(%r))" % name]) == \
+        "False\n%r\n" % want
 
 
 def test_field_checks_survive_optimize_flag(run_optimized):
