@@ -93,7 +93,6 @@ def _build_parser():
     ph = sub.add_parser("hitset", help="dump a hitting set")
     common(ph)
     ph.add_argument("--n", type=int, required=True, help="number of variables")
-    ph.add_argument("--s", type=int, required=True, help="sparsity bound")
     ph.add_argument("--d", type=int, required=True, help="individual degree")
     ph.add_argument("--k", type=int, required=True, help="product arity")
     ph.add_argument("--limit", type=int, default=None,
@@ -204,7 +203,7 @@ def _cmd_polytope(args, out):
 
 def _cmd_hitset(args, out):
     ctx = _field(args)
-    hs = gen_hitting_set(ctx, args.n, args.s, args.d, args.k)
+    hs = gen_hitting_set(ctx, args.n, args.d, args.k)
     if args.limit is not None and args.limit < 0:
         raise ValueError("negative point limit %d" % args.limit)
     # points are written as they come: the grid has (k*d + 1)^n of them

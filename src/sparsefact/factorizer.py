@@ -25,7 +25,9 @@ Three layers:
     tensor-grid interpolation of the vector of their y-coefficients,
     verifies candidates by explicit multiplication, and keeps the verified
     candidate with maximal refinement score 2*sum(e)-m (first-in-
-    enumeration tie-break).  When F has fewer points than the grid needs,
+    enumeration tie-break).  It stops when the best verified score reaches
+    the bound proven from the projections, or after the last anchor of
+    F^nx.  When F has fewer points than the grid needs,
     anchors and grid come from the smallest extension in field.extensions
     that has enough, and a candidate is admitted only if its factors
     retract to F.  Its only setting is the sparsity-cap configuration
@@ -60,12 +62,6 @@ from .polytope import sparsity_cap
 from .unifactor import UniPoly, addmul_logs, factor_univariate, monic_root
 from .bifactor import (factor_bivariate, to_ylist, _ylist_deg_t, _ylist_mul,
                        _lift_plan, _lift_list)
-
-
-# stop scanning anchors after this many consecutive ones that fail to
-# improve the best refinement score (desk-scale completeness heuristic;
-# non-improving anchors are cheap, so err on the patient side)
-ANCHOR_PATIENCE = 6
 
 
 class Guess:
@@ -296,7 +292,10 @@ def _full_grid(ctx, n):
     tuples come with the fewest zero coordinates first, then by index sum,
     then lexicographically, so early anchors vary every coordinate —
     all-axis-aligned prefixes make for systematically degenerate
-    projections."""
+    projections.  The order does not decide an answer the driver proves
+    complete, only how soon the proof comes: on the seed-1 factor-prime
+    benchmark pass, nonzero-coordinate anchors in plain lexicographic order
+    scan 62 anchors and itertools.product order 1 159, against 54."""
     elems = list(ctx.elements())
     top = ctx.q - 1
 
@@ -326,7 +325,10 @@ def factor_monic(f, sb=None):
     """Unique monic factorization of a polynomial monic in y (last index).
 
     Verified candidates only; among them the refinement score 2*sum(e)-m is
-    maximized, with a first-in-enumeration tie-break.  The winning candidate
+    maximized, with a first-in-enumeration tie-break.  The anchor scan
+    stops when the best verified score reaches the bound proven from the
+    projections seen so far (the complete factorization is then the best
+    candidate) or after the last anchor of F^nx.  The winning candidate
     is returned as reconstructed (y-monic factors, unit one, not sorted);
     factor() canonicalizes it.  sb configures the sparsity cap (SBConfig,
     default when None).  Anchors and the interpolation grid come from f's
@@ -358,7 +360,6 @@ def factor_monic(f, sb=None):
     grid_axes = [list(itertools.islice(ctx.elements(), dv + 1)) for dv in degs]
     best = Factorization(base.one(), [(f, 1)])  # trivial candidate, score 1
     best_phi = 1
-    stale = 0
     # every verified factorization projects, at every anchor, to a guess
     # covering f(anchor, y) = prod g^u_g over k distinct g, though perhaps
     # one that puts a g into two parts (blackbox_eval rejects those, so they
@@ -375,7 +376,6 @@ def factor_monic(f, sb=None):
         score_ub = anchor_max if score_ub is None else min(score_ub, anchor_max)
         if best_phi >= score_ub:
             break  # provably complete; no guess here can do better
-        improved = False
         # highest-scoring guesses first: the complete factorization always
         # scores maximally among verifiable candidates, so on a good anchor
         # the first surviving reconstruction is already the final answer
@@ -400,12 +400,8 @@ def factor_monic(f, sb=None):
             if verify_factorization(f, candidate, cap):
                 best = candidate
                 best_phi = phi
-                improved = True
         if best_phi >= score_ub:
             break  # provably complete
-        stale = 0 if improved else stale + 1
-        if stale >= ANCHOR_PATIENCE:
-            break
     return best
 
 

@@ -4,7 +4,7 @@ The hitting set is the full tensor grid {a_0..a_D}^n with D = k*d over the
 first D+1 field elements: a nonzero product of k polynomials of individual
 degree <= d has individual degree <= D, and a nonzero polynomial of
 individual degree <= D cannot vanish on a full (D+1)-point-per-axis grid.
-This holds for every sparsity s.  Points come in lexicographic order, so
+This holds whatever the sparsity.  Points come in lexicographic order, so
 every dump is reproducible.  This is library API behind the `hitset`
 command; the factoring drivers take their anchors from their own grid.
 """
@@ -30,11 +30,11 @@ class HittingSet:
         return list(itertools.islice(self, limit))
 
 
-def gen_hitting_set(ctx, n, s, d, k):
-    """Hitting set for nonzero products of k s-sparse polynomials of
-    individual degree <= d in n variables over ctx."""
-    if min(n, s, d, k) < 1:
-        raise ValueError("hitting sets need n, s, d, k >= 1")
+def gen_hitting_set(ctx, n, d, k):
+    """Hitting set for nonzero products of k polynomials of individual
+    degree <= d in n variables over ctx."""
+    if min(n, d, k) < 1:
+        raise ValueError("hitting sets need n, d, k >= 1")
     D = k * d
     if D + 1 > ctx.q:
         raise FieldTooSmall(required=D + 1)

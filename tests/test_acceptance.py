@@ -199,7 +199,7 @@ def test_06_resultant_identities():
 
 def test_07_hitting_set_soundness_exhaustive():
     for n in (1, 2):
-        hs = gen_hitting_set(F7, n, 9, 2, 1)
+        hs = gen_hitting_set(F7, n, 2, 1)
         pts = hs.points()
         exps = list(itertools.product(range(3), repeat=n))
         for coeffs in itertools.product(range(3), repeat=len(exps)):
@@ -281,7 +281,7 @@ def test_10_cli_determinism():
                      ["verify", "x1^2 + 6", "--factor", "x1 + 1",
                       "--factor", "x1 + 6"],
                      ["polytope", "--json", "x1^2*x2 + x2 + 3"],
-                     ["hitset", "--n", "2", "--s", "3", "--d", "2", "--k", "2"],
+                     ["hitset", "--n", "2", "--d", "2", "--k", "2"],
                      ["examples", "--which", "eg1", "--n", "3", "--d", "2"],
                      ["examples", "--which", "hadamard", "--m", "3"]):
             out = io.StringIO()

@@ -259,8 +259,7 @@ def test_polytope_high_degree_binomial_is_fast():
 # -- hitset -------------------------------------------------------------------
 
 def test_hitset_dump():
-    status, text = invoke(["hitset", "--n", "2", "--s", "4",
-                           "--d", "2", "--k", "1"])
+    status, text = invoke(["hitset", "--n", "2", "--d", "2", "--k", "1"])
     assert status == 0
     lines = text.strip().split("\n")
     assert lines[0] == "size: 9" and len(lines) == 10
@@ -268,18 +267,19 @@ def test_hitset_dump():
 
 
 def test_hitset_limit_and_json():
-    status, text = invoke(["hitset", "--n", "2", "--s", "4", "--d", "2",
-                           "--k", "1", "--limit", "3", "--json"])
+    status, text = invoke(["hitset", "--n", "2", "--d", "2", "--k", "1",
+                           "--limit", "3", "--json"])
     assert status == 0
     doc = json.loads(text)
     assert doc["size"] == 9 and doc["points"] == [[0, 0], [0, 1], [0, 2]]
 
 
 def test_hitset_strategy_flag_exit_1():
-    # the grid is the one construction; --strategy is a usage error
-    for strategy in ("ks", "grid"):
-        status, _ = invoke(["hitset", "--n", "2", "--s", "2", "--d", "1",
-                            "--k", "1", "--strategy", strategy])
+    # the grid is the one construction and takes no sparsity; --strategy
+    # and --s are usage errors
+    for extra in (["--strategy", "ks"], ["--strategy", "grid"], ["--s", "2"]):
+        status, _ = invoke(["hitset", "--n", "2", "--d", "1", "--k", "1"]
+                           + extra)
         assert status == 1
 
 
@@ -306,8 +306,8 @@ def test_hitset_streams_points(extra):
     tracemalloc.start()
     try:
         with pytest.raises(_StopReading):
-            run(["hitset", "--prime", "2", "--n", "16", "--s", "2",
-                 "--d", "1", "--k", "1"] + extra, out=_ShortReader(5))
+            run(["hitset", "--prime", "2", "--n", "16", "--d", "1",
+                 "--k", "1"] + extra, out=_ShortReader(5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,7 +322,7 @@ def test_closed_stdout_exits_1_quietly():
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "sparsefact.cli", "hitset", "--prime", "2",
-         "--n", "16", "--s", "2", "--d", "1", "--k", "1"],
+         "--n", "16", "--d", "1", "--k", "1"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
         head = [proc.stdout.readline() for _ in range(2)]
@@ -337,7 +337,7 @@ def test_closed_stdout_exits_1_quietly():
 
 
 def test_hitset_field_too_small_exit_2():
-    status, text = invoke(["hitset", "--prime", "5", "--n", "3", "--s", "2",
+    status, text = invoke(["hitset", "--prime", "5", "--n", "3",
                            "--d", "5", "--k", "1"])
     assert status == 2 and "error" in text
 
@@ -385,12 +385,11 @@ BAD_ARGUMENTS = [
     ["examples", "--which", "eg1", "--n", "-1"],
     ["examples", "--which", "eg1", "--n", "0"],
     ["examples", "--which", "eg1", "--d", "0"],
-    ["hitset", "--n", "1", "--s", "1", "--d", "1", "--k", "1",
-     "--limit", "-1"],
+    ["hitset", "--n", "1", "--d", "1", "--k", "1", "--limit", "-1"],
     ["factor", "--cap", "0",
      "x1^2*x2 + x1*x2^2*x3 + x1*x3 + x2*x3^2"],
     ["polytope", "--cap", "0", "x1*x2+x1"],
-    ["hitset", "--n", "0", "--s", "1", "--d", "1", "--k", "1"],
+    ["hitset", "--n", "0", "--d", "1", "--k", "1"],
     ["examples", "--which", "hadamard", "--m", "5"],
     ["factor", "--sb-constant", "0", "x1"],
     ["polytope", "--sb-constant", "0", "x1"],
@@ -428,7 +427,7 @@ def test_bad_arguments_exit_1_optimized(run_optimized):
 def test_cap_flags_only_where_read():
     # verify, hitset and examples compute no sparsity cap
     for argv in (["verify", "x1", "--factor", "x1"],
-                 ["hitset", "--n", "1", "--s", "1", "--d", "1", "--k", "1"],
+                 ["hitset", "--n", "1", "--d", "1", "--k", "1"],
                  ["examples", "--which", "eg1"]):
         assert invoke(argv)[0] == 0
         assert invoke(argv + ["--cap", "3"])[0] == 1
@@ -451,7 +450,7 @@ def test_unknown_subcommand():
 def test_consecutive_runs_byte_identical():
     for argv in (["factor", "--json", "x1*x2 + x2 + x1 + 1"],
                  ["polytope", "--json", "x1^2*x2 + x2 + 3"],
-                 ["hitset", "--n", "2", "--s", "3", "--d", "1", "--k", "2"],
+                 ["hitset", "--n", "2", "--d", "1", "--k", "2"],
                  ["examples", "--which", "eg1", "--n", "2", "--d", "3"]):
         assert invoke(argv) == invoke(argv)
 

@@ -17,7 +17,7 @@ F101 = make_field(101)
 
 
 def test_grid_univariate_linear():
-    hs = gen_hitting_set(F7, 1, 2, 1, 1)
+    hs = gen_hitting_set(F7, 1, 1, 1)
     pts = hs.points()
     assert pts == [(F7.elem(0),), (F7.elem(1),)]
     # every nonzero linear univariate is nonzero at 0 or 1
@@ -32,7 +32,7 @@ def test_grid_univariate_linear():
 
 
 def test_grid_biquadratic_size_and_soundness():
-    hs = gen_hitting_set(F7, 2, 4, 2, 1)
+    hs = gen_hitting_set(F7, 2, 2, 1)
     pts = hs.points()
     assert hs.size == 9 and len(pts) == 9
     vals = sorted({p[0].serialize() for p in pts})
@@ -48,36 +48,35 @@ def test_grid_biquadratic_size_and_soundness():
 
 def test_field_too_small_boundary():
     # F_5 supplies exactly 5 distinct values: D=4 is the boundary, D=5 fails
-    hs = gen_hitting_set(F5, 3, 2, 2, 2)        # D = k*d = 4
+    hs = gen_hitting_set(F5, 3, 2, 2)          # D = k*d = 4
     assert hs.size == 5 ** 3
     with pytest.raises(FieldTooSmall) as ei:
-        gen_hitting_set(F5, 3, 2, 5, 1)          # D = 5 needs 6 values
+        gen_hitting_set(F5, 3, 5, 1)          # D = 5 needs 6 values
     assert ei.value.required == 6
 
 
 def test_determinism():
-    a = gen_hitting_set(F7, 2, 3, 2, 2).points()
-    b = gen_hitting_set(F7, 2, 3, 2, 2).points()
+    a = gen_hitting_set(F7, 2, 2, 2).points()
+    b = gen_hitting_set(F7, 2, 2, 2).points()
     assert a == b
 
 
 def test_lexicographic_order():
-    pts = gen_hitting_set(F7, 2, 2, 1, 1).points()
+    pts = gen_hitting_set(F7, 2, 1, 1).points()
     ser = [tuple(c.serialize() for c in p) for p in pts]
     assert ser == sorted(ser)
 
 
 def test_monotonicity():
-    base = gen_hitting_set(F7, 2, 2, 1, 1).size
-    assert gen_hitting_set(F7, 2, 2, 2, 1).size >= base
-    assert gen_hitting_set(F7, 2, 2, 1, 2).size >= base
-    assert gen_hitting_set(F7, 2, 9, 1, 1).size >= base
+    base = gen_hitting_set(F7, 2, 1, 1).size
+    assert gen_hitting_set(F7, 2, 2, 1).size >= base
+    assert gen_hitting_set(F7, 2, 1, 2).size >= base
 
 
 def test_exhaustive_grid_soundness_small_family():
     # all nonzero univariate cubics over F_2 embedded in F_7, k=3 products
     # of linear factors have degree <= 3, grid D = 3 must hit them
-    hs = gen_hitting_set(F7, 1, 2, 1, 3)
+    hs = gen_hitting_set(F7, 1, 1, 3)
     pts = hs.points()
     for coeffs in itertools.product(range(2), repeat=4):
         if not any(coeffs):
@@ -90,7 +89,7 @@ def test_exhaustive_grid_soundness_small_family():
     f = SparsePoly.constant(F101, 1, 1)
     for j in range(8):
         f = f * parse_poly("x1 + %d" % (101 - j), F101)
-    hs = gen_hitting_set(F101, 1, 2, 1, 8)
+    hs = gen_hitting_set(F101, 1, 1, 8)
     assert hs.size == 9
     hits = [not f.evaluate(list(p)).is_zero() for p in hs]
     assert hits == [False] * 8 + [True]
@@ -101,7 +100,7 @@ def test_anchor_set_separates_square_difference():
     # anchor point with a != 0 works and the set must contain one.  At d = 1
     # the pairwise resultant 2*x1 has individual degree <= 2d^2 and the
     # product has arity d^2
-    hs = gen_hitting_set(F7, 1, 1, 2, 1)
+    hs = gen_hitting_set(F7, 1, 2, 1)
     g = parse_poly("y + 6*x1", F7)   # y - x1
     h = parse_poly("y + x1", F7)
     found = False
