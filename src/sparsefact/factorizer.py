@@ -26,14 +26,16 @@ Three layers:
     verifies candidates by explicit multiplication, and keeps the verified
     candidate with maximal refinement score 2*sum(e)-m (first-in-
     enumeration tie-break).  It stops when the best verified score reaches
-    the bound proven from the projections, or after the last anchor of
-    F^nx.  When F has fewer points than the grid needs,
-    anchors and grid come from the smallest extension in field.extensions
-    that has enough, and a candidate is admitted only if its factors
-    retract to F.  Its only setting is the sparsity-cap configuration
-    SBConfig.  Soundness is unconditional: only
-    re-multiplication-verified factorizations are ever returned.  It never
-    factors a bivariate polynomial.
+    the bound proven from the projections and, at an anchor whose
+    projection leaves that bound above the best score, from f's
+    restriction to one line, which factor() factors (_line_score_bound),
+    through the next point of F^nx; or after the last anchor of F^nx.
+    When F has fewer points than the grid needs, anchors and grid come
+    from the smallest extension in field.extensions that has enough, and
+    a candidate is admitted only if its factors retract to F.  Its only
+    setting is the sparsity-cap configuration SBConfig.  Soundness is
+    unconditional: only re-multiplication-verified factorizations are
+    ever returned.
 
   * factor — the general driver: splits off the monomial content, drops
     the variables absent from the rest and factors that core
@@ -293,9 +295,7 @@ def _full_grid(ctx, n):
     then lexicographically, so early anchors vary every coordinate —
     all-axis-aligned prefixes make for systematically degenerate
     projections.  The order does not decide an answer the driver proves
-    complete, only how soon the proof comes: on the seed-1 factor-prime
-    benchmark pass, nonzero-coordinate anchors in plain lexicographic order
-    scan 62 anchors and itertools.product order 1 159, against 54."""
+    complete, only how soon the proof comes."""
     elems = list(ctx.elements())
     top = ctx.q - 1
 
@@ -327,15 +327,16 @@ def factor_monic(f, sb=None):
     Verified candidates only; among them the refinement score 2*sum(e)-m is
     maximized, with a first-in-enumeration tie-break.  The anchor scan
     stops when the best verified score reaches the bound proven from the
-    projections seen so far (the complete factorization is then the best
-    candidate) or after the last anchor of F^nx.  The winning candidate
-    is returned as reconstructed (y-monic factors, unit one, not sorted);
-    factor() canonicalizes it.  sb configures the sparsity cap (SBConfig,
-    default when None).  Anchors and the interpolation grid come from f's
-    field or, when it has too few points for the grid, from the smallest
-    extension in field.extensions that has enough: f is lifted there, a
-    candidate is admitted only if every factor retracts to f's field, and
-    the retracted candidate is verified against f.
+    projections and the lines (_line_score_bound) seen so far (the
+    complete factorization is then the best candidate) or after the last
+    anchor of F^nx.  The winning candidate is returned as reconstructed
+    (y-monic factors, unit one, not sorted); factor() canonicalizes it.
+    sb configures the sparsity cap (SBConfig, default when None).  Anchors
+    and the interpolation grid come from f's field or, when it has too few
+    points for the grid, from the smallest extension in field.extensions
+    that has enough: f is lifted there, a candidate is admitted only if
+    every factor retracts to f's field, and the retracted candidate is
+    verified against f.  The lines stay over f's field.
     """
     base = f.ctx
     nx = f.n - 1
@@ -370,6 +371,7 @@ def factor_monic(f, sb=None):
     # the complete factorization's score from above, certifying
     # completeness once the best verified score reaches it
     score_ub = None
+    line_bounds = (_line_score_bound(f, a) for a in _full_grid(base, nx))
     for anchor in _full_grid(ctx, nx):
         at = _Anchor(fs, anchor)
         anchor_max = phi_score(u for _, u in at.factors)
@@ -400,9 +402,33 @@ def factor_monic(f, sb=None):
             if verify_factorization(f, candidate, cap):
                 best = candidate
                 best_phi = phi
+        if best_phi < score_ub:  # the next line may prove more
+            score_ub = min(score_ub, next(line_bounds, None) or score_ub)
         if best_phi >= score_ub:
             break  # provably complete
     return best
+
+
+def _line_score_bound(f, anchor):
+    """A bound on the score of f's complete factorization, from f
+    restricted to the line through anchor in direction (1, 2, ..., nx)
+    (cycling through the nonzero elements of a smaller field), or None
+    when the bivariate engine cannot factor that line.  Each factor of f is
+    y-monic of positive y-degree, so it restricts to a product of the
+    line's irreducible factors, and the projection's argument (see
+    factor_monic) holds with those in place of the g.  Where every
+    projection of an irreducible f splits, as for the roots
+    +-sqrt(x1) +- sqrt(x2*x3), a line need not.  f and the line stay over
+    f's own field, where f's factors are irreducible; the projections at
+    an extension's anchors may split them further."""
+    steps = list(itertools.islice(f.ctx.elements(), 1, None))
+    b = [a + steps[i % len(steps)] for i, a in enumerate(anchor)]
+    line = restrict_to_line(f, list(anchor), b)
+    try:
+        parts = factor(line).parts
+    except FieldTooSmall:
+        return None
+    return phi_score(m for _, m in parts)
 
 
 def _reconstruct_candidate(at, guess, grid_axes, cap):

@@ -554,15 +554,24 @@ def test_one_bezout_cofactor_per_anchor_split(monkeypatch):
     # once per grid point
     calls = {"xgcd": 0, "eval": 0}
     anchors = set()
-    evaluate = factorizer.blackbox_eval
+    evaluate, xgcd = factorizer.blackbox_eval, UniPoly.xgcd
+    lifting = []  # nonempty inside blackbox_eval, not in the line's factoring
 
     def blackbox(f, guess, b, at=None):
         calls["eval"] += 1
         anchors.add(guess.anchor)
-        return evaluate(f, guess, b, at)
+        lifting.append(b)
+        try:
+            return evaluate(f, guess, b, at)
+        finally:
+            lifting.pop()
+
+    def lift_xgcd(*args):
+        calls["xgcd"] += bool(lifting)
+        return xgcd(*args)
 
     monkeypatch.setattr(factorizer, "blackbox_eval", blackbox)
-    monkeypatch.setattr(UniPoly, "xgcd", counted(calls, "xgcd", UniPoly.xgcd))
+    monkeypatch.setattr(UniPoly, "xgcd", lift_xgcd)
     g = P("y^3 + x1*x2^2 + 3", nvars=2)
     h = P("y^2 + x2*y + x1^2 + 4", nvars=2)
     f = g * h
@@ -570,8 +579,8 @@ def test_one_bezout_cofactor_per_anchor_split(monkeypatch):
     assert multiset(fac) == multiset(Factorization(F7.one(), [(g, 1), (h, 1)]))
     splits = sum(len(factor_univariate(project_y(f, list(a))).parts) - 1
                  for a in anchors)
-    assert len(anchors) == 3 and splits == 5
-    assert calls == {"xgcd": splits, "eval": 20}
+    assert len(anchors) == 1 and splits == 2
+    assert calls == {"xgcd": splits, "eval": 18}
 
 
 def test_blackbox_shared_cache_matches_fresh_cache():
@@ -705,11 +714,8 @@ def test_factor_full_grid_fallback_memory():
     assert peak < 16 << 20
 
 
-# Products over F_101 that a lexicographic scan of a certified anchor grid
-# (a hitting set for the factors' pairwise resultants) returned with a
-# reducible factor reported as irreducible:
-# the anchors it meets first have zero coordinates, and it gave up after
-# a few of them without a better candidate.
+# Products of two polynomials over F_101; the expected factors are those of
+# the two.
 F101_MISSED = [
     (5, "38*x2*x3*x4*x5 + 66*x1*x2*x5 + 72*x1*x3*x5 + 1",
      "23*x1*x2*x3*x4*x5 + 37*x2*x3*x4*x5 + 1"),
@@ -732,16 +738,53 @@ def test_factor_f101_products_complete(n, a, b):
         Factorization(F101.one(), fa.parts + fb.parts))
 
 
-# Products of random blocks in 4 variables (a seeded fuzz over F_2, F_3, F_5,
-# F_7); the expected factors are those of the blocks.  On the lines of "F3"
-# and "F2" the bivariate factorization found no squarefree projection point,
-# so factor raised FieldTooSmall.  The "stop" members came back with two
-# true factors as one, because the monic driver stopped scanning anchors
-# after a run that did not improve its best candidate, before its proof of
-# completeness: at (x2*x4 + 2*x1*x2)(2*x4 + 2*x1*x2)(x4 + 2*x3) that run
-# ended at the 7th anchor, and the 11th, (1, 1, 0), certifies.
-# "F3_stop_bench" is the F_3 regression member of the benchmark's
-# factor-lifted workload.
+def limit_anchors(monkeypatch, count=20):
+    """Make the monic driver fail once it asks for more than count anchors
+    (or line points) of one scan, in place of a long search."""
+    full_grid = factorizer._full_grid
+
+    def few_anchors(ctx, n):
+        for i, anchor in enumerate(full_grid(ctx, n)):
+            if i == count:
+                raise AssertionError("no proof in %d anchors" % count)
+            yield anchor
+
+    monkeypatch.setattr(factorizer, "_full_grid", few_anchors)
+
+
+# An irreducible f over F_101 all of whose projections split: its roots are
+# +-sqrt(x1) +- sqrt(x2*x3), and at every anchor one of x1, x2*x3 and
+# x1*x2*x3 is a square.  So the projections' score bound never comes down
+# to f's own, short of all 101^3 anchors; a line through an anchor does.
+BIQUADRATIC = ("x4^4 + 99*x1*x4^2 + 99*x2*x3*x4^2 + x1^2 + 99*x1*x2*x3"
+               " + x2^2*x3^2")
+
+
+@pytest.mark.parametrize("cofactor,power", [(None, 1), ("x1 + x4", 1),
+                                            (None, 2)],
+                         ids=["alone", "times_linear", "squared"])
+def test_factor_split_projections_proven(monkeypatch, cofactor, power):
+    F101 = make_field(101)
+    g = parse_poly(BIQUADRATIC, F101, nvars=4)
+    for a in [(1, 1, 1), (2, 3, 5), (7, 0, 4)]:
+        split = factor_univariate(project_y(g, [F101.elem(v) for v in a]))
+        assert sum(m for _, m in split.parts) > 1
+    parts = [(g, power)]
+    if cofactor is not None:
+        parts.append((parse_poly(cofactor, F101, nvars=4), 1))
+    f = Factorization(F101.one(), parts).expand()
+    limit_anchors(monkeypatch)
+    fac = factor(f)
+    assert multiset(fac) == multiset(Factorization(F101.one(), parts))
+
+
+# Products of random blocks in 3 or 4 variables (seeded fuzzes over F_2,
+# F_3, F_5, F_7), each with its prime and its expected number of factors,
+# counted with multiplicity; the expected factors are those of the blocks,
+# proven within 20 anchors.  "F3_stop_bench" is the F_3 regression member
+# of the benchmark's factor-lifted workload.  The monic drivers of the
+# "lift" members take their anchors from F_25 and F_49, where the
+# projections split further than the factors over F_5 and F_7.
 FUZZ_PRODUCTS = {
     "F3": (3, ["2*x1 + x1*x3*x4", "x2*x3*x4 + 2*x1*x4 + 2*x1*x2*x3",
                "x4 + x2*x3*x4 + x1*x2*x3"], 4),
@@ -752,6 +795,10 @@ FUZZ_PRODUCTS = {
     "F3_stop_bench": (3, ["x1*x3*x4 + 2*x1*x2 + 2*x2*x4 + x4",
                           "2*x1*x2*x4 + x1*x4 + x3*x4",
                           "x1*x2*x3*x4 + x1*x2 + x2*x3 + 2"], 4),
+    "F5_lift": (5, ["2*x1^2*x2^2*x3^2 + 3*x2*x3^2",
+                    "2*x1^2*x3^2 + x2^2*x3", "x1*x2^2*x3^2 + 3*x1*x2^2"], 10),
+    "F7_lift": (7, ["6*x1^2*x2*x3 + x1*x2*x3^2 + 3*x2*x3",
+                    "3*x2^2 + 3*x3^2", "3*x1^2*x2*x3^2 + 2*x2^2*x3"], 7),
 }
 
 
@@ -769,12 +816,14 @@ def assert_factors_blockwise(p, texts, count):
 
 
 @pytest.mark.parametrize("name", sorted(FUZZ_PRODUCTS))
-def test_factor_fuzz_products_complete(name):
+def test_factor_fuzz_products_complete(monkeypatch, name):
+    limit_anchors(monkeypatch)
     assert_factors_blockwise(*FUZZ_PRODUCTS[name])
 
 
-# Its monic driver scans all 9 anchors of F_3^2 without reaching the proven
-# score bound, so (x1*x3 + 2*x2 + x3)(x3 + 1) comes back as one factor: 4 of
+# Its monic driver scans all 9 anchors of F_3^2 without reaching the score
+# bound that its projections and lines prove, so
+# (x1*x3 + 2*x2 + x3)(x3 + 1) comes back as one factor: 4 of
 # the 5.  Anchors over F_9 would go on where F_3^2 ends (ROADMAP direction
 # 4, step 2); this test passes once they do.
 @pytest.mark.xfail(strict=True,
