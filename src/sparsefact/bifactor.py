@@ -311,8 +311,7 @@ def hensel_lift(f, g0, h0, t0, precision):
     shifted = [u.shift(t0) for u in to_ylist(f)]  # t -> t + t0
     if g0 * h0 != UniPoly(ctx, [u[0] for u in shifted]):
         raise NotCoprime("seed product does not match the projection")
-    Ft = [UniPoly.from_logs(ctx, u.logs[:precision]) for u in shifted]
-    G, H = _lift_list(Ft, _lift_plan([g0, h0], ctx), precision, ctx)
+    G, H = _lift_list(shifted, _lift_plan([g0, h0], ctx), precision, ctx)
     Gp = from_ylist(ctx, [u.shift(-t0) for u in G])
     Hp = from_ylist(ctx, [u.shift(-t0) for u in H])
     return Gp, Hp
@@ -348,9 +347,6 @@ def _recombine(F, lifted, prec, ctx, admit=None):
     current = list(F)
     dt_budget = _ylist_deg_t(F)
     while remaining:
-        if len(remaining) == 1:
-            factors.append(current)
-            break
         found = None
         for size in range(1, len(remaining) // 2 + 1):
             for combo in itertools.combinations(remaining, size):
@@ -373,8 +369,6 @@ def _recombine(F, lifted, prec, ctx, admit=None):
         current = q
         remaining = [i for i in remaining if i not in combo]
         dt_budget = _ylist_deg_t(current)
-        if _ylist_deg_y(current) == 0:
-            break
     return factors
 
 
@@ -407,16 +401,15 @@ def _hat_factors(Shat, ctx):
         return None if h is None else to_ylist(h)
 
     shifted = [u.shift(t0) for u in S]
+    # factor_univariate gives its parts in sort_key order
     seeds = [g for g, _ in factor_univariate(
         UniPoly(field, [u[0] for u in shifted])).parts]
-    seeds.sort(key=UniPoly.sort_key)
     if len(seeds) == 1:
         return [Shat]
     # any true factor has t-degree at most deg_t(S), so lifting one
     # coefficient past that recovers it exactly
-    prec = max(_ylist_deg_t(shifted), 0) + 1
-    Ft = [UniPoly.from_logs(field, u.logs[:prec]) for u in shifted]
-    lifted = _lift_list(Ft, _lift_plan(seeds, field), prec, field)
+    prec = _ylist_deg_t(shifted) + 1
+    lifted = _lift_list(shifted, _lift_plan(seeds, field), prec, field)
     combined = _recombine(shifted, lifted, prec, field, None if field is ctx
                           else lambda F: back(F) is not None)
     out = [back(F) for F in combined]
@@ -434,30 +427,24 @@ def _squarefree_at(S, t0):
 
 def _factor_sqfree_primitive(S, ctx):
     """Irreducible factors of a squarefree, separable, y-primitive y-list S
-    (deg_y >= 1); S equals a scalar times their product."""
+    (deg_y >= 1); S equals a scalar times their product.  For deg_y S = k
+    >= 2 the factors of the monicizing transform y^k + sum s_j lc^(k-1-j)
+    y^j map back by y -> lc*y and stripping their t-content; a constant
+    lc = c gives c^(k-1) S(y/c), whose factors map back to scalar
+    multiples of S's."""
     k = _ylist_deg_y(S)
     if k == 1:
         return [S]
     lc = S[k]
-    if lc.degree() == 0:
-        shat = [u.scale(lc.lc().inverse()) for u in S]
-        monic_case = True
-    else:
-        # one-variable monicizing transform: y^k + sum s_j lc^(k-1-j) y^j
-        shat = [UniPoly(ctx) for _ in range(k + 1)]
-        shat[k] = UniPoly.constant(ctx, 1)
-        power = UniPoly.constant(ctx, 1)
-        for j in range(k - 1, -1, -1):
-            shat[j] = S[j] * power
-            if j > 0:
-                power = power * lc
-        monic_case = False
-    hat_factors = _hat_factors(shat, ctx)
-    if monic_case:
-        return hat_factors
+    shat = [UniPoly(ctx) for _ in range(k + 1)]
+    shat[k] = UniPoly.constant(ctx, 1)
+    power = UniPoly.constant(ctx, 1)
+    for j in range(k - 1, -1, -1):
+        shat[j] = S[j] * power
+        if j > 0:
+            power = power * lc
     out = []
-    for H in hat_factors:
-        # undo the transform: substitute y -> lc*y, strip the t-content
+    for H in _hat_factors(shat, ctx):
         lp = UniPoly.constant(ctx, 1)
         mapped = []
         for u in H:

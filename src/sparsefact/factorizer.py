@@ -61,7 +61,8 @@ from .sparsepoly import (SparsePoly, Factorization, make_monic, sparse_divide,
                          phi_score, restrict_to_line, project_y, lift_poly,
                          retract_poly)
 from .polytope import sparsity_cap
-from .unifactor import UniPoly, addmul_logs, factor_univariate, monic_root
+from .unifactor import (UniPoly, addmul_logs, factor_univariate, monic_root,
+                        _check_elem)
 from .bifactor import (factor_bivariate, to_ylist, _ylist_deg_t, _ylist_mul,
                        _lift_plan, _lift_list)
 
@@ -97,7 +98,7 @@ class _Anchor:
     def __init__(self, f, anchor):
         self.f = f
         self.anchor = tuple(anchor)
-        self.projection = project_y(f, list(self.anchor))
+        self.projection = project_y(f, self.anchor)
         self.factors = factor_univariate(self.projection).parts
         self.plan = None
         self.lines = {}  # b -> (precision, lifted seeds)
@@ -143,7 +144,7 @@ def blackbox_eval(f, guess, b, at=None):
     if line is None:
         if at.plan is None:
             at.plan = _lift_plan([g ** m for g, m in at.factors], ctx)
-        F = to_ylist(restrict_to_line(f, list(at.anchor), list(b)))
+        F = to_ylist(restrict_to_line(f, at.anchor, b))
         prec = _ylist_deg_t(F) + 1
         line = at.lines[b] = (prec, _lift_list(F, at.plan, prec, ctx))
     prec, lifted = line
@@ -170,18 +171,18 @@ def _interp_grid(ctx, axes, values):
     """Interpolate vector values given on the full tensor grid of axes.
 
     values maps every point of itertools.product(*axes) to a sequence of
-    field elements, all of one length.  Returns {exponent tuple: list of
-    coefficients} for the unique vector of polynomials of degree below
-    len(axes[i]) in variable i that takes those values, leaving out the
-    exponents whose coefficients are all zero.  Axis by axis, the values
-    along each grid line become coefficients in that axis's variable
-    through the univariate Lagrange basis of its points, on discrete logs
-    (see unifactor).
+    field-element logs (FieldElem.log), all of one length.  Returns
+    {exponent tuple: list of coefficients} for the unique vector of
+    polynomials of degree below len(axes[i]) in variable i that takes
+    those values, leaving out the exponents whose coefficients are all
+    zero.  Axis by axis, the values along each grid line become
+    coefficients in that axis's variable through the univariate Lagrange
+    basis of its points, on discrete logs (see unifactor).
     """
     zl = ctx.zero_log
     # before axis k is done, a key's coordinates below k are exponents and
     # the others grid points
-    data = {b: [c.log for c in vec] for b, vec in values.items()}
+    data = values
     for k, pts in enumerate(axes):
         basis = {}  # point -> coefficient logs of its Lagrange polynomial
         for v in pts:
@@ -211,7 +212,9 @@ def reconstruct_sparse(oracle, n, d, cap, ctx):
 
     Raises Reject if the result has more than cap terms, FieldTooSmall if
     the field lacks d+1 points on some axis, and ValueError unless n >= 1
-    and every degree is nonnegative.
+    and every degree is nonnegative.  The oracle must return elements of
+    ctx: TypeError is raised for any other object, CtxMismatch for another
+    field's element.
     """
     degs = tuple(d) if not isinstance(d, int) else (d,) * n
     if len(degs) != n:
@@ -221,7 +224,12 @@ def reconstruct_sparse(oracle, n, d, cap, ctx):
     if max(degs) + 1 > ctx.q:
         raise FieldTooSmall(required=max(degs) + 1)
     axes = [list(itertools.islice(ctx.elements(), dv + 1)) for dv in degs]
-    values = {b: (oracle(b),) for b in itertools.product(*axes)}
+    values = {}
+    for b in itertools.product(*axes):
+        v = oracle(b)
+        if getattr(v, "ctx", None) is not ctx:
+            _check_elem(v, ctx, "an oracle value")
+        values[b] = (v.log,)
     result = SparsePoly(ctx, n, {e: vec[0] for e, vec in
                                  _interp_grid(ctx, axes, values).items()})
     if cap is not None and result.sparsity() > cap:
@@ -295,8 +303,9 @@ def _full_grid(ctx, n):
     then lexicographically, so early anchors vary every coordinate —
     all-axis-aligned prefixes make for systematically degenerate
     projections.  The order does not decide an answer the driver proves
-    complete, only how soon the proof comes."""
-    elems = list(ctx.elements())
+    complete, only how soon the proof comes.  Elements are read by index,
+    so no anchor costs a list of the field."""
+    elem = ctx.from_index
     top = ctx.q - 1
 
     def tuples(r, zeros, total):
@@ -304,16 +313,16 @@ def _full_grid(ctx, n):
         # sum `total`, lexicographically; callers only ask for a feasible
         # count and sum: r - zeros <= total <= (r - zeros) * top
         if r == 1:
-            yield (elems[total],)
+            yield (elem(total),)
             return
         if zeros:
             for rest in tuples(r - 1, zeros - 1, total):
-                yield (elems[0],) + rest
+                yield (elem(0),) + rest
         nz = r - zeros - 1  # nonzero indices left after this one
         if nz >= 0:
             for v in range(max(1, total - nz * top), min(top, total - nz) + 1):
                 for rest in tuples(r - 1, zeros, total - v):
-                    yield (elems[v],) + rest
+                    yield (elem(v),) + rest
 
     for zeros in range(n + 1):
         nz = n - zeros
@@ -370,12 +379,11 @@ def factor_monic(f, sb=None):
     # projection's multiplicities.  The minimum of that over anchors bounds
     # the complete factorization's score from above, certifying
     # completeness once the best verified score reaches it
-    score_ub = None
+    score_ub = math.inf
     line_bounds = (_line_score_bound(f, a) for a in _full_grid(base, nx))
     for anchor in _full_grid(ctx, nx):
         at = _Anchor(fs, anchor)
-        anchor_max = phi_score(u for _, u in at.factors)
-        score_ub = anchor_max if score_ub is None else min(score_ub, anchor_max)
+        score_ub = min(score_ub, phi_score(u for _, u in at.factors))
         if best_phi >= score_ub:
             break  # provably complete; no guess here can do better
         # highest-scoring guesses first: the complete factorization always
@@ -412,18 +420,18 @@ def factor_monic(f, sb=None):
 def _line_score_bound(f, anchor):
     """A bound on the score of f's complete factorization, from f
     restricted to the line through anchor in direction (1, 2, ..., nx)
-    (cycling through the nonzero elements of a smaller field), or None
-    when the bivariate engine cannot factor that line.  Each factor of f is
-    y-monic of positive y-degree, so it restricts to a product of the
-    line's irreducible factors, and the projection's argument (see
-    factor_monic) holds with those in place of the g.  Where every
-    projection of an irreducible f splits, as for the roots
-    +-sqrt(x1) +- sqrt(x2*x3), a line need not.  f and the line stay over
-    f's own field, where f's factors are irreducible; the projections at
-    an extension's anchors may split them further."""
-    steps = list(itertools.islice(f.ctx.elements(), 1, None))
-    b = [a + steps[i % len(steps)] for i, a in enumerate(anchor)]
-    line = restrict_to_line(f, list(anchor), b)
+    (cycling through the nonzero elements of a smaller field, each read
+    by its index), or None when the bivariate engine cannot factor that
+    line.  Each factor of f is y-monic of positive y-degree, so it
+    restricts to a product of the line's irreducible factors, and the
+    projection's argument (see factor_monic) holds with those in place of
+    the g.  Where every projection of an irreducible f splits, as for the
+    roots +-sqrt(x1) +- sqrt(x2*x3), a line need not.  f and the line stay
+    over f's own field, where f's factors are irreducible; the projections
+    at an extension's anchors may split them further."""
+    ctx = f.ctx
+    b = [a + ctx.from_index(1 + i % (ctx.q - 1)) for i, a in enumerate(anchor)]
+    line = restrict_to_line(f, anchor, b)
     try:
         parts = factor(line).parts
     except FieldTooSmall:
@@ -441,8 +449,8 @@ def _reconstruct_candidate(at, guess, grid_axes, cap):
     values = {}  # grid point -> the parts' lower y-coefficients, in order
     try:
         for b in itertools.product(*grid_axes):
-            values[b] = [c for u in blackbox_eval(f, guess, b, at)
-                         for c in u.coeffs[:-1]]
+            values[b] = [v for u in blackbox_eval(f, guess, b, at)
+                         for v in u.logs[:-1]]
     except GuessInvalid:
         return None
     coeffs = _interp_grid(ctx, grid_axes, values)

@@ -175,8 +175,6 @@ class SparsePoly:
         """Multiply by a field element."""
         if not isinstance(c, FieldElem):
             c = self.ctx.elem(c)
-        if c.is_zero():
-            return SparsePoly.zero(self.ctx, self.n)
         return SparsePoly(self.ctx, self.n,
                           {e: v * c for e, v in self.terms.items()})
 
@@ -457,8 +455,6 @@ def sparse_divide(f, g, cap=None):
     if g.is_zero():
         raise ZeroPolynomial("division by the zero polynomial")
     f._check(g)
-    if f.is_zero():
-        return SparsePoly.zero(f.ctx, f.n)
     ctx = f.ctx
     red, zech, zl = ctx.reduce, ctx.zech, ctx.zero_log
     ge, gc = g.leading_term()

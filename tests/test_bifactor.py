@@ -118,7 +118,9 @@ def _seeded_line(ctx, rng):
 @pytest.mark.parametrize("p,ell", [(7, 1), (101, 1), (3, 2)])
 def test_lift_list_matches_division_steps(p, ell):
     # the lift plan's table-driven steps give what a step that divides by
-    # the seed afresh gives, split by split, at every precision
+    # the seed afresh gives, split by split, at every precision; the lift
+    # reads only the columns below the precision, so rows that go past it
+    # lift the same
     ctx = make_field(p, ell)
     rng = random.Random(p * 10 + ell)
     for _ in range(12):
@@ -135,6 +137,7 @@ def test_lift_list_matches_division_steps(p, ell):
         want.append(rest)
         plan = bifactor._lift_plan(seeds, ctx)
         assert bifactor._lift_list(Ft, plan, prec, ctx) == want
+        assert bifactor._lift_list(F, plan, prec, ctx) == want
 
 
 # Building a lift plan checks coprimality and the Bezout cofactor's exact
@@ -181,6 +184,13 @@ def test_difference_of_squares_splits():
     want = {normalize_scalar(B({(1, 0): 1, (0, 1): 6}))[0],
             normalize_scalar(B({(1, 0): 1, (0, 1): 1}))[0]}
     assert got == want
+    # a constant leading coefficient c != 1: 3*(y + 6t)*(y + t) takes the
+    # monicizing transform, whose factors come back as scalar multiples
+    g, h = B({(1, 0): 1, (0, 1): 6}), B({(1, 0): 1, (0, 1): 1})
+    f = (g * h).scale(3)
+    want = Factorization.assemble(f, [(g, 1), (h, 1)])
+    fac = factor(f)
+    assert fac.unit == want.unit and fac.parts == want.parts
 
 
 def test_y_squared_minus_t_irreducible():

@@ -10,7 +10,7 @@ import pytest
 from sparsefact import bifactor, factorizer
 from sparsefact.errors import (GuessInvalid, Reject, FieldTooSmall,
                                ZeroPolynomial, NoFactorizationFound,
-                               NotMonic, ShapeMismatch)
+                               NotMonic, ShapeMismatch, CtxMismatch)
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
                                    normalize_scalar, project_y, phi_score,
@@ -368,6 +368,16 @@ def test_reconstruct_rejects_bad_degrees():
             reconstruct_sparse(lambda pt: F7.one(), n, d, None, F7)
 
 
+def test_reconstruct_rejects_foreign_values():
+    # values are read as logs of the reconstruction's field: F_11's 3 read
+    # as an F_7 log would give a wrong polynomial, and an int has none
+    F11 = make_field(11)
+    with pytest.raises(CtxMismatch):
+        reconstruct_sparse(lambda pt: F11.elem(3), 1, 0, None, F7)
+    with pytest.raises(TypeError):
+        reconstruct_sparse(lambda pt: 3, 1, 0, None, F7)
+
+
 def test_reconstruct_random_round_trip():
     rng = random.Random(1)
     for _ in range(15):
@@ -461,10 +471,10 @@ def test_factor_monic_rejects_bad_input():
         (P("y + 1", nvars=1), 1), (P("y + 6", nvars=1), 1)]))
 
 
-# The driver's input checks and Guess's and reconstruct_sparse's shape
-# checks, run under python -O.
+# The driver's input checks, Guess's and reconstruct_sparse's shape checks
+# and reconstruct_sparse's oracle value checks, run under python -O.
 CHECK_LINES = [
-    "from sparsefact.errors import NotMonic, ShapeMismatch",
+    "from sparsefact.errors import NotMonic, ShapeMismatch, CtxMismatch",
     "from sparsefact.field import make_field",
     "from sparsefact.sparsepoly import parse_poly",
     "from sparsefact.factorizer import (Guess, factor_monic,",
@@ -473,18 +483,22 @@ CHECK_LINES = [
     "calls = [lambda: factor_monic(parse_poly('y^2 + 6', F)),",
     "         lambda: factor_monic(parse_poly('2*y^2 + x1', F)),",
     "         lambda: Guess(anchor=(F.one(),), parts=((),), exps=(1,)),",
-    "         lambda: reconstruct_sparse(lambda pt: F.zero(), 2, (1,), 5, F)]",
+    "         lambda: reconstruct_sparse(lambda pt: F.zero(), 2, (1,), 5, F),",
+    "         lambda: reconstruct_sparse(lambda pt: make_field(11).elem(3),",
+    "                                    1, 0, None, F),",
+    "         lambda: reconstruct_sparse(lambda pt: 3, 1, 0, None, F)]",
     "for call in calls:",
     "    try:",
     "        call()",
-    "    except (NotMonic, ShapeMismatch) as e:",
+    "    except (NotMonic, ShapeMismatch, CtxMismatch, TypeError) as e:",
     "        print(type(e).__name__)",
 ]
 
 
 def test_driver_checks_survive_optimize_flag(run_optimized):
     assert run_optimized(CHECK_LINES) == (
-        "False\nShapeMismatch\nNotMonic\nShapeMismatch\nShapeMismatch\n")
+        "False\nShapeMismatch\nNotMonic\nShapeMismatch\nShapeMismatch\n"
+        "CtxMismatch\nTypeError\n")
 
 
 def test_one_interpolation_per_guess(monkeypatch):
@@ -685,15 +699,18 @@ def test_full_grid_order(p, ell):
 
 
 def test_full_grid_is_lazy():
-    # F_101^3 has ~1M points; the first anchors must not cost a table of them
-    tracemalloc.start()
-    try:
-        first = list(itertools.islice(_full_grid(make_field(101), 3), 20))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(first) == 20 and len(set(first)) == 20
-    assert peak < 1 << 20
+    # F_101^3 has ~1M points; the first anchors must not cost a table of
+    # them, nor, over F_65521, a list of the field's elements
+    for ctx in (make_field(101), make_field(65521)):
+        ctx.one()  # the field's own tables are built before tracing
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(_full_grid(ctx, 3), 20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(first) == 20 and len(set(first)) == 20
+        assert peak < 1 << 20
 
 
 def test_factor_full_grid_fallback_memory():

@@ -56,12 +56,14 @@ def test_import_leaves_out_dataclasses():
 
 # the only private names one module takes from another: the monic driver
 # lifts along lines with the bivariate engine's y-list kernels and lift
-# plan, and the char-p route of the engine takes univariate p-th roots
+# plan and checks oracle values with the univariate field-element check,
+# and the char-p route of the engine takes univariate p-th roots
 PRIVATE_IMPORTS = {
     ("factorizer", "bifactor", "_ylist_deg_t"),
     ("factorizer", "bifactor", "_ylist_mul"),
     ("factorizer", "bifactor", "_lift_plan"),
     ("factorizer", "bifactor", "_lift_list"),
+    ("factorizer", "unifactor", "_check_elem"),
     ("bifactor", "unifactor", "_pth_root_poly"),
 }
 
@@ -96,3 +98,43 @@ def test_private_names_stay_in_their_module():
     found = set().union(*(_private_imports(p.stem)
                           for p in SOURCE.glob("*.py")))
     assert found == PRIVATE_IMPORTS
+
+
+def _is_elements_call(node):
+    return (isinstance(node, ast.Call) and not node.args
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "elements")
+
+
+def _whole_field_reads(path):
+    """Lines of path that consume a field's elements() whole: a list,
+    tuple, set or sorted of it, or an islice of it with no stop."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args
+                and _is_elements_call(node.args[0])):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        if name in ("list", "tuple", "set", "sorted"):
+            lines.append(node.lineno)
+        elif name == "islice":
+            # islice(it, stop) or islice(it, start, stop[, step])
+            stop = node.args[2] if len(node.args) > 2 else (
+                node.args[1] if len(node.args) == 2 else None)
+            if stop is None or (isinstance(stop, ast.Constant)
+                                and stop.value is None):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SOURCE.glob("*.py")))
+def test_no_whole_field_lists(module):
+    # fields go up to 2^16 elements: code reads them by index
+    # (ctx.from_index), loops over elements() lazily, or takes a bounded
+    # prefix with islice, never a copy of the whole field
+    path = SOURCE / (module + ".py")
+    lines = _whole_field_reads(path)
+    assert lines == [], "whole-field reads in %s at lines %s" % (path, lines)
