@@ -5,9 +5,8 @@ from .field import make_field, FieldCtx, FieldElem
 from .sparsepoly import (SparsePoly, Factorization, parse_poly, format_poly,
                          make_monic, sparse_divide, phi_score,
                          restrict_to_line, normalize_scalar)
-from .polytope import (SBConfig, in_hull, support_of, newton_vertices,
-                       minkowski_sum, sparsity_cap, caratheodory_check,
-                       hadamard_example)
+from .polytope import (in_hull, support_of, newton_vertices, minkowski_sum,
+                       sparsity_cap, caratheodory_check, hadamard_example)
 from .hitting import HittingSet, gen_hitting_set
 from .unifactor import UniPoly, UniFactorization, factor_univariate, \
     squarefree_decompose, is_irreducible
@@ -22,7 +21,7 @@ __all__ = [
     "SparsePoly", "Factorization", "parse_poly", "format_poly",
     "make_monic", "sparse_divide", "phi_score", "restrict_to_line",
     "normalize_scalar",
-    "SBConfig", "in_hull", "support_of", "newton_vertices", "minkowski_sum",
+    "in_hull", "support_of", "newton_vertices", "minkowski_sum",
     "sparsity_cap", "caratheodory_check", "hadamard_example",
     "HittingSet", "gen_hitting_set",
     "UniPoly", "UniFactorization", "factor_univariate",

@@ -41,7 +41,7 @@ Everything is exact and order-deterministic.
 import itertools
 
 from .errors import (NotCoprime, FieldTooSmall, ZeroPolynomial,
-                     NoFactorizationFound)
+                     NoFactorizationFound, ShapeMismatch)
 from .field import extensions
 from .sparsepoly import SparsePoly, Factorization, lift_poly, retract_poly
 from .unifactor import (UniPoly, factor_univariate, addmul_logs,
@@ -51,7 +51,11 @@ from .unifactor import (UniPoly, factor_univariate, addmul_logs,
 # -- representation shuttling -------------------------------------------------
 
 def to_ylist(f):
-    """SparsePoly in (y,t) -> list of UniPoly-in-t coefficients by y-degree."""
+    """SparsePoly in (y,t) -> list of UniPoly-in-t coefficients by y-degree;
+    ShapeMismatch unless f is bivariate."""
+    if f.n != 2:
+        raise ShapeMismatch("a bivariate polynomial is needed, got %d "
+                            "variables" % f.n)
     ctx = f.ctx
     zl = ctx.zero_log
     dy = max(f.degree(0), 0)

@@ -25,8 +25,8 @@ from .errors import SparsefactError, ParseError, FieldTooSmall, Reject
 from .field import make_field
 from .sparsepoly import (SparsePoly, Factorization, parse_poly, format_poly,
                          sparse_divide)
-from .polytope import (SBConfig, support_of, caratheodory_check,
-                       hadamard_example, sparsity_cap)
+from .polytope import (support_of, caratheodory_check, hadamard_example,
+                       sparsity_cap)
 from .hitting import gen_hitting_set
 from .factorizer import factor, verify_factorization
 
@@ -64,16 +64,8 @@ def _build_parser():
         p.add_argument("--json", action="store_true",
                        help="structured JSON output")
 
-    def cap_flags(p):
-        # only the subcommands that compute a sparsity cap take these
-        p.add_argument("--sb-constant", type=_fraction, default=Fraction(5),
-                       help="constant C of the sparsity cap (default 5)")
-        p.add_argument("--cap", type=int, default=None,
-                       help="user override for the sparsity cap")
-
     pf = sub.add_parser("factor", help="factor a polynomial")
     common(pf)
-    cap_flags(pf)
     pf.add_argument("poly", nargs="?", help="polynomial text")
     pf.add_argument("--input", help="file containing the polynomial text")
 
@@ -87,7 +79,9 @@ def _build_parser():
 
     pp = sub.add_parser("polytope", help="Newton-polytope statistics")
     common(pp)
-    cap_flags(pp)
+    # the one subcommand that computes a sparsity cap
+    pp.add_argument("--sb-constant", type=_fraction, default=Fraction(5),
+                    help="constant C of the sparsity cap (default 5)")
     pp.add_argument("poly", help="polynomial text")
 
     ph = sub.add_parser("hitset", help="dump a hitting set")
@@ -110,10 +104,6 @@ def _build_parser():
 
 def _field(args):
     return make_field(args.prime, args.ext)
-
-
-def _sb(args):
-    return SBConfig(C=args.sb_constant, user_cap=args.cap)
 
 
 def _read_poly(ctx, args):
@@ -139,7 +129,7 @@ def _fac_json(ctx, fac):
 def _cmd_factor(args, out):
     ctx = _field(args)
     f = _read_poly(ctx, args)
-    fac = factor(f, _sb(args))
+    fac = factor(f)
     if args.json:
         out.write(json.dumps(_fac_json(ctx, fac), sort_keys=True) + "\n")
         return 0
@@ -177,10 +167,9 @@ def _cmd_polytope(args, out):
     f = _read_poly(ctx, args)
     E = support_of(f)
     d = max(f.max_degree(), 1)
-    sb = _sb(args)
-    report = caratheodory_check(E, d, sb)
+    report = caratheodory_check(E, d, args.sb_constant)
     verts = report["vertex_list"]
-    cap = sparsity_cap(f.n, f.sparsity(), d, sb)
+    cap = sparsity_cap(f.n, f.sparsity(), d, args.sb_constant)
     info = {
         "sparsity": f.sparsity(),
         "support": sorted(E),

@@ -32,10 +32,10 @@ Three layers:
     through the next point of F^nx; or after the last anchor of F^nx.
     When F has fewer points than the grid needs, anchors and grid come
     from the smallest extension in field.extensions that has enough, and
-    a candidate is admitted only if its factors retract to F.  Its only
-    setting is the sparsity-cap configuration SBConfig.  Soundness is
-    unconditional: only re-multiplication-verified factorizations are
-    ever returned.
+    a candidate is admitted only if its factors retract to F.  It takes
+    no settings: the dense grid recovers a factor whatever its term
+    count, so it needs no sparsity cap.  Soundness is unconditional: only
+    re-multiplication-verified factorizations are ever returned.
 
   * factor — the general driver: splits off the monomial content, drops
     the variables absent from the rest and factors that core
@@ -60,7 +60,6 @@ from .field import extensions
 from .sparsepoly import (SparsePoly, Factorization, make_monic, sparse_divide,
                          phi_score, restrict_to_line, project_y, lift_poly,
                          retract_poly)
-from .polytope import sparsity_cap
 from .unifactor import (UniPoly, addmul_logs, factor_univariate, monic_root,
                         _check_elem)
 from .bifactor import (factor_bivariate, to_ylist, _ylist_deg_t, _ylist_mul,
@@ -239,18 +238,14 @@ def reconstruct_sparse(oracle, n, d, cap, ctx):
 
 # -- verification -------------------------------------------------------------
 
-def verify_factorization(f, candidate, cap=None):
-    """True iff unit * prod(factor^mult) equals f exactly; aborts early
-    (returning False) once an intermediate product exceeds cap^2 terms."""
-    limit = None if cap is None else cap * cap
+def verify_factorization(f, candidate):
+    """True iff unit * prod(factor^mult) equals f exactly."""
     product = SparsePoly.constant(f.ctx, f.n, 1)
     for h, m in candidate.parts:
         if h.n != f.n or h.ctx != f.ctx:
             return False
         for _ in range(m):
             product = product * h
-            if limit is not None and product.sparsity() > limit:
-                return False
     return product.scale(candidate.unit) == f
 
 
@@ -330,7 +325,7 @@ def _full_grid(ctx, n):
             yield from tuples(n, zeros, total)
 
 
-def factor_monic(f, sb=None):
+def factor_monic(f):
     """Unique monic factorization of a polynomial monic in y (last index).
 
     Verified candidates only; among them the refinement score 2*sum(e)-m is
@@ -340,12 +335,11 @@ def factor_monic(f, sb=None):
     complete factorization is then the best candidate) or after the last
     anchor of F^nx.  The winning candidate is returned as reconstructed
     (y-monic factors, unit one, not sorted); factor() canonicalizes it.
-    sb configures the sparsity cap (SBConfig, default when None).  Anchors
-    and the interpolation grid come from f's field or, when it has too few
-    points for the grid, from the smallest extension in field.extensions
-    that has enough: f is lifted there, a candidate is admitted only if
-    every factor retracts to f's field, and the retracted candidate is
-    verified against f.  The lines stay over f's field.
+    Anchors and the interpolation grid come from f's field or, when it has
+    too few points for the grid, from the smallest extension in
+    field.extensions that has enough: f is lifted there, a candidate is
+    admitted only if every factor retracts to f's field, and the retracted
+    candidate is verified against f.  The lines stay over f's field.
     """
     base = f.ctx
     nx = f.n - 1
@@ -353,11 +347,6 @@ def factor_monic(f, sb=None):
         raise ShapeMismatch("the monic driver needs x-variables besides y")
     if not f.is_monic_in(nx):
         raise NotMonic("factor_monic needs a polynomial monic in y")
-    s = f.sparsity()
-    d = max(f.max_degree(), 1)
-    # a factor lives in all n variables, y included: the dense bound is
-    # (d+1)^n, and the paper's s^O(d^2 log n) is over the same n
-    cap = sparsity_cap(f.n, s, d, sb)
     degs = f.degrees()[:nx]
     needed = max(degs, default=0) + 1
     fs = f  # f over the field the anchors and the grid come from
@@ -398,7 +387,7 @@ def factor_monic(f, sb=None):
             guess = Guess(anchor=at.anchor,
                           parts=tuple(tuple(p) for p in parts),
                           exps=tuple(exps))
-            candidate = _reconstruct_candidate(at, guess, grid_axes, cap)
+            candidate = _reconstruct_candidate(at, guess, grid_axes)
             if candidate is None:
                 continue
             if fs is not f:
@@ -407,7 +396,7 @@ def factor_monic(f, sb=None):
                 if any(h is None for h, _ in retracted):
                     continue  # finer than the base-field factorization
                 candidate = Factorization(base.one(), retracted)
-            if verify_factorization(f, candidate, cap):
+            if verify_factorization(f, candidate):
                 best = candidate
                 best_phi = phi
         if best_phi < score_ub:  # the next line may prove more
@@ -439,7 +428,7 @@ def _line_score_bound(f, anchor):
     return phi_score(m for _, m in parts)
 
 
-def _reconstruct_candidate(at, guess, grid_axes, cap):
+def _reconstruct_candidate(at, guess, grid_axes):
     """Tensor-grid reconstruction of all parts for one guess at the anchor
     record at, or None.  One interpolation recovers every y-coefficient
     below the leading one of every part: h_i = y^dp + sum_{j<dp} c_ij y^j."""
@@ -462,24 +451,20 @@ def _reconstruct_candidate(at, guess, grid_axes, cap):
         for x, vec in coeffs.items():
             for j in range(dp):
                 terms[x + (j,)] = vec[start + j]
-        h = SparsePoly(ctx, f.n, terms)
-        if cap is not None and h.sparsity() > cap:
-            return None
-        factors.append((h, e))
+        factors.append((SparsePoly(ctx, f.n, terms), e))
         start += dp
     return Factorization(ctx.one(), factors)
 
 
 # -- the general driver -------------------------------------------------------
 
-def factor(f, sb=None):
+def factor(f):
     """Complete factorization into pairwise-coprime irreducibles.
 
     Soundness is unconditional: the returned record re-multiplies exactly
     to f.  Factorization.assemble checks this with an explicit comparison,
     so it holds under python -O too, and raises NoFactorizationFound if
-    it fails.  sb is the sparsity-cap configuration (SBConfig, default
-    when None)."""
+    it fails."""
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.is_constant():
@@ -497,14 +482,14 @@ def factor(f, sb=None):
         absent = sorted(set(range(n)) - set(core.present_vars()))
         for i in reversed(absent):
             core = core.drop_var(i)
-        for h, m in _factor_full(core, sb).parts:
+        for h, m in _factor_full(core).parts:
             for i in absent:
                 h = h.insert_var(i)
             parts.append((h, m))
     return Factorization.assemble(f, parts)
 
 
-def _factor_full(f, sb):
+def _factor_full(f):
     """Factor a polynomial all of whose variables are present and whose
     monomial content is 1."""
     ctx = f.ctx
@@ -520,7 +505,7 @@ def _factor_full(f, sb):
     if n == 2:
         return factor_bivariate(f)
     fhat, fk, k = make_monic(f)
-    mfac = factor_monic(fhat, sb)
+    mfac = factor_monic(fhat)
     # substitute y -> fk * x_n in each monic factor
     fk_full = fk.insert_var(n - 1)
     sub = fk_full * SparsePoly.variable(ctx, n, n - 1)
@@ -529,7 +514,7 @@ def _factor_full(f, sb):
     if fk.is_constant():
         wparts = []
     else:
-        wparts = [(w.insert_var(n - 1), b) for w, b in factor(fk, sb).parts]
+        wparts = [(w.insert_var(n - 1), b) for w, b in factor(fk).parts]
     parts = []
     alphas = [-b * (k - 1) for _, b in wparts]
     for h, e in raw:

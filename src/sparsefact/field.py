@@ -235,7 +235,10 @@ class FieldCtx:
             yield exp[log[tup]]
 
     def from_index(self, i):
-        """The i-th element of elements() order."""
+        """The i-th element of elements() order; IndexError unless
+        0 <= i < q."""
+        if not 0 <= i < self.q:
+            raise IndexError("element index %r outside 0..%d" % (i, self.q - 1))
         digits = []
         for _ in range(self.ell):
             digits.append(i % self.p)

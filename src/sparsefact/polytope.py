@@ -11,10 +11,11 @@ shown to be inner.  The LPs use no floating point; the sparsity-cap
 exponent starts from a float estimate, which it trusts only outside a
 proven error bound of an integer.
 
-Also houses the factor-sparsity cap SB(n,s,d), a corner-point bound checker,
-a brute-force uniform-combination certifier, and the Hadamard-matrix support
-family showing the vertex count can be exponentially smaller than the
-support size.
+Also houses the factor-sparsity cap SB(n,s,d), computed from n, s, d and
+the paper's constant C and read by no factoring engine; a corner-point
+bound checker; a brute-force uniform-combination certifier; and the
+Hadamard-matrix support family showing the vertex count can be
+exponentially smaller than the support size.
 """
 
 import itertools
@@ -22,23 +23,6 @@ import math
 from fractions import Fraction
 
 from .errors import EmptySupport, ShapeMismatch, BoundViolation
-
-
-class SBConfig:
-    """Configuration of the sparsity cap s^ceil(C*d^2*log2(max(n,2)))."""
-
-    __slots__ = ("C", "user_cap")
-
-    def __init__(self, C=Fraction(5), user_cap=None):
-        self.C = Fraction(C)
-        if self.C <= 0:
-            raise ValueError("the sparsity-cap constant C must be positive")
-        if user_cap is not None and user_cap < 1:
-            raise ValueError("the user sparsity cap must be at least 1")
-        self.user_cap = user_cap
-
-    def __repr__(self):
-        return "SBConfig(C=%r, user_cap=%r)" % (self.C, self.user_cap)
 
 
 # -- exact feasibility LP -----------------------------------------------------
@@ -215,26 +199,31 @@ def _ceil_c_d2_log2(C, d2, M):
     return a
 
 
+def _exponent(C, d, n):
+    """ceil(C*d^2*log2(max(n,2))), the exponent of the sparsity cap and of
+    the corner-point inequality; ValueError unless the constant C (a
+    number or a fraction string) is positive."""
+    C = Fraction(C)
+    if C <= 0:
+        raise ValueError("the sparsity-cap constant C must be positive")
+    return _ceil_c_d2_log2(C, d * d, max(n, 2))
+
+
 def _pow_at_least(b, a, N):
     """b^a >= N for integers b, N >= 1, a >= 0; b^a is not built when
     b >= 2 and a >= N.bit_length(), as then b^a >= 2^a > N."""
     return (b >= 2 and a >= N.bit_length()) or b ** a >= N
 
 
-def sparsity_cap(n, s, d, cfg=None):
+def sparsity_cap(n, s, d, C=5):
     """Upper bound on the sparsity of any factor of an s-sparse polynomial in
     n variables with individual degrees at most d:
-    min(s^ceil(C*d^2*log2(max(n,2))), (d+1)^n, user cap)."""
+    min(s^ceil(C*d^2*log2(max(n,2))), (d+1)^n)."""
     if min(n, s, d) < 1:
         raise ValueError("sparsity_cap needs n, s, d >= 1")
-    if cfg is None:
-        cfg = SBConfig()
-    exponent = _ceil_c_d2_log2(cfg.C, d * d, max(n, 2))
+    exponent = _exponent(C, d, n)
     dense = (d + 1) ** n
-    cap = dense if _pow_at_least(s, exponent, dense) else s ** exponent
-    if cfg.user_cap is not None:
-        cap = min(cap, cfg.user_cap)
-    return cap
+    return dense if _pow_at_least(s, exponent, dense) else s ** exponent
 
 
 # -- corner-point bound checking ----------------------------------------------
@@ -271,7 +260,7 @@ def _bipartite_match(adj, n_right):
     return size
 
 
-def caratheodory_check(E, d, cfg=None, uniform_k=None):
+def caratheodory_check(E, d, C=5, uniform_k=None):
     """Verify the corner-point inequality t^ceil(C*d^2*log2(max(n,2))) >= |E|
     for E a set of lattice points in {0..d}^n, t = number of hull vertices.
 
@@ -280,8 +269,9 @@ def caratheodory_check(E, d, cfg=None, uniform_k=None):
     k-uniform combination of the vertices.
 
     Returns a report dict, whose "vertex_list" is newton_vertices(E);
-    raises BoundViolation if the inequality fails, and ValueError for d < 0,
-    a point outside {0..d}^n, or a uniform cover asked with k < 1 or d < 1.
+    raises BoundViolation if the inequality fails, and ValueError for C <= 0,
+    d < 0, a point outside {0..d}^n, or a uniform cover asked with k < 1 or
+    d < 1.
     """
     if d < 0:
         raise ValueError("caratheodory_check needs d >= 0")
@@ -293,11 +283,9 @@ def caratheodory_check(E, d, cfg=None, uniform_k=None):
     n = _dimension(pts)
     if any(not 0 <= v <= d for p in pts for v in p):
         raise ValueError("support point outside {0..%d}^%d" % (d, n))
-    if cfg is None:
-        cfg = SBConfig()
+    exponent = _exponent(C, d, n)
     verts = newton_vertices(pts)
     t = len(verts)
-    exponent = _ceil_c_d2_log2(cfg.C, d * d, max(n, 2))
     ok = _pow_at_least(t, exponent, len(pts))
     report = {
         "size": len(pts),

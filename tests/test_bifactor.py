@@ -11,7 +11,7 @@ import pytest
 
 from sparsefact import bifactor
 from sparsefact.errors import (NotCoprime, NoFactorizationFound, Reject,
-                               ZeroPolynomial, FieldTooSmall)
+                               ZeroPolynomial, FieldTooSmall, ShapeMismatch)
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import (SparsePoly, Factorization, sparse_divide,
                                    parse_poly, format_poly)
@@ -69,6 +69,11 @@ def test_hensel_rejects_shared_seed():
     f = B({(2, 0): 1, (0, 2): 6})
     with pytest.raises(NotCoprime):
         hensel_lift(f, U([6, 1]), U([6, 1]), F7.elem(1), 3)
+    # a polynomial in three variables or one is not in (y, t)
+    for other in (parse_poly("x1^2 + 6*x2^2 + x3", F7),
+                  parse_poly("x1^2 + 6", F7)):
+        with pytest.raises(ShapeMismatch):
+            hensel_lift(other, U([6, 1]), U([1, 1]), F7.elem(1), 3)
 
 
 def test_hensel_congruence_random():
@@ -479,3 +484,8 @@ def test_bi_gcd_examples():
     assert _divides(got, f) and _divides(got, g)
     coprime = bi_gcd(b, B({(1, 0): 1, (0, 0): 5}))
     assert coprime.degree(0) == 0 and coprime.degree(1) == 0
+    # either argument in three variables or one is not in (y, t)
+    for other in (parse_poly("x1*x2*x3 + 1", F7), parse_poly("x1 + 1", F7)):
+        for args in ((other, f), (f, other)):
+            with pytest.raises(ShapeMismatch):
+                bi_gcd(*args)

@@ -386,17 +386,13 @@ BAD_ARGUMENTS = [
     ["examples", "--which", "eg1", "--n", "0"],
     ["examples", "--which", "eg1", "--d", "0"],
     ["hitset", "--n", "1", "--d", "1", "--k", "1", "--limit", "-1"],
-    ["factor", "--cap", "0",
-     "x1^2*x2 + x1*x2^2*x3 + x1*x3 + x2*x3^2"],
-    ["polytope", "--cap", "0", "x1*x2+x1"],
     ["hitset", "--n", "0", "--d", "1", "--k", "1"],
     ["examples", "--which", "hadamard", "--m", "5"],
-    ["factor", "--sb-constant", "0", "x1"],
     ["polytope", "--sb-constant", "0", "x1"],
 ]
 
 
-@pytest.mark.parametrize("cmd", ["factor", "polytope"])
+@pytest.mark.parametrize("cmd", ["polytope"])
 @pytest.mark.parametrize("value", ["1/0", "abc"])
 def test_bad_sb_constant_is_usage_error(cmd, value, capsys):
     # a zero denominator used to escape argparse as a ZeroDivisionError
@@ -425,19 +421,53 @@ def test_bad_arguments_exit_1_optimized(run_optimized):
 
 
 def test_cap_flags_only_where_read():
-    # verify, hitset and examples compute no sparsity cap
-    for argv in (["verify", "x1", "--factor", "x1"],
+    # only polytope computes a sparsity cap, and no subcommand takes a
+    # user's own cap
+    for argv in (["factor", "x1*x2 + x2"],
+                 ["verify", "x1", "--factor", "x1"],
                  ["hitset", "--n", "1", "--d", "1", "--k", "1"],
                  ["examples", "--which", "eg1"]):
         assert invoke(argv)[0] == 0
         assert invoke(argv + ["--cap", "3"])[0] == 1
         assert invoke(argv + ["--sb-constant", "2"])[0] == 1
-    status, text = invoke(["polytope", "--cap", "3", "--sb-constant", "2",
-                           "x1^2*x2 + x2 + 3"])
-    assert status == 0 and "factor sparsity cap: 3\n" in text
-    status, _ = invoke(["factor", "--cap", "3", "--sb-constant", "2",
-                        "x1*x2 + x2"])
+    assert invoke(["polytope", "--cap", "3", "x1^2*x2 + x2 + 3"])[0] == 1
+    # C = 3/2 gives 2^ceil(3/2 * log2 6) = 16 < 2^6; C = 5 gives the 2^6
+    cube = "x1*x2*x3*x4*x5*x6 + 1"
+    status, text = invoke(["polytope", "--sb-constant", "3/2", cube])
+    assert status == 0 and "factor sparsity cap: 16\n" in text
+    status, text = invoke(["polytope", cube])
+    assert status == 0 and "factor sparsity cap: 64\n" in text
+
+
+# The product (x2*x3 + x1)(x1*x2 + x3), which factor --cap 1 once printed
+# as one irreducible factor with status 0.
+CAP_INPUT = "x1^2*x2 + x1*x2^2*x3 + x1*x3 + x2*x3^2"
+# Flags factor and polytope no longer take: usage errors, on stderr.
+REMOVED_FLAGS = [
+    ["factor", "--cap", "0", CAP_INPUT],
+    ["factor", "--cap", "1", CAP_INPUT],
+    ["factor", "--sb-constant", "0", "x1"],
+    ["factor", "--sb-constant", "1/0", "x1"],
+    ["factor", "--sb-constant", "abc", "x1"],
+    ["polytope", "--cap", "0", "x1*x2+x1"],
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=" ".join)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    status, text = invoke(argv)
+    err = capsys.readouterr().err
+    assert status == 1 and text == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("sparsefact: error: unrecognized arguments: ")
+    assert argv[1] in last.split()
+
+
+def test_factor_reports_both_factors_without_a_cap():
+    status, text = invoke(["factor", CAP_INPUT])
     assert status == 0
+    assert text == ("field: F_7\nunit: 1\nfactor: (x2*x3 + x1)^1\n"
+                    "factor: (x1*x2 + x3)^1\n")
 
 
 # -- contract -----------------------------------------------------------------

@@ -413,16 +413,9 @@ def test_reconstruct_per_axis_degrees_round_trip(p, ell):
 def test_verify_true_and_false():
     f = P("x1^2 + 6")
     good = Factorization(F7.one(), [(P("x1 + 1"), 1), (P("x1 + 6"), 1)])
-    assert verify_factorization(f, good, 4)
+    assert verify_factorization(f, good)
     bad = Factorization(F7.elem(2), [(P("x1 + 1"), 1), (P("x1 + 6"), 1)])
-    assert not verify_factorization(f, bad, 4)
-
-
-def test_verify_early_abort_on_cap():
-    # partial product blows past cap^2 terms; must return False early
-    dense = P("x1^2 + x1 + 1", nvars=2) * P("x2^2 + x2 + 1")
-    cand = Factorization(F7.one(), [(dense, 3)])
-    assert not verify_factorization(dense, cand, 1)
+    assert not verify_factorization(f, bad)
 
 
 # -- monic driver -------------------------------------------------------------
@@ -660,8 +653,8 @@ def test_factor_monic_lift_skips_unretractable_candidate(monkeypatch):
     reconstruct = factorizer._reconstruct_candidate
     offered = []
 
-    def unretractable_first(at, guess, grid_axes, cap):
-        cand = reconstruct(at, guess, grid_axes, cap)
+    def unretractable_first(at, guess, grid_axes):
+        cand = reconstruct(at, guess, grid_axes)
         if offered or cand is None or len(cand.parts) != 2:
             return cand
         z = F49.elem((0, 1))
@@ -863,10 +856,10 @@ STRIP_LINES = [
     "from sparsefact.sparsepoly import Factorization, parse_poly",
     "f = parse_poly(%r, make_field(7))" % STRIP_INPUT,
     # the leading coefficient reported as one irreducible factor
-    "factorizer.factor = lambda g, sb=None: "
+    "factorizer.factor = lambda g: "
     "Factorization(g.ctx.one(), [(g, 1)])",
     "try:",
-    "    factorizer._factor_full(f, None)",
+    "    factorizer._factor_full(f)",
     "except NoFactorizationFound:",
     "    print('raised')",
 ]
@@ -877,20 +870,20 @@ def test_strip_incomplete_leading_coefficient_raises(monkeypatch):
     assert multiset(factor(f)) == multiset(Factorization(F7.one(), [
         (P("x1*x2*x3 + 1"), 1), (P("x1*x2*x3 + 2"), 1)]))
     monkeypatch.setattr(factorizer, "factor",
-                        lambda g, sb=None: Factorization(g.ctx.one(),
-                                                          [(g, 1)]))
+                        lambda g: Factorization(g.ctx.one(), [(g, 1)]))
     with pytest.raises(NoFactorizationFound):
-        factorizer._factor_full(f, None)
+        factorizer._factor_full(f)
 
 
 def test_strip_check_survives_optimize_flag(run_optimized):
     assert run_optimized(STRIP_LINES) == "False\nraised\n"
 
 
-def test_factor_cap_counts_every_variable():
-    # the monic driver's factors live in x1, x2 and y = x3; a sparsity cap
-    # over the x-variables alone, (d+1)^2 = 16, rejected the 19-term h and
-    # returned the product as one factor
+def test_factor_finds_factor_denser_than_x_grid():
+    # the monic driver's factors live in x1, x2 and y = x3, so the 19-term
+    # h has more terms than the (d+1)^2 = 16 points of its x-grid; a
+    # sparsity cap over the x-variables alone once rejected h and returned
+    # the product as one factor
     F101 = make_field(101)
     a = " + ".join("%d*x1^%d*x2^%d" % (i + 3 * j + 1, i, j)
                    for i in range(3) for j in range(3))

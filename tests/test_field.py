@@ -116,6 +116,17 @@ def test_enumeration_order_is_lex_and_indexed():
         assert ctx.from_index(i) == e
 
 
+@pytest.mark.parametrize("p,ell", [(7, 1), (3, 2)])
+def test_from_index_rejects_indices_outside_the_field(p, ell):
+    # over F_7 an index of 7 once gave 0 and -1 gave 6; over F_9, 9 gave 0
+    ctx = make_field(p, ell)
+    assert ctx.from_index(0).is_zero()
+    assert ctx.from_index(ctx.q - 1).index() == ctx.q - 1
+    for i in (-1, ctx.q, ctx.q + 1, -ctx.q):
+        with pytest.raises(IndexError):
+            ctx.from_index(i)
+
+
 def test_pth_root_inverts_frobenius():
     for p, ell in [(2, 3), (3, 2), (5, 1)]:
         ctx = make_field(p, ell)

@@ -16,8 +16,8 @@ from sparsefact.field import make_field
 from sparsefact.sparsepoly import parse_poly
 from tests_oracle import (box_sign_exposes, brute_force_vertices,
                           ceil_c_d2_log2_by_powers, feasible_by_elimination)
-from sparsefact.polytope import (SBConfig, in_hull, support_of,
-                                 newton_vertices, minkowski_sum, sparsity_cap,
+from sparsefact.polytope import (in_hull, support_of, newton_vertices,
+                                 minkowski_sum, sparsity_cap,
                                  caratheodory_check, hadamard_example)
 
 F7 = make_field(7)
@@ -358,25 +358,21 @@ def test_sparsity_cap_examples():
     assert sparsity_cap(1, 9, 1) == 2
     assert sparsity_cap(3, 8, 1) == 8          # (d+1)^n dominates
     assert sparsity_cap(2, 4, 3) == 16         # (3+1)^2 dominates
-    assert sparsity_cap(2, 4, 3, SBConfig(user_cap=5)) == 5
 
 
-def test_sbconfig_checks_its_constant():
-    cfg = SBConfig(C="3/2")
-    assert type(cfg.C) is Fraction and cfg.C == Fraction(3, 2)
-    assert SBConfig().C == 5 and SBConfig().user_cap is None
+def test_sparsity_constant_must_be_positive():
+    # C defaults to 5 and may be given as a fraction string
+    assert sparsity_cap(6, 2, 1, "3/2") == sparsity_cap(6, 2, 1,
+                                                        Fraction(3, 2)) == 16
+    assert sparsity_cap(6, 2, 1) == sparsity_cap(6, 2, 1, 5) == 64
+    square = list(itertools.product((0, 1), repeat=2))
+    assert caratheodory_check(square, 1, "3/2")["exponent"] == 2
+    assert caratheodory_check(square, 1)["exponent"] == 5
     for bad in (0, -1, "-1/3"):
         with pytest.raises(ValueError):
-            SBConfig(C=bad)
-
-
-def test_sbconfig_checks_its_user_cap():
-    # a cap below 1 admits no factor at all, so the driver would report
-    # every input as irreducible
-    assert SBConfig(user_cap=1).user_cap == 1
-    for bad in (0, -3):
+            sparsity_cap(6, 2, 1, bad)
         with pytest.raises(ValueError):
-            SBConfig(user_cap=bad)
+            caratheodory_check(square, 1, bad)
 
 
 SB_CONSTANTS = [Fraction(5), Fraction(1), Fraction(1, 2), Fraction(7, 3),
@@ -413,12 +409,11 @@ def test_sparsity_exponent_near_integer_falls_back(M, C, skew, monkeypatch):
 
 def test_sparsity_cap_and_verdict_match_powers():
     for C in SB_CONSTANTS:
-        cfg = SBConfig(C=C)
         for d in range(1, 41):
             for n in range(1, 10):
                 a = ceil_c_d2_log2_by_powers(C, d * d, max(n, 2))
                 for s in (1, 2, 3, 7, 50):
-                    assert sparsity_cap(n, s, d, cfg) == \
+                    assert sparsity_cap(n, s, d, C) == \
                         min(s ** a, (d + 1) ** n), (C, d, n, s)
                 for t, size in ((1, 1), (1, 2), (2, 3), (3, 10 ** 6),
                                 (2, 2 ** a), (2, 2 ** a + 1)):
@@ -436,7 +431,7 @@ def test_caratheodory_verdict_matches_powers():
             a = ceil_c_d2_log2_by_powers(C, d * d, max(len(E[0]), 2))
             t = len(newton_vertices(E))
             try:
-                rep = caratheodory_check(E, d, SBConfig(C=C))
+                rep = caratheodory_check(E, d, C)
             except BoundViolation:
                 assert t ** a < len(E)
                 verdicts.add(False)
@@ -506,7 +501,7 @@ def test_caratheodory_bound_violation_under_tiny_constant():
     # exponent ceil(4/100) = 1, and 4^1 < 9
     E = list(itertools.product(range(3), repeat=2))
     with pytest.raises(BoundViolation):
-        caratheodory_check(E, 2, SBConfig(C="1/100"))
+        caratheodory_check(E, 2, "1/100")
 
 
 # -- Hadamard family ----------------------------------------------------------

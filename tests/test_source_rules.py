@@ -138,3 +138,35 @@ def test_no_whole_field_lists(module):
     path = SOURCE / (module + ".py")
     lines = _whole_field_reads(path)
     assert lines == [], "whole-field reads in %s at lines %s" % (path, lines)
+
+
+# the factoring path and the analytics beside it: the engines take nothing
+# from the Newton-polytope analytics, the hitting sets, the resultants or
+# the command line, so none of their numbers can steer a factorization
+ENGINES = ("field", "unifactor", "sparsepoly", "bifactor", "factorizer")
+ANALYTICS = {"polytope", "hitting", "resultant", "cli"}
+
+
+def _sparsefact_imports(module):
+    """The sparsefact modules that module imports, by any import form."""
+    path = SOURCE / (module + ".py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("sparsefact.")}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("sparsefact")):
+            source = (node.module or "").rpartition(".")[2]
+            if source and source != "sparsefact":
+                found.add(source)
+            else:  # modules taken from the package itself
+                found |= {a.name for a in node.names}
+    return found
+
+
+@pytest.mark.parametrize("module", ENGINES)
+def test_engines_import_no_analytics(module):
+    found = sorted(_sparsefact_imports(module) & ANALYTICS)
+    assert found == [], "%s imports %s" % (module, found)
