@@ -1,9 +1,9 @@
 """Exception types shared across the toolkit.
 
-Two of these are non-fatal control-flow signals rather than errors proper:
-Reject (a division/reconstruction candidate failed its cap or divisibility
-check) and GuessInvalid (one enumeration state of the monic driver turned out
-to be inconsistent).  Callers are expected to catch them and move on.
+One of these is a non-fatal control-flow signal rather than an error
+proper: GuessInvalid (one enumeration state of the monic driver turned out to
+be inconsistent), which the driver catches to move on.  Operations that can
+have no answer, such as an exact division, return None instead.
 """
 
 
@@ -74,10 +74,6 @@ class NoFactorizationFound(SparsefactError):
 
 class ParseError(SparsefactError):
     """Polynomial text did not match the input grammar."""
-
-
-class Reject(SparsefactError):
-    """Non-fatal: candidate not divisible or sparsity cap exceeded."""
 
 
 class GuessInvalid(SparsefactError):

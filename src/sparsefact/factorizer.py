@@ -54,7 +54,7 @@ Three layers:
 import itertools
 import math
 
-from .errors import (GuessInvalid, Reject, FieldTooSmall, ZeroPolynomial,
+from .errors import (GuessInvalid, FieldTooSmall, ZeroPolynomial,
                      NoFactorizationFound, NotMonic, ShapeMismatch)
 from .field import extensions
 from .sparsepoly import (SparsePoly, Factorization, make_monic, sparse_divide,
@@ -205,15 +205,14 @@ def _interp_grid(ctx, axes, values):
             if any(v != zl for v in vec)}
 
 
-def reconstruct_sparse(oracle, n, d, cap, ctx):
+def reconstruct_sparse(oracle, n, d, ctx):
     """Dense tensor-grid interpolation of a polynomial of individual degrees
     d (an int or a per-variable tuple) from point evaluations.
 
-    Raises Reject if the result has more than cap terms, FieldTooSmall if
-    the field lacks d+1 points on some axis, and ValueError unless n >= 1
-    and every degree is nonnegative.  The oracle must return elements of
-    ctx: TypeError is raised for any other object, CtxMismatch for another
-    field's element.
+    Raises FieldTooSmall if the field lacks d+1 points on some axis, and
+    ValueError unless n >= 1 and every degree is nonnegative.  The oracle
+    must return elements of ctx: TypeError is raised for any other object,
+    CtxMismatch for another field's element.
     """
     degs = tuple(d) if not isinstance(d, int) else (d,) * n
     if len(degs) != n:
@@ -229,24 +228,17 @@ def reconstruct_sparse(oracle, n, d, cap, ctx):
         if getattr(v, "ctx", None) is not ctx:
             _check_elem(v, ctx, "an oracle value")
         values[b] = (v.log,)
-    result = SparsePoly(ctx, n, {e: vec[0] for e, vec in
-                                 _interp_grid(ctx, axes, values).items()})
-    if cap is not None and result.sparsity() > cap:
-        raise Reject("reconstruction exceeds sparsity cap %d" % cap)
-    return result
+    return SparsePoly(ctx, n, {e: vec[0] for e, vec in
+                               _interp_grid(ctx, axes, values).items()})
 
 
 # -- verification -------------------------------------------------------------
 
 def verify_factorization(f, candidate):
     """True iff unit * prod(factor^mult) equals f exactly."""
-    product = SparsePoly.constant(f.ctx, f.n, 1)
-    for h, m in candidate.parts:
-        if h.n != f.n or h.ctx != f.ctx:
-            return False
-        for _ in range(m):
-            product = product * h
-    return product.scale(candidate.unit) == f
+    if any(h.n != f.n or h.ctx != f.ctx for h, _ in candidate.parts):
+        return False
+    return candidate.expand(f.ctx, f.n) == f
 
 
 # -- guess enumeration --------------------------------------------------------
@@ -519,11 +511,8 @@ def _factor_full(f):
     alphas = [-b * (k - 1) for _, b in wparts]
     for h, e in raw:
         for j, (w, _) in enumerate(wparts):
-            while True:
-                try:
-                    h = sparse_divide(h, w)
-                except Reject:
-                    break
+            while (q := sparse_divide(h, w)) is not None:
+                h = q
                 alphas[j] += e
         parts.append((h, e))
     for j, (w, b) in enumerate(wparts):

@@ -25,9 +25,9 @@ class HittingSet:
     def __iter__(self):
         return itertools.product(self._values, repeat=self._n)
 
-    def points(self, limit=None):
-        """Materialize (a prefix of) the point list."""
-        return list(itertools.islice(self, limit))
+    def points(self):
+        """Materialize the point list."""
+        return list(self)
 
 
 def gen_hitting_set(ctx, n, d, k):

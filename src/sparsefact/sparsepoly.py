@@ -25,7 +25,7 @@ import operator
 import re
 
 from .errors import (ShapeMismatch, ZeroPolynomial, ZeroDegree, EmptyVector,
-                     Reject, ParseError, CtxMismatch, NoFactorizationFound,
+                     ParseError, CtxMismatch, NoFactorizationFound,
                      BoundViolation)
 from .field import FieldElem
 from .unifactor import UniPoly, addmul_logs, mul_logs
@@ -440,17 +440,16 @@ def make_monic(f):
 
 # -- sparse division ----------------------------------------------------------
 
-def sparse_divide(f, g, cap=None):
-    """Exact quotient f/g if it exists and has at most `cap` terms.
+def sparse_divide(f, g):
+    """The exact quotient f/g, or None when g does not divide f.
 
-    Raises Reject when g does not divide f or the quotient exceeds the cap.
     Leading-term rewriting in graded-lex order: if f = q*g the loop
     reconstructs q exactly; any non-divisible leading term certifies
     non-divisibility.  The remainder is one dict, updated in place, whose
     exponents wait in a heap ordered by the term order (Monagan & Pearce,
     "Sparse polynomial division using a heap", JSC 2011, with a dict in
     place of their heap of products).  The result is re-verified by
-    multiplication.
+    multiplication; NoFactorizationFound is raised if that fails.
     """
     if g.is_zero():
         raise ZeroPolynomial("division by the zero polynomial")
@@ -474,10 +473,8 @@ def sparse_divide(f, g, cap=None):
             continue  # cancelled, or a second heap entry of a done exponent
         qe = tuple(map(operator.sub, e, ge))
         if any(v < 0 for v in qe):
-            raise Reject("not divisible")
+            return None
         q[qe] = red[r + inv]
-        if cap is not None and len(q) > cap:
-            raise Reject("quotient exceeds sparsity cap %d" % cap)
         for ee, c in ng:
             k = tuple(map(operator.add, qe, ee))
             t = r + c
@@ -494,7 +491,7 @@ def sparse_divide(f, g, cap=None):
     exp = ctx.exp
     quotient = SparsePoly(ctx, f.n, {e: exp[v] for e, v in q.items()})
     if quotient * g != f:
-        raise Reject("verification failed")
+        raise NoFactorizationFound("quotient does not multiply back to f")
     return quotient
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from sparsefact import bifactor, factorizer
-from sparsefact.errors import (GuessInvalid, Reject, FieldTooSmall,
+from sparsefact.errors import (GuessInvalid, FieldTooSmall,
                                ZeroPolynomial, NoFactorizationFound,
                                NotMonic, ShapeMismatch, CtxMismatch)
 from sparsefact.field import make_field
@@ -334,30 +334,24 @@ def test_enumerate_guesses_six_simple_factors():
 def test_reconstruct_example():
     target = P("x1*x2 + 3")
     got = reconstruct_sparse(lambda pt: target.evaluate(list(pt)),
-                             2, 1, 2, F7)
+                             2, 1, F7)
     assert got == target
 
 
 def test_reconstruct_zero():
-    got = reconstruct_sparse(lambda pt: F7.zero(), 2, 2, 5, F7)
+    got = reconstruct_sparse(lambda pt: F7.zero(), 2, 2, F7)
     assert got.is_zero()
-
-
-def test_reconstruct_cap_rejects():
-    target = P("x1*x2 + x1 + x2 + 1")
-    with pytest.raises(Reject):
-        reconstruct_sparse(lambda pt: target.evaluate(list(pt)), 2, 1, 1, F7)
 
 
 def test_reconstruct_field_too_small():
     F2 = make_field(2)
     with pytest.raises(FieldTooSmall):
-        reconstruct_sparse(lambda pt: F2.zero(), 1, 2, 9, F2)
+        reconstruct_sparse(lambda pt: F2.zero(), 1, 2, F2)
 
 
 def test_reconstruct_rejects_wrong_degree_count():
     with pytest.raises(ShapeMismatch):
-        reconstruct_sparse(lambda pt: F7.zero(), 2, (1, 1, 1), 5, F7)
+        reconstruct_sparse(lambda pt: F7.zero(), 2, (1, 1, 1), F7)
 
 
 def test_reconstruct_rejects_bad_degrees():
@@ -365,7 +359,7 @@ def test_reconstruct_rejects_bad_degrees():
     # polynomial whatever the oracle says; no variables, no grid at all
     for n, d in ((2, -1), (2, (1, -1)), (0, 1), (0, ())):
         with pytest.raises(ValueError):
-            reconstruct_sparse(lambda pt: F7.one(), n, d, None, F7)
+            reconstruct_sparse(lambda pt: F7.one(), n, d, F7)
 
 
 def test_reconstruct_rejects_foreign_values():
@@ -373,9 +367,9 @@ def test_reconstruct_rejects_foreign_values():
     # as an F_7 log would give a wrong polynomial, and an int has none
     F11 = make_field(11)
     with pytest.raises(CtxMismatch):
-        reconstruct_sparse(lambda pt: F11.elem(3), 1, 0, None, F7)
+        reconstruct_sparse(lambda pt: F11.elem(3), 1, 0, F7)
     with pytest.raises(TypeError):
-        reconstruct_sparse(lambda pt: 3, 1, 0, None, F7)
+        reconstruct_sparse(lambda pt: 3, 1, 0, F7)
 
 
 def test_reconstruct_random_round_trip():
@@ -388,7 +382,7 @@ def test_reconstruct_random_round_trip():
             if not c.is_zero():
                 terms[e] = c
         f = SparsePoly(F7, 2, terms)
-        got = reconstruct_sparse(lambda pt: f.evaluate(list(pt)), 2, 2, 9, F7)
+        got = reconstruct_sparse(lambda pt: f.evaluate(list(pt)), 2, 2, F7)
         assert got == f
 
 
@@ -404,7 +398,7 @@ def test_reconstruct_per_axis_degrees_round_trip(p, ell):
                                 for a in range(3) for c in range(4)
                                 if rng.random() < density})
         got = reconstruct_sparse(lambda pt: f.evaluate(list(pt)), 3,
-                                 (2, 0, 3), None, ctx)
+                                 (2, 0, 3), ctx)
         assert got == f
 
 
@@ -476,10 +470,10 @@ CHECK_LINES = [
     "calls = [lambda: factor_monic(parse_poly('y^2 + 6', F)),",
     "         lambda: factor_monic(parse_poly('2*y^2 + x1', F)),",
     "         lambda: Guess(anchor=(F.one(),), parts=((),), exps=(1,)),",
-    "         lambda: reconstruct_sparse(lambda pt: F.zero(), 2, (1,), 5, F),",
+    "         lambda: reconstruct_sparse(lambda pt: F.zero(), 2, (1,), F),",
     "         lambda: reconstruct_sparse(lambda pt: make_field(11).elem(3),",
-    "                                    1, 0, None, F),",
-    "         lambda: reconstruct_sparse(lambda pt: 3, 1, 0, None, F)]",
+    "                                    1, 0, F),",
+    "         lambda: reconstruct_sparse(lambda pt: 3, 1, 0, F)]",
     "for call in calls:",
     "    try:",
     "        call()",

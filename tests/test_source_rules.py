@@ -170,3 +170,29 @@ def _sparsefact_imports(module):
 def test_engines_import_no_analytics(module):
     found = sorted(_sparsefact_imports(module) & ANALYTICS)
     assert found == [], "%s imports %s" % (module, found)
+
+
+def _raised_names(module):
+    """The names of the exceptions that module raises: `raise E(...)`,
+    `raise E` or `raise errors.E(...)`."""
+    path = SOURCE / (module + ".py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                found.add(exc.attr)
+    return found
+
+
+def test_every_error_class_is_raised():
+    # an exception class that no code raises is a contract nothing keeps:
+    # a caller catching it waits for a signal that never comes
+    tree = ast.parse((SOURCE / "errors.py").read_text())
+    classes = {node.name for node in tree.body
+               if isinstance(node, ast.ClassDef)} - {"SparsefactError"}
+    raised = set().union(*(_raised_names(p.stem) for p in SOURCE.glob("*.py")))
+    assert sorted(classes - raised) == []
