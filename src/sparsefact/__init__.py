@@ -12,9 +12,7 @@ from .unifactor import UniPoly, UniFactorization, factor_univariate, \
     squarefree_decompose, is_irreducible
 from .resultant import (sylvester_matrix, resultant_univariate,
                         resultant_at_point)
-from .bifactor import hensel_lift, bi_gcd
-from .factorizer import (factor, factor_monic, blackbox_eval,
-                         reconstruct_sparse, verify_factorization)
+from .factorizer import factor, factor_monic, verify_factorization
 
 __all__ = [
     "make_field", "FieldCtx", "FieldElem",
@@ -27,7 +25,5 @@ __all__ = [
     "UniPoly", "UniFactorization", "factor_univariate",
     "squarefree_decompose", "is_irreducible",
     "sylvester_matrix", "resultant_univariate", "resultant_at_point",
-    "hensel_lift", "bi_gcd",
-    "factor", "factor_monic", "blackbox_eval",
-    "reconstruct_sparse", "verify_factorization",
+    "factor", "factor_monic", "verify_factorization",
 ]

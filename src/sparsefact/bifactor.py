@@ -18,22 +18,21 @@ with Factorization.assemble, which re-verifies them.  The pipeline:
 Representation.  Inside the pipeline a polynomial is a y-list: one UniPoly
 in t per y-degree, y-degree 0 first, trailing zero rows trimmed.
 `factor_bivariate` converts its SparsePoly input once and converts the
-factors back once at the end; the other SparsePoly conversions are at the
-public wrappers (`bi_gcd`, `hensel_lift`) and on the extension route, which
-lifts and retracts on SparsePoly.  Projections at t = t0 are taken on
-y-lists (a lift reads the t^0 column of the rows shifted by t0), never by
-substituting into a SparsePoly.  Every exact division in F_q[t][y] (the
-gcd quotient, the multiplicity loop, recombination's trial division) is
-`_ylist_div`.
+factors back once at the end; the other SparsePoly conversions are on the
+extension route, which lifts and retracts on SparsePoly.  Projections at
+t = t0 are taken on y-lists (a lift reads the t^0 column of the rows
+shifted by t0), never by substituting into a SparsePoly.  Every exact
+division in F_q[t][y] (the gcd quotient, the multiplicity loop,
+recombination's trial division) is `_ylist_div`.
 
-Hensel lifting.  Every lift, the engine's, `hensel_lift`'s and the monic
-driver's along each line through an anchor (factorizer.blackbox_eval),
-follows a lift plan (`_lift_plan`) of its seeds, the pairwise-coprime
-factors of F(y, 0).  For each split g0 = seeds[i], h0 = prod(seeds[i+1:])
-the plan holds the Bezout cofactor's tables: the correction of a step is
-linear in [t^m](F - G*H), so `_pair_lift` applies them on logs, with no
-xgcd or division per step.  The plan depends on the seeds alone, so the
-driver builds it once per anchor and shares it among all lines there.
+Hensel lifting.  Every lift, the engine's and the monic driver's along each
+line through an anchor (factorizer.blackbox_eval), follows a lift plan
+(`_lift_plan`) of its seeds, the pairwise-coprime factors of F(y, 0).  For
+each split g0 = seeds[i], h0 = prod(seeds[i+1:]) the plan holds the Bezout
+cofactor's tables: the correction of a step is linear in [t^m](F - G*H), so
+`_pair_lift` applies them on logs, with no xgcd or division per step.  The
+plan depends on the seeds alone, so the driver builds it once per anchor
+and shares it among all lines there.
 
 Everything is exact and order-deterministic.
 """
@@ -192,12 +191,6 @@ def _ylist_gcd(A, B, ctx):
     return [u.scale(scale) * cont for u in pa]
 
 
-def bi_gcd(f, g):
-    """gcd of two bivariate polynomials (canonical: primitive in y, monic
-    leading coefficients), via the primitive pseudo-remainder sequence."""
-    return from_ylist(f.ctx, _ylist_gcd(to_ylist(f), to_ylist(g), f.ctx))
-
-
 # -- Hensel lifting -----------------------------------------------------------
 #
 # A lift keeps each factor as its t-columns: column m lists the logs of the
@@ -299,26 +292,6 @@ def _rows(cols, ctx):
     top = len(cols[0]) - 1
     return ([UniPoly.from_logs(ctx, [c[a] for c in cols]) for a in range(top)]
             + [UniPoly.from_logs(ctx, cols[0][top:])])
-
-
-def hensel_lift(f, g0, h0, t0, precision):
-    """Public two-factor lift around t = t0.
-
-    f must be monic in y with f(y, t0) = g0 * h0, g0 and h0 monic and coprime.
-    Returns (G, H) as bivariate polynomials with G*H == f mod (t-t0)^precision,
-    G == g0 and H == h0 mod (t-t0).  The seeds are checked against the t^0
-    column of f shifted by t -> t + t0, the rows the lift reads (NotCoprime
-    when their product is not f(y, t0)).  t0 must be an element of f's
-    field (TypeError for any other object, CtxMismatch for another field's).
-    """
-    ctx = f.ctx
-    shifted = [u.shift(t0) for u in to_ylist(f)]  # t -> t + t0
-    if g0 * h0 != UniPoly(ctx, [u[0] for u in shifted]):
-        raise NotCoprime("seed product does not match the projection")
-    G, H = _lift_list(shifted, _lift_plan([g0, h0], ctx), precision, ctx)
-    Gp = from_ylist(ctx, [u.shift(-t0) for u in G])
-    Hp = from_ylist(ctx, [u.shift(-t0) for u in H])
-    return Gp, Hp
 
 
 def _lift_list(F, plan, prec, ctx):

@@ -2,20 +2,20 @@
 
 Three layers:
 
-  * blackbox_eval — given one enumeration state ("guess": anchor point,
-    univariate factor multiset, partition into parts, exponent vector),
-    evaluates the would-be factors at any point b.  Every line through the
-    anchor projects at t=0 to f(anchor, y) = prod g^u_g, so the guess itself
-    seeds the line: the restriction of f to the line through (anchor, b) is
-    Hensel-lifted from the pairwise-coprime seeds g^u_g, and each part's
-    value is the e-th root of its lifted seeds' product at t=1 (Kaltofen and
-    Trager's lines through one point).  The projection, its factors, the
-    seeds' lift plan and each line's lifts belong to the anchor, so they sit
-    in one record per anchor (_Anchor) that all its guesses share.  A guess
-    whose pieces are not the projection's factors g, each in one part i and
-    there u_g/e_i times, and a line where the parts' lifts are not
-    polynomial factors or not e-th powers, raise GuessInvalid, which simply
-    discards the guess.
+  * blackbox_eval — given one enumeration state at an anchor ("guess":
+    the univariate factor multiset partitioned into parts, and an exponent
+    vector), evaluates the would-be factors at any point b.  Every line
+    through the anchor projects at t=0 to f(anchor, y) = prod g^u_g, so the
+    guess itself seeds the line: the restriction of f to the line through
+    (anchor, b) is Hensel-lifted from the pairwise-coprime seeds g^u_g, and
+    each part's value is the e-th root of its lifted seeds' product at t=1
+    (Kaltofen and Trager's lines through one point).  f, the anchor, the
+    projection, its factors, the seeds' lift plan and each line's lifts
+    belong to the anchor, so they sit in one record per anchor (_Anchor)
+    that all its guesses share.  A guess whose pieces are not the
+    projection's factors g, each in one part i and there u_g/e_i times, and
+    a line where the parts' lifts are not polynomial factors or not e-th
+    powers, raise GuessInvalid, which simply discards the guess.
 
   * factor_monic — scans anchors over all of F^nx, nonzero coordinates
     first (_full_grid), projects f once at each, enumerates the guesses
@@ -60,37 +60,35 @@ from .field import extensions
 from .sparsepoly import (SparsePoly, Factorization, make_monic, sparse_divide,
                          phi_score, restrict_to_line, project_y, lift_poly,
                          retract_poly)
-from .unifactor import (UniPoly, addmul_logs, factor_univariate, monic_root,
-                        _check_elem)
+from .unifactor import UniPoly, addmul_logs, factor_univariate, monic_root
 from .bifactor import (factor_bivariate, to_ylist, _ylist_deg_t, _ylist_mul,
                        _lift_plan, _lift_list)
 
 
 class Guess:
-    """One enumeration state of the monic driver."""
+    """One enumeration state of the monic driver at an anchor."""
 
-    __slots__ = ("anchor", "parts", "exps")
+    __slots__ = ("parts", "exps")
 
-    def __init__(self, anchor, parts, exps):
+    def __init__(self, parts, exps):
         if len(parts) != len(exps) or not all(parts):
             raise ShapeMismatch("a guess needs one exponent per nonempty part")
-        self.anchor = anchor  # point in F^nx
-        self.parts = parts    # tuple of tuples of UniPoly (multisets)
-        self.exps = exps      # multiplicities, one per part
+        self.parts = parts  # tuple of tuples of UniPoly (multisets)
+        self.exps = exps    # multiplicities, one per part
 
     def __repr__(self):
-        return "Guess(anchor=%r, parts=%r, exps=%r)" % (
-            self.anchor, self.parts, self.exps)
+        return "Guess(parts=%r, exps=%r)" % (self.parts, self.exps)
 
 
 # -- black-box factor evaluation ----------------------------------------------
 
 class _Anchor:
-    """What all guesses and lines at one anchor of f share: the projection
-    f(anchor, y) and its factors [(g, u_g)], monic irreducibles in sort_key
-    order; the lift plan of the seeds g^u_g in that order
-    (bifactor._lift_plan: Bezout cofactors and step tables), made on first
-    use; and the lifted seeds of each line, keyed by its point b."""
+    """What all guesses and lines at one anchor of f share: f, the anchor,
+    the projection f(anchor, y) and its factors [(g, u_g)], monic
+    irreducibles in sort_key order; the lift plan of the seeds g^u_g in
+    that order (bifactor._lift_plan: Bezout cofactors and step tables),
+    made on first use; and the lifted seeds of each line, keyed by its
+    point b."""
 
     __slots__ = ("f", "anchor", "projection", "factors", "plan", "lines")
 
@@ -103,8 +101,9 @@ class _Anchor:
         self.lines = {}  # b -> (precision, lifted seeds)
 
 
-def blackbox_eval(f, guess, b, at=None):
-    """Evaluate the guessed factors of a y-monic f at the point b.
+def blackbox_eval(at, guess, b):
+    """Evaluate the guessed factors of a y-monic f at the point b, for a
+    guess at the anchor whose record (_Anchor) at holds f and the anchor.
 
     Returns one monic UniPoly in y per part.  The guess's pieces must be the
     irreducible factors g of f(anchor, y) = prod g^u_g, each in one part i
@@ -118,18 +117,8 @@ def blackbox_eval(f, guess, b, at=None):
     condition, when the parts' t-degrees do not add up to deg_t F (so their
     truncated products are not a factorization of F) or when a value is not
     an e_i-th power.
-
-    at is the _Anchor of f and guess.anchor, shared by every guess and
-    point there; one is made when it is None.  ValueError is raised when it
-    was made for another f or anchor.
     """
-    if at is None:
-        at = _Anchor(f, guess.anchor)
-    elif (at.f is not f and at.f != f) or (
-            at.anchor is not guess.anchor
-            and at.anchor != tuple(guess.anchor)):
-        raise ValueError("the anchor record was made for another f or anchor")
-    ctx = f.ctx
+    ctx = at.f.ctx
     owner, u = {}, {}  # piece -> its part, and u_g
     for i, (part, e) in enumerate(zip(guess.parts, guess.exps)):
         for g in part:
@@ -143,7 +132,7 @@ def blackbox_eval(f, guess, b, at=None):
     if line is None:
         if at.plan is None:
             at.plan = _lift_plan([g ** m for g, m in at.factors], ctx)
-        F = to_ylist(restrict_to_line(f, at.anchor, b))
+        F = to_ylist(restrict_to_line(at.f, at.anchor, b))
         prec = _ylist_deg_t(F) + 1
         line = at.lines[b] = (prec, _lift_list(F, at.plan, prec, ctx))
     prec, lifted = line
@@ -203,33 +192,6 @@ def _interp_grid(ctx, axes, values):
     exp = ctx.exp
     return {pos: [exp[v] for v in vec] for pos, vec in data.items()
             if any(v != zl for v in vec)}
-
-
-def reconstruct_sparse(oracle, n, d, ctx):
-    """Dense tensor-grid interpolation of a polynomial of individual degrees
-    d (an int or a per-variable tuple) from point evaluations.
-
-    Raises FieldTooSmall if the field lacks d+1 points on some axis, and
-    ValueError unless n >= 1 and every degree is nonnegative.  The oracle
-    must return elements of ctx: TypeError is raised for any other object,
-    CtxMismatch for another field's element.
-    """
-    degs = tuple(d) if not isinstance(d, int) else (d,) * n
-    if len(degs) != n:
-        raise ShapeMismatch("%d degrees for %d variables" % (len(degs), n))
-    if n < 1 or min(degs) < 0:
-        raise ValueError("reconstruction needs n >= 1 and degrees >= 0")
-    if max(degs) + 1 > ctx.q:
-        raise FieldTooSmall(required=max(degs) + 1)
-    axes = [list(itertools.islice(ctx.elements(), dv + 1)) for dv in degs]
-    values = {}
-    for b in itertools.product(*axes):
-        v = oracle(b)
-        if getattr(v, "ctx", None) is not ctx:
-            _check_elem(v, ctx, "an oracle value")
-        values[b] = (v.log,)
-    return SparsePoly(ctx, n, {e: vec[0] for e, vec in
-                               _interp_grid(ctx, axes, values).items()})
 
 
 # -- verification -------------------------------------------------------------
@@ -376,8 +338,7 @@ def factor_monic(f):
             phi = phi_score(exps)
             if phi <= best_phi:
                 break  # sorted descending: nothing below can improve
-            guess = Guess(anchor=at.anchor,
-                          parts=tuple(tuple(p) for p in parts),
+            guess = Guess(parts=tuple(tuple(p) for p in parts),
                           exps=tuple(exps))
             candidate = _reconstruct_candidate(at, guess, grid_axes)
             if candidate is None:
@@ -430,7 +391,7 @@ def _reconstruct_candidate(at, guess, grid_axes):
     values = {}  # grid point -> the parts' lower y-coefficients, in order
     try:
         for b in itertools.product(*grid_axes):
-            values[b] = [v for u in blackbox_eval(f, guess, b, at)
+            values[b] = [v for u in blackbox_eval(at, guess, b)
                          for v in u.logs[:-1]]
     except GuessInvalid:
         return None

@@ -25,10 +25,6 @@ class HittingSet:
     def __iter__(self):
         return itertools.product(self._values, repeat=self._n)
 
-    def points(self):
-        """Materialize the point list."""
-        return list(self)
-
 
 def gen_hitting_set(ctx, n, d, k):
     """Hitting set for nonzero products of k polynomials of individual

@@ -312,7 +312,8 @@ class Factorization:
 
         ctx/n are only needed when there are no parts (constant input)."""
         if not self.parts:
-            return SparsePoly.constant(ctx or self.unit.ctx, n or 1, self.unit)
+            return SparsePoly.constant(ctx or self.unit.ctx,
+                                       1 if n is None else n, self.unit)
         n = self.parts[0][0].n
         result = SparsePoly.constant(self.parts[0][0].ctx, n, 1)
         for f, m in self.parts:

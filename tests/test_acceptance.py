@@ -18,7 +18,7 @@ from sparsefact.polytope import newton_vertices, hadamard_example, in_hull
 from sparsefact.hitting import gen_hitting_set
 from sparsefact.resultant import resultant_univariate, resultant_at_point
 from sparsefact.factorizer import (Guess, factor, blackbox_eval,
-                                   verify_factorization)
+                                   verify_factorization, _Anchor)
 from sparsefact.cli import run
 from tests_oracle import ref_projection, ref_value
 
@@ -196,7 +196,7 @@ def test_06_resultant_identities():
 def test_07_hitting_set_soundness_exhaustive():
     for n in (1, 2):
         hs = gen_hitting_set(F7, n, 2, 1)
-        pts = hs.points()
+        pts = list(hs)
         exps = list(itertools.product(range(3), repeat=n))
         for coeffs in itertools.product(range(3), repeat=len(exps)):
             if not any(coeffs):
@@ -249,19 +249,19 @@ def test_09_blackbox_endpoint_consistency():
         y = SparsePoly.variable(F7, n + 1, n)
         g, h = y + av, y + bv
         f = g * h
-        guess = Guess(anchor=anchor,
-                      parts=((UniPoly(F7, [a0, F7.one()]),),
+        guess = Guess(parts=((UniPoly(F7, [a0, F7.one()]),),
                              (UniPoly(F7, [b0, F7.one()]),)),
                       exps=(1, 1))
+        at = _Anchor(f, anchor)
         # endpoint b = anchor: per-part products of the univariate pieces
-        at_anchor = blackbox_eval(f, guess, anchor)
+        at_anchor = blackbox_eval(at, guess, anchor)
         assert sorted(tuple(c.index() for c in u.coeffs)
                       for u in at_anchor) == \
             sorted([(a0.index(), 1), (b0.index(), 1)])
         # three random points: outputs multiply back to the projection
         for _ in range(3):
             b = tuple(F7.elem(rng.randrange(7)) for _ in range(n))
-            outs = blackbox_eval(f, guess, b)
+            outs = blackbox_eval(at, guess, b)
             prod = UniPoly.constant(F7, 1)
             for u, e in zip(outs, guess.exps):
                 for _ in range(e):

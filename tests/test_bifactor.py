@@ -1,6 +1,8 @@
 """Bivariate factorization in (y, t): Hensel lifting, recombination, the
 char-p substitution path, and the extension-field route.  factor() is the
-only entry to the bivariate engine, so the tests factor through it."""
+only entry to the bivariate engine, so the tests factor through it, and
+call the kernels the engines share (to_ylist, _lift_list, _ylist_gcd)
+directly."""
 
 import itertools
 import json
@@ -16,7 +18,7 @@ from sparsefact.field import make_field
 from sparsefact.sparsepoly import (SparsePoly, Factorization, sparse_divide,
                                    parse_poly, format_poly)
 from sparsefact.unifactor import UniPoly, factor_univariate, is_irreducible
-from sparsefact.bifactor import hensel_lift, bi_gcd
+from sparsefact.bifactor import to_ylist, from_ylist
 from sparsefact.factorizer import factor
 from tests_oracle import pair_lift_by_division
 
@@ -46,12 +48,37 @@ def rand_bi(ctx, maxdeg, nterms, rng):
     return SparsePoly(ctx, 2, terms)
 
 
+# -- representation ----------------------------------------------------------
+
+def test_to_ylist_needs_two_variables():
+    # rows by y-degree, each a polynomial in t; a polynomial in three
+    # variables or one is not in (y, t)
+    f = B({(2, 0): 1, (0, 2): 6, (0, 0): 3})  # y^2 - t^2 + 3
+    assert to_ylist(f) == [U([3, 0, 6]), U([]), U([1])]
+    assert from_ylist(F7, to_ylist(f)) == f
+    for other in (parse_poly("x1^2 + 6*x2^2 + x3", F7),
+                  parse_poly("x1^2 + 6", F7)):
+        with pytest.raises(ShapeMismatch):
+            to_ylist(other)
+
+
 # -- Hensel lifting -----------------------------------------------------------
+
+def lift_at(f, seeds, t0, prec):
+    """The lifts of seeds, pairwise-coprime monic factors of f(y, t0) for a
+    y-monic f, to G_i with prod G_i == f mod (t - t0)^prec: _lift_list on
+    the rows of f shifted by t -> t + t0, shifted back."""
+    ctx = f.ctx
+    shifted = [u.shift(t0) for u in to_ylist(f)]
+    lifted = bifactor._lift_list(shifted, bifactor._lift_plan(seeds, ctx),
+                                 prec, ctx)
+    return [from_ylist(ctx, [u.shift(-t0) for u in G]) for G in lifted]
+
 
 def test_hensel_recovers_exact_factors():
     # f = y^2 - t^2, seeds at t0 = 1: g0 = y - 1, h0 = y + 1
     f = B({(2, 0): 1, (0, 2): 6})
-    G, H = hensel_lift(f, U([6, 1]), U([1, 1]), F7.elem(1), 3)
+    G, H = lift_at(f, [U([6, 1]), U([1, 1])], F7.elem(1), 3)
     y_minus_t = B({(1, 0): 1, (0, 1): 6})
     y_plus_t = B({(1, 0): 1, (0, 1): 1})
     assert {G, H} == {y_minus_t, y_plus_t}
@@ -59,21 +86,16 @@ def test_hensel_recovers_exact_factors():
 
 def test_hensel_precision_one_is_identity():
     f = B({(2, 0): 1, (0, 2): 6})
-    G, H = hensel_lift(f, U([6, 1]), U([1, 1]), F7.elem(1), 1)
+    G, H = lift_at(f, [U([6, 1]), U([1, 1])], F7.elem(1), 1)
     assert G == B({(1, 0): 1, (0, 0): 6})
     assert H == B({(1, 0): 1, (0, 0): 1})
 
 
 def test_hensel_rejects_shared_seed():
-    # f(y, 1) = y^2 - 1 != (y-1)^2, and equal seeds are never coprime
+    # equal seeds are never coprime
     f = B({(2, 0): 1, (0, 2): 6})
     with pytest.raises(NotCoprime):
-        hensel_lift(f, U([6, 1]), U([6, 1]), F7.elem(1), 3)
-    # a polynomial in three variables or one is not in (y, t)
-    for other in (parse_poly("x1^2 + 6*x2^2 + x3", F7),
-                  parse_poly("x1^2 + 6", F7)):
-        with pytest.raises(ShapeMismatch):
-            hensel_lift(other, U([6, 1]), U([1, 1]), F7.elem(1), 3)
+        lift_at(f, [U([6, 1]), U([6, 1])], F7.elem(1), 3)
 
 
 def test_hensel_congruence_random():
@@ -85,7 +107,7 @@ def test_hensel_congruence_random():
         b = B({(1, 0): 1, (0, 0): b0, (0, rng.randint(1, 2)): rng.randint(0, 6)})
         f = a * b
         prec = f.degree(1) + 1
-        G, H = hensel_lift(f, U([a0, 1]), U([b0, 1]), F7.zero(), prec)
+        G, H = lift_at(f, [U([a0, 1]), U([b0, 1])], F7.zero(), prec)
         # full precision: the lift is the exact factorization
         assert {G, H} == {a, b}
 
@@ -95,7 +117,7 @@ def test_hensel_rejects_terms_above_the_seeds_degree():
     # term that no lift of the seeds y - 1 and y + 1 can carry
     f = B({(3, 1): 1, (2, 0): 1, (0, 0): 6})
     with pytest.raises(NoFactorizationFound):
-        hensel_lift(f, U([6, 1]), U([1, 1]), F7.zero(), 3)
+        lift_at(f, [U([6, 1]), U([1, 1])], F7.zero(), 3)
 
 
 def _seeded_line(ctx, rng):
@@ -470,17 +492,18 @@ def _divides(g, f):
 
 
 def test_bi_gcd_examples():
+    # the engine's bivariate gcd, _ylist_gcd: primitive in y, with a monic
+    # leading coefficient
+    def gcd(f, g):
+        return from_ylist(F7, bifactor._ylist_gcd(to_ylist(f), to_ylist(g),
+                                                  F7))
+
     a = B({(1, 0): 1, (0, 1): 6})      # y - t
     b = B({(1, 0): 1, (0, 1): 1})      # y + t
     f = a * b
     g = a * B({(1, 0): 1, (0, 0): 3})
-    got = bi_gcd(f, g)
-    assert got.degree(0) == 1
+    got = gcd(f, g)
+    assert got == a
     assert _divides(got, f) and _divides(got, g)
-    coprime = bi_gcd(b, B({(1, 0): 1, (0, 0): 5}))
+    coprime = gcd(b, B({(1, 0): 1, (0, 0): 5}))
     assert coprime.degree(0) == 0 and coprime.degree(1) == 0
-    # either argument in three variables or one is not in (y, t)
-    for other in (parse_poly("x1*x2*x3 + 1", F7), parse_poly("x1 + 1", F7)):
-        for args in ((other, f), (f, other)):
-            with pytest.raises(ShapeMismatch):
-                bi_gcd(*args)

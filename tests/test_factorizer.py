@@ -10,7 +10,7 @@ import pytest
 from sparsefact import bifactor, factorizer
 from sparsefact.errors import (GuessInvalid, FieldTooSmall,
                                ZeroPolynomial, NoFactorizationFound,
-                               NotMonic, ShapeMismatch, CtxMismatch)
+                               NotMonic, ShapeMismatch)
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
                                    normalize_scalar, project_y, phi_score,
@@ -18,9 +18,9 @@ from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
 from sparsefact.unifactor import UniPoly, factor_univariate
 from sparsefact.bifactor import factor_bivariate
 from sparsefact.factorizer import (Guess, factor, factor_monic,
-                                   blackbox_eval, reconstruct_sparse,
-                                   verify_factorization, _full_grid,
-                                   _enumerate_guesses)
+                                   blackbox_eval, verify_factorization,
+                                   _Anchor, _full_grid, _enumerate_guesses,
+                                   _interp_grid)
 from tests_oracle import (enumerate_guesses_unbounded,
                           blackbox_eval_by_line_factors, ref_projection)
 
@@ -71,20 +71,16 @@ def test_blackbox_hand_trace():
     # f = y^2 - x1^2, anchor (1), univariate pieces y+6 and y+1 in separate
     # parts; at b = (3) the true factors evaluate to y-3 and y+3
     f = P("y^2 + 6*x1^2")
-    guess = Guess(anchor=(F7.one(),),
-                  parts=((U([6, 1]),), (U([1, 1]),)),
-                  exps=(1, 1))
-    got = blackbox_eval(f, guess, (F7.elem(3),))
+    guess = Guess(parts=((U([6, 1]),), (U([1, 1]),)), exps=(1, 1))
+    got = blackbox_eval(_Anchor(f, (F7.one(),)), guess, (F7.elem(3),))
     assert sorted(tuple(c.serialize() for c in h.coeffs) for h in got) == \
         [(3, 1), (4, 1)]   # y+3 and y+4 = y-3
 
 
 def test_blackbox_endpoint_at_anchor():
     f = P("y^2 + 6*x1^2")
-    guess = Guess(anchor=(F7.one(),),
-                  parts=((U([6, 1]),), (U([1, 1]),)),
-                  exps=(1, 1))
-    got = blackbox_eval(f, guess, (F7.one(),))
+    guess = Guess(parts=((U([6, 1]),), (U([1, 1]),)), exps=(1, 1))
+    got = blackbox_eval(_Anchor(f, (F7.one(),)), guess, (F7.one(),))
     assert sorted(tuple(c.serialize() for c in h.coeffs) for h in got) == \
         [(1, 1), (6, 1)]
 
@@ -92,12 +88,11 @@ def test_blackbox_endpoint_at_anchor():
 def test_blackbox_products_multiply_to_projection():
     rng = random.Random(0)
     f = P("y^2 + 6*x1^2")
-    guess = Guess(anchor=(F7.one(),),
-                  parts=((U([6, 1]),), (U([1, 1]),)),
-                  exps=(1, 1))
+    at = _Anchor(f, (F7.one(),))
+    guess = Guess(parts=((U([6, 1]),), (U([1, 1]),)), exps=(1, 1))
     for _ in range(5):
         b = (F7.elem(rng.randrange(7)),)
-        hs = blackbox_eval(f, guess, b)
+        hs = blackbox_eval(at, guess, b)
         prod = UniPoly.constant(F7, 1)
         for h, e in zip(hs, guess.exps):
             for _ in range(e):
@@ -109,20 +104,17 @@ def test_blackbox_ambiguity_partition():
     # f = y(y^2 - x1): at x1 = 1 the pieces are y, y-1, y+1 and the
     # grouping {y}, {y-1, y+1} is a consistent guess
     f = P("y^3 + 6*x1*y")
-    guess = Guess(anchor=(F7.one(),),
-                  parts=((U([0, 1]),), (U([6, 1]), U([1, 1]))),
-                  exps=(1, 1))
-    got = blackbox_eval(f, guess, (F7.elem(2),))
+    at = _Anchor(f, (F7.one(),))
+    guess = Guess(parts=((U([0, 1]),), (U([6, 1]), U([1, 1]))), exps=(1, 1))
+    got = blackbox_eval(at, guess, (F7.elem(2),))
     degs = sorted(h.degree() for h in got)
     assert degs == [1, 2]
     # wrong grouping mixing the pieces differently must be rejected for
     # some evaluation point or verified not to reconstruct f; here a
     # one-part guess with a bad multiplicity raises
-    bad = Guess(anchor=(F7.one(),),
-                parts=((U([0, 1]), U([6, 1]), U([1, 1])),),
-                exps=(2,))
+    bad = Guess(parts=((U([0, 1]), U([6, 1]), U([1, 1])),), exps=(2,))
     with pytest.raises(GuessInvalid):
-        blackbox_eval(f, bad, (F7.elem(2),))
+        blackbox_eval(at, bad, (F7.elem(2),))
 
 
 def test_blackbox_rejects_inconsistent_guesses():
@@ -132,6 +124,8 @@ def test_blackbox_rejects_inconsistent_guesses():
         ("y^2 + 6*x1^2", F7.zero(), ((y0,), (y0,)), (1, 1)),
         # y + 6 is not the projection y^2 - 1
         ("y^2 + 6*x1^2", F7.one(), ((y6,),), (1,)),
+        # y - 1 and y + 1 factor the projection at x1 = 1, not at x1 = 2
+        ("y^2 + 6*x1^2", F7.elem(2), ((y6,), (y1,)), (1, 1)),
         # y^2 - x1 is irreducible: the lifts of y - 1 and y + 1 are series,
         # whose t-degrees add up to more than the line's
         ("y^2 + 6*x1", F7.one(), ((y6,), (y1,)), (1, 1)),
@@ -139,9 +133,9 @@ def test_blackbox_rejects_inconsistent_guesses():
         ("y^2 + 6*x1^2", F7.zero(), ((y0,),), (2,)),
     ]
     for text, a, parts, exps in cases:
-        guess = Guess(anchor=(a,), parts=parts, exps=exps)
+        guess = Guess(parts=parts, exps=exps)
         with pytest.raises(GuessInvalid):
-            blackbox_eval(P(text), guess, (F7.elem(2),))
+            blackbox_eval(_Anchor(P(text), (a,)), guess, (F7.elem(2),))
 
 
 def _rand_y_monic(ctx, rng):
@@ -180,52 +174,27 @@ def test_blackbox_matches_line_factorization(p, ell):
         for h, e in zip(hs, exps):
             for _ in range(e):
                 f = f * h
-        guess = Guess(anchor=anchor,
-                      parts=tuple(tuple(g for g, m in ps for _ in range(m))
+        guess = Guess(parts=tuple(tuple(g for g, m in ps for _ in range(m))
                                   for ps in pieces),
                       exps=exps)
-        at = factorizer._Anchor(f, anchor)
+        at = _Anchor(f, anchor)
         for _ in range(3):
             b = tuple(ctx.from_index(rng.randrange(ctx.q)) for _ in range(2))
             try:
-                want = blackbox_eval_by_line_factors(f, guess, b)
+                want = blackbox_eval_by_line_factors(f, anchor, guess, b)
             except FieldTooSmall:
                 continue  # the reference needs a squarefree projection point
-            assert blackbox_eval(f, guess, b, at) == want
+            assert blackbox_eval(at, guess, b) == want
             compared += 1
     assert compared >= 60
-
-
-def test_blackbox_record_for_another_anchor_raises():
-    # a record made at anchor (1) gave, at anchor (2), GuessInvalid for the
-    # valid guess {y+5},{y+2} and anchor (1)'s values for the invalid guess
-    # {y+6},{y+1}; a record of another f is refused too
-    f = P("y^2 + 6*x1^2")
-    y1, y2, y5, y6 = U([1, 1]), U([2, 1]), U([5, 1]), U([6, 1])
-    b = (F7.elem(3),)
-    at = factorizer._Anchor(f, (F7.one(),))
-    one = Guess(anchor=at.anchor, parts=((y6,), (y1,)), exps=(1, 1))
-    assert len(blackbox_eval(f, one, b, at)) == 2
-    for parts in (((y5,), (y2,)), ((y6,), (y1,))):
-        guess = Guess(anchor=(F7.elem(2),), parts=parts, exps=(1, 1))
-        with pytest.raises(ValueError):
-            blackbox_eval(f, guess, b, at)
-    assert len(blackbox_eval(
-        f, Guess(anchor=(F7.elem(2),), parts=((y5,), (y2,)), exps=(1, 1)),
-        b)) == 2
-    with pytest.raises(GuessInvalid):
-        blackbox_eval(f, Guess(anchor=(F7.elem(2),), parts=((y6,), (y1,)),
-                               exps=(1, 1)), b)
-    with pytest.raises(ValueError):
-        blackbox_eval(P("y^2 + 6*x1"), one, b, at)
 
 
 def test_guess_rejects_malformed_state():
     y1 = U([1, 1])
     with pytest.raises(ShapeMismatch):
-        Guess(anchor=(F7.one(),), parts=((y1,),), exps=(1, 1))
+        Guess(parts=((y1,),), exps=(1, 1))
     with pytest.raises(ShapeMismatch):
-        Guess(anchor=(F7.one(),), parts=((y1,), ()), exps=(1, 1))
+        Guess(parts=((y1,), ()), exps=(1, 1))
 
 
 # -- guess enumeration --------------------------------------------------------
@@ -297,17 +266,17 @@ def test_blackbox_check_matches_enumeration(name):
         for _ in range(u):
             f, fa = f * piece, fa * g
     anchor, b = (F7.elem(2),), (F7.elem(5),)
-    at = factorizer._Anchor(f, anchor)
+    at = _Anchor(f, anchor)
     assert at.projection == fa
     assert at.factors == sorted(uni, key=lambda gu: gu[0].sort_key())
     for parts, exps in _enumerate_guesses(at.factors):
-        guess = Guess(anchor, tuple(map(tuple, parts)), tuple(exps))
-        assert len(blackbox_eval(f, guess, b, at)) == len(parts)
+        guess = Guess(tuple(map(tuple, parts)), tuple(exps))
+        assert len(blackbox_eval(at, guess, b)) == len(parts)
     split = [pe for pe in covering_guesses(uni) if splits_a_piece(pe[0])]
     for parts, exps in split:
-        guess = Guess(anchor, tuple(map(tuple, parts)), tuple(exps))
+        guess = Guess(tuple(map(tuple, parts)), tuple(exps))
         with pytest.raises(GuessInvalid):
-            blackbox_eval(f, guess, b, at)
+            blackbox_eval(at, guess, b)
     assert split or all(u == 1 for _, u in uni)
 
 
@@ -331,49 +300,39 @@ def test_enumerate_guesses_six_simple_factors():
 
 # -- sparse reconstruction ----------------------------------------------------
 
+def interpolate(fs, degs):
+    """The polynomials fs, all in len(degs) variables over one field,
+    recovered by _interp_grid as one vector from their values on the grid
+    whose axis i holds the first degs[i] + 1 elements of the field."""
+    ctx = fs[0].ctx
+    axes = [list(itertools.islice(ctx.elements(), d + 1)) for d in degs]
+    values = {b: [f.evaluate(list(b)).log for f in fs]
+              for b in itertools.product(*axes)}
+    coeffs = _interp_grid(ctx, axes, values)
+    assert all(len(vec) == len(fs) for vec in coeffs.values())
+    return [SparsePoly(ctx, len(degs), {e: vec[i]
+                                        for e, vec in coeffs.items()})
+            for i in range(len(fs))]
+
+
 def test_reconstruct_example():
     target = P("x1*x2 + 3")
-    got = reconstruct_sparse(lambda pt: target.evaluate(list(pt)),
-                             2, 1, F7)
-    assert got == target
+    assert interpolate([target], (1, 1)) == [target]
 
 
 def test_reconstruct_zero():
-    got = reconstruct_sparse(lambda pt: F7.zero(), 2, 2, F7)
-    assert got.is_zero()
-
-
-def test_reconstruct_field_too_small():
-    F2 = make_field(2)
-    with pytest.raises(FieldTooSmall):
-        reconstruct_sparse(lambda pt: F2.zero(), 1, 2, F2)
-
-
-def test_reconstruct_rejects_wrong_degree_count():
-    with pytest.raises(ShapeMismatch):
-        reconstruct_sparse(lambda pt: F7.zero(), 2, (1, 1, 1), F7)
-
-
-def test_reconstruct_rejects_bad_degrees():
-    # a negative degree would give an empty grid axis and so the zero
-    # polynomial whatever the oracle says; no variables, no grid at all
-    for n, d in ((2, -1), (2, (1, -1)), (0, 1), (0, ())):
-        with pytest.raises(ValueError):
-            reconstruct_sparse(lambda pt: F7.one(), n, d, F7)
-
-
-def test_reconstruct_rejects_foreign_values():
-    # values are read as logs of the reconstruction's field: F_11's 3 read
-    # as an F_7 log would give a wrong polynomial, and an int has none
-    F11 = make_field(11)
-    with pytest.raises(CtxMismatch):
-        reconstruct_sparse(lambda pt: F11.elem(3), 1, 0, F7)
-    with pytest.raises(TypeError):
-        reconstruct_sparse(lambda pt: 3, 1, 0, F7)
+    # exponents whose coefficients are all zero are left out
+    zero = SparsePoly(F7, 2, {})
+    assert _interp_grid(F7, [[F7.zero()], [F7.zero()]], {
+        (F7.zero(), F7.zero()): [F7.zero_log, F7.zero_log]}) == {}
+    assert interpolate([zero], (2, 2)) == [zero]
+    assert interpolate([zero, P("x1 + x2")], (2, 2)) == [zero, P("x1 + x2")]
 
 
 def test_reconstruct_random_round_trip():
+    # one polynomial at a time and the vector of all of them at once
     rng = random.Random(1)
+    fs = []
     for _ in range(15):
         terms = {}
         for _ in range(4):
@@ -382,8 +341,9 @@ def test_reconstruct_random_round_trip():
             if not c.is_zero():
                 terms[e] = c
         f = SparsePoly(F7, 2, terms)
-        got = reconstruct_sparse(lambda pt: f.evaluate(list(pt)), 2, 2, F7)
-        assert got == f
+        assert interpolate([f], (2, 2)) == [f]
+        fs.append(f)
+    assert interpolate(fs, (2, 2)) == fs
 
 
 @pytest.mark.parametrize("p,ell", [(7, 1), (3, 2)])
@@ -397,9 +357,7 @@ def test_reconstruct_per_axis_degrees_round_trip(p, ell):
         f = SparsePoly(ctx, 3, {(a, 0, c): rng.choice(elems)
                                 for a in range(3) for c in range(4)
                                 if rng.random() < density})
-        got = reconstruct_sparse(lambda pt: f.evaluate(list(pt)), 3,
-                                 (2, 0, 3), ctx)
-        assert got == f
+        assert interpolate([f], (2, 0, 3)) == [f]
 
 
 # -- verification -------------------------------------------------------------
@@ -410,6 +368,15 @@ def test_verify_true_and_false():
     assert verify_factorization(f, good)
     bad = Factorization(F7.elem(2), [(P("x1 + 1"), 1), (P("x1 + 6"), 1)])
     assert not verify_factorization(f, bad)
+
+
+def test_verify_constant_in_no_variables():
+    # a factorization with no parts expands in the n it is given, n = 0
+    # included; it used to expand in one variable and so differ from c
+    c = SparsePoly.constant(F7, 0, 5)
+    assert verify_factorization(c, Factorization(F7.elem(5), []))
+    assert not verify_factorization(c, Factorization(F7.elem(4), []))
+    assert Factorization(F7.elem(5), []).expand(F7, 0) == c
 
 
 # -- monic driver -------------------------------------------------------------
@@ -458,34 +425,27 @@ def test_factor_monic_rejects_bad_input():
         (P("y + 1", nvars=1), 1), (P("y + 6", nvars=1), 1)]))
 
 
-# The driver's input checks, Guess's and reconstruct_sparse's shape checks
-# and reconstruct_sparse's oracle value checks, run under python -O.
+# The driver's input checks and Guess's shape check run under python -O.
 CHECK_LINES = [
-    "from sparsefact.errors import NotMonic, ShapeMismatch, CtxMismatch",
+    "from sparsefact.errors import NotMonic, ShapeMismatch",
     "from sparsefact.field import make_field",
     "from sparsefact.sparsepoly import parse_poly",
-    "from sparsefact.factorizer import (Guess, factor_monic,",
-    "                                   reconstruct_sparse)",
+    "from sparsefact.factorizer import Guess, factor_monic",
     "F = make_field(7)",
     "calls = [lambda: factor_monic(parse_poly('y^2 + 6', F)),",
     "         lambda: factor_monic(parse_poly('2*y^2 + x1', F)),",
-    "         lambda: Guess(anchor=(F.one(),), parts=((),), exps=(1,)),",
-    "         lambda: reconstruct_sparse(lambda pt: F.zero(), 2, (1,), F),",
-    "         lambda: reconstruct_sparse(lambda pt: make_field(11).elem(3),",
-    "                                    1, 0, F),",
-    "         lambda: reconstruct_sparse(lambda pt: 3, 1, 0, F)]",
+    "         lambda: Guess(parts=((),), exps=(1,))]",
     "for call in calls:",
     "    try:",
     "        call()",
-    "    except (NotMonic, ShapeMismatch, CtxMismatch, TypeError) as e:",
+    "    except (NotMonic, ShapeMismatch) as e:",
     "        print(type(e).__name__)",
 ]
 
 
 def test_driver_checks_survive_optimize_flag(run_optimized):
     assert run_optimized(CHECK_LINES) == (
-        "False\nShapeMismatch\nNotMonic\nShapeMismatch\nShapeMismatch\n"
-        "CtxMismatch\nTypeError\n")
+        "False\nShapeMismatch\nNotMonic\nShapeMismatch\n")
 
 
 def test_one_interpolation_per_guess(monkeypatch):
@@ -558,12 +518,12 @@ def test_one_bezout_cofactor_per_anchor_split(monkeypatch):
     evaluate, xgcd = factorizer.blackbox_eval, UniPoly.xgcd
     lifting = []  # nonempty inside blackbox_eval, not in the line's factoring
 
-    def blackbox(f, guess, b, at=None):
+    def blackbox(at, guess, b):
         calls["eval"] += 1
-        anchors.add(guess.anchor)
+        anchors.add(at.anchor)
         lifting.append(b)
         try:
-            return evaluate(f, guess, b, at)
+            return evaluate(at, guess, b)
         finally:
             lifting.pop()
 
@@ -591,23 +551,23 @@ def test_blackbox_shared_cache_matches_fresh_cache():
     y0, y1, y6 = U([0, 1]), U([1, 1]), U([6, 1])
     # the second guess has the first one's parts and does not cover the
     # projection; the third fails on the lines
-    guesses = [Guess(anchor=(F7.one(),), parts=parts, exps=exps)
+    guesses = [Guess(parts=parts, exps=exps)
                for parts, exps in [(((y0,), (y6, y1)), (1, 1)),
                                    (((y0,), (y6, y1)), (1, 2)),
                                    (((y0,), (y6,), (y1,)), (1, 1, 1)),
                                    (((y0, y6, y1),), (1,))]]
     points = [(F7.elem(v),) for v in range(7)]
     for order in (guesses, guesses[::-1]):
-        at = factorizer._Anchor(f, (F7.one(),))
+        at = _Anchor(f, (F7.one(),))
         for guess in order:
             for b in points:
                 try:
-                    want = blackbox_eval(f, guess, b)
+                    want = blackbox_eval(_Anchor(f, (F7.one(),)), guess, b)
                 except GuessInvalid:
                     with pytest.raises(GuessInvalid):
-                        blackbox_eval(f, guess, b, at)
+                        blackbox_eval(at, guess, b)
                     continue
-                assert blackbox_eval(f, guess, b, at) == want
+                assert blackbox_eval(at, guess, b) == want
 
 
 def test_blackbox_invalid_guess_raises_on_every_call():
@@ -616,15 +576,15 @@ def test_blackbox_invalid_guess_raises_on_every_call():
     # after it
     f = P("y^2 + 6*x1^2")
     y0, y1, y6 = U([0, 1]), U([1, 1]), U([6, 1])
-    good = Guess(anchor=(F7.one(),), parts=((y6,), (y1,)), exps=(1, 1))
-    bads = [Guess(anchor=(F7.one(),), parts=((y6,),), exps=(1,)),
-            Guess(anchor=(F7.one(),), parts=((y6,), (y6, y1)), exps=(1, 1))]
-    at = factorizer._Anchor(f, (F7.one(),))
+    good = Guess(parts=((y6,), (y1,)), exps=(1, 1))
+    bads = [Guess(parts=((y6,),), exps=(1,)),
+            Guess(parts=((y6,), (y6, y1)), exps=(1, 1))]
+    at = _Anchor(f, (F7.one(),))
     for b in [(F7.elem(v),) for v in (2, 3, 2, 5)]:
         for bad in bads:
             with pytest.raises(GuessInvalid):
-                blackbox_eval(f, bad, b, at)
-        assert len(blackbox_eval(f, good, b, at)) == 2
+                blackbox_eval(at, bad, b)
+        assert len(blackbox_eval(at, good, b)) == 2
 
 
 def test_factor_monic_lift_path():

@@ -18,7 +18,7 @@ F101 = make_field(101)
 
 def test_grid_univariate_linear():
     hs = gen_hitting_set(F7, 1, 1, 1)
-    pts = hs.points()
+    pts = list(hs)
     assert pts == [(F7.elem(0),), (F7.elem(1),)]
     # every nonzero linear univariate is nonzero at 0 or 1
     for a in range(7):
@@ -33,7 +33,7 @@ def test_grid_univariate_linear():
 
 def test_grid_biquadratic_size_and_soundness():
     hs = gen_hitting_set(F7, 2, 2, 1)
-    pts = hs.points()
+    pts = list(hs)
     assert hs.size == 9 and len(pts) == 9
     vals = sorted({p[0].serialize() for p in pts})
     assert vals == [0, 1, 2]
@@ -56,13 +56,13 @@ def test_field_too_small_boundary():
 
 
 def test_determinism():
-    a = gen_hitting_set(F7, 2, 2, 2).points()
-    b = gen_hitting_set(F7, 2, 2, 2).points()
+    a = list(gen_hitting_set(F7, 2, 2, 2))
+    b = list(gen_hitting_set(F7, 2, 2, 2))
     assert a == b
 
 
 def test_lexicographic_order():
-    pts = gen_hitting_set(F7, 2, 1, 1).points()
+    pts = list(gen_hitting_set(F7, 2, 1, 1))
     ser = [tuple(c.serialize() for c in p) for p in pts]
     assert ser == sorted(ser)
 
@@ -77,7 +77,7 @@ def test_exhaustive_grid_soundness_small_family():
     # all nonzero univariate cubics over F_2 embedded in F_7, k=3 products
     # of linear factors have degree <= 3, grid D = 3 must hit them
     hs = gen_hitting_set(F7, 1, 1, 3)
-    pts = hs.points()
+    pts = list(hs)
     for coeffs in itertools.product(range(2), repeat=4):
         if not any(coeffs):
             continue
@@ -104,7 +104,7 @@ def test_anchor_set_separates_square_difference():
     g = parse_poly("y + 6*x1", F7)   # y - x1
     h = parse_poly("y + x1", F7)
     found = False
-    for p in hs.points():
+    for p in hs:
         r = resultant_at_point(g, h, list(p))
         if not r.is_zero():
             assert r == F7.elem(2) * p[0]

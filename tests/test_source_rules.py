@@ -56,14 +56,12 @@ def test_import_leaves_out_dataclasses():
 
 # the only private names one module takes from another: the monic driver
 # lifts along lines with the bivariate engine's y-list kernels and lift
-# plan and checks oracle values with the univariate field-element check,
-# and the char-p route of the engine takes univariate p-th roots
+# plan, and the char-p route of the engine takes univariate p-th roots
 PRIVATE_IMPORTS = {
     ("factorizer", "bifactor", "_ylist_deg_t"),
     ("factorizer", "bifactor", "_ylist_mul"),
     ("factorizer", "bifactor", "_lift_plan"),
     ("factorizer", "bifactor", "_lift_list"),
-    ("factorizer", "unifactor", "_check_elem"),
     ("bifactor", "unifactor", "_pth_root_poly"),
 }
 
@@ -196,3 +194,43 @@ def test_every_error_class_is_raised():
                if isinstance(node, ast.ClassDef)} - {"SparsefactError"}
     raised = set().union(*(_raised_names(p.stem) for p in SOURCE.glob("*.py")))
     assert sorted(classes - raised) == []
+
+
+# exported names that no code in the package uses, each with its reason
+UNUSED_EXPORTS = {
+    "resultant_at_point": "acceptance test_06 checks the paper's resultant "
+                          "identities with it",
+    "sylvester_matrix": "test_resultant checks resultant_univariate against "
+                        "its determinant",
+    "minkowski_sum": "kept for Newton-polytope irreducibility certificates "
+                     "(ROADMAP direction 12)",
+    "is_irreducible": "public univariate API",
+}
+
+
+def _used_names(module):
+    """The names that module's code reads, as a name or an attribute,
+    leaving out each top-level function's and class's reads of its own
+    name."""
+    path = SOURCE / (module + ".py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for top in tree.body:
+        reads = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(top)
+                 if isinstance(node, ast.Attribute) or (
+                     isinstance(node, ast.Name)
+                     and isinstance(node.ctx, ast.Load))}
+        found |= reads - {getattr(top, "name", None)}
+    return found
+
+
+def test_every_export_is_used():
+    # an exported name that nothing in the package runs is a second surface
+    # to keep and test beside the code the engines run: it is used, or it
+    # is on UNUSED_EXPORTS with its reason
+    used = set().union(*(_used_names(p.stem) for p in SOURCE.glob("*.py")
+                         if p.stem != "__init__"))
+    unused = set(sparsefact.__all__) - used
+    assert sorted(unused - set(UNUSED_EXPORTS)) == []
+    assert sorted(set(UNUSED_EXPORTS) - unused) == []

@@ -411,18 +411,13 @@ def test_scalar_and_point_from_another_field_raise():
 def _scalar_checks(name):
     """The exceptions that one scalar-taking call over F_7 raises for an
     element of F_11 and for an int."""
-    from sparsefact.bifactor import hensel_lift
     from sparsefact.errors import CtxMismatch
     from sparsefact.field import make_field
-    from sparsefact.sparsepoly import SparsePoly
     from sparsefact.unifactor import UniPoly
     F = make_field(7)
     y1 = UniPoly(F, [F.one(), F.one()])
-    y6 = UniPoly(F, [F.elem(6), F.one()])
-    f = SparsePoly(F, 2, {(2, 0): F.one(), (0, 2): F.elem(6)})  # y^2 - t^2
     calls = {"UniPoly": lambda c: UniPoly(F, [F.one(), c]),
-             "evaluate": y1.evaluate, "scale": y1.scale, "shift": y1.shift,
-             "hensel_lift": lambda c: hensel_lift(f, y6, y1, c, 3)}
+             "evaluate": y1.evaluate, "scale": y1.scale, "shift": y1.shift}
     out = []
     for c in (make_field(11).elem(3), 3):
         try:
@@ -433,8 +428,7 @@ def _scalar_checks(name):
     return out
 
 
-@pytest.mark.parametrize("name", ["UniPoly", "evaluate", "scale", "shift",
-                                  "hensel_lift"])
+@pytest.mark.parametrize("name", ["UniPoly", "evaluate", "scale", "shift"])
 def test_int_scalars_raise_type_error(name, run_optimized):
     # an int used to die with AttributeError: 'int' object has no
     # attribute 'ctx'; the checks must hold under python -O too

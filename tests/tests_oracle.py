@@ -163,13 +163,13 @@ def enumerate_guesses_unbounded(uni_parts, k):
                     yield parts, exps
 
 
-def blackbox_eval_by_line_factors(f, guess, b):
+def blackbox_eval_by_line_factors(f, anchor, guess, b):
     from sparsefact.errors import GuessInvalid
     from sparsefact.sparsepoly import restrict_to_line
     from sparsefact.factorizer import factor
     from sparsefact.unifactor import UniPoly
     ctx = f.ctx
-    ft = restrict_to_line(f, list(guess.anchor), list(b))
+    ft = restrict_to_line(f, list(anchor), list(b))
     accs = [UniPoly.constant(ctx, 1) for _ in guess.parts]
     for F, v in factor(ft).parts:
         # F(y, 0) is F's t^0 row and F(y, 1) the sum of its rows
