@@ -23,8 +23,8 @@ from fractions import Fraction
 
 from .errors import SparsefactError, ParseError, FieldTooSmall
 from .field import make_field
-from .sparsepoly import (SparsePoly, Factorization, parse_poly, format_poly,
-                         sparse_divide)
+from .sparsepoly import (SparsePoly, Factorization, parse_poly, parse_polys,
+                         format_poly, sparse_divide)
 from .polytope import (support_of, caratheodory_check, hadamard_example,
                        sparsity_cap)
 from .hitting import gen_hitting_set
@@ -106,7 +106,7 @@ def _field(args):
     return make_field(args.prime, args.ext)
 
 
-def _read_poly(ctx, args):
+def _read_text(args):
     if getattr(args, "input", None):
         with open(args.input) as fh:
             text = fh.read()
@@ -114,7 +114,7 @@ def _read_poly(ctx, args):
         text = args.poly
     if not text:
         raise ParseError("no polynomial given")
-    return parse_poly(text, ctx)
+    return text
 
 
 def _fac_json(ctx, fac):
@@ -128,7 +128,7 @@ def _fac_json(ctx, fac):
 
 def _cmd_factor(args, out):
     ctx = _field(args)
-    f = _read_poly(ctx, args)
+    f = parse_poly(_read_text(args), ctx)
     fac = factor(f)
     if args.json:
         out.write(json.dumps(_fac_json(ctx, fac), sort_keys=True) + "\n")
@@ -142,18 +142,17 @@ def _cmd_factor(args, out):
 
 def _cmd_verify(args, out):
     ctx = _field(args)
-    f = _read_poly(ctx, args)
-    parts = []
+    specs = []  # (text, multiplicity) of each claimed factor
     for spec in args.factor:
         text, _, mult = spec.rpartition(":")
-        if text and mult.isdigit():
-            parts.append((parse_poly(text, ctx, nvars=f.n), int(mult)))
-        else:
-            parts.append((parse_poly(spec, ctx, nvars=f.n), 1))
-    unit_poly = parse_poly(args.unit, ctx, nvars=f.n)
+        specs.append((text, int(mult)) if text and mult.isdigit()
+                     else (spec, 1))
+    f, unit_poly, *hs = parse_polys(
+        [_read_text(args), args.unit] + [t for t, _ in specs], ctx)
     if not unit_poly.is_constant():
         raise ParseError("unit must be a constant")
-    cand = Factorization(unit_poly.constant_value(), parts)
+    cand = Factorization(unit_poly.constant_value(),
+                         [(h, m) for h, (_, m) in zip(hs, specs)])
     verdict = verify_factorization(f, cand)
     if args.json:
         out.write(json.dumps({"verdict": verdict}) + "\n")
@@ -164,7 +163,7 @@ def _cmd_verify(args, out):
 
 def _cmd_polytope(args, out):
     ctx = _field(args)
-    f = _read_poly(ctx, args)
+    f = parse_poly(_read_text(args), ctx)
     E = support_of(f)
     d = max(f.max_degree(), 1)
     report = caratheodory_check(E, d, args.sb_constant)

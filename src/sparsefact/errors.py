@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit.
 
 One of these is a non-fatal control-flow signal rather than an error
-proper: GuessInvalid (one enumeration state of the monic driver turned out to
-be inconsistent), which the driver catches to move on.  Operations that can
+proper: GuessInvalid (a line through the anchor refutes one guess of the
+monic driver), which the driver catches to move on.  Operations that can
 have no answer, such as an exact division, return None instead.
 """
 
@@ -77,4 +77,4 @@ class ParseError(SparsefactError):
 
 
 class GuessInvalid(SparsefactError):
-    """Non-fatal: discard this enumeration state of the monic driver."""
+    """Non-fatal: a line's lifts refute this guess of the monic driver."""

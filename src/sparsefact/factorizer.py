@@ -2,28 +2,25 @@
 
 Three layers:
 
-  * blackbox_eval — given one enumeration state at an anchor ("guess":
-    the univariate factor multiset partitioned into parts, and an exponent
-    vector), evaluates the would-be factors at any point b.  Every line
-    through the anchor projects at t=0 to f(anchor, y) = prod g^u_g, so the
-    guess itself seeds the line: the restriction of f to the line through
-    (anchor, b) is Hensel-lifted from the pairwise-coprime seeds g^u_g, and
-    each part's value is the e-th root of its lifted seeds' product at t=1
-    (Kaltofen and Trager's lines through one point).  f, the anchor, the
-    projection, its factors, the seeds' lift plan and each line's lifts
-    belong to the anchor, so they sit in one record per anchor (_Anchor)
-    that all its guesses share.  A guess whose pieces are not the
-    projection's factors g, each in one part i and there u_g/e_i times, and
-    a line where the parts' lifts are not polynomial factors or not e-th
-    powers, raise GuessInvalid, which simply discards the guess.
+  * blackbox_eval — given one guess at an anchor (a set partition of the
+    indices of the projection's distinct factors g_j, with an exponent e
+    per block dividing its multiplicities), evaluates the would-be factors
+    at any point b.  Every line through the anchor projects at t=0 to
+    f(anchor, y) = prod g_j^u_j, so the projection seeds the line: the
+    restriction of f to the line through (anchor, b) is Hensel-lifted from
+    the pairwise-coprime seeds g_j^u_j, and each block's value is the e-th
+    root of its lifted seeds' product at t=1 (Kaltofen and Trager's lines
+    through one point).  f, the anchor, the projection, its factors, the
+    seeds' lift plan and each line's lifts belong to the anchor, so they
+    sit in one record per anchor (_Anchor) that all its guesses share.  A
+    line where the blocks' lifts are not polynomial factors or not e-th
+    powers raises GuessInvalid, which simply discards the guess.
 
   * factor_monic — scans anchors over all of F^nx, nonzero coordinates
-    first (_full_grid), projects f once at each, enumerates the guesses
-    that put each univariate factor in one part (a set partition of the
-    distinct factors, with an exponent per block dividing its
-    multiplicities), reconstructs all parts of a guess by one dense
-    tensor-grid interpolation of the vector of their y-coefficients,
-    verifies candidates by explicit multiplication, and keeps the verified
+    first (_full_grid), projects f once at each, enumerates its guesses,
+    reconstructs all parts of a guess by one dense tensor-grid
+    interpolation of the vector of their y-coefficients, verifies
+    candidates by explicit multiplication, and keeps the verified
     candidate with maximal refinement score 2*sum(e)-m (first-in-
     enumeration tie-break).  It stops when the best verified score reaches
     the bound proven from the projections and, at an anchor whose
@@ -65,21 +62,6 @@ from .bifactor import (factor_bivariate, to_ylist, _ylist_deg_t, _ylist_mul,
                        _lift_plan, _lift_list)
 
 
-class Guess:
-    """One enumeration state of the monic driver at an anchor."""
-
-    __slots__ = ("parts", "exps")
-
-    def __init__(self, parts, exps):
-        if len(parts) != len(exps) or not all(parts):
-            raise ShapeMismatch("a guess needs one exponent per nonempty part")
-        self.parts = parts  # tuple of tuples of UniPoly (multisets)
-        self.exps = exps    # multiplicities, one per part
-
-    def __repr__(self):
-        return "Guess(parts=%r, exps=%r)" % (self.parts, self.exps)
-
-
 # -- black-box factor evaluation ----------------------------------------------
 
 class _Anchor:
@@ -105,28 +87,19 @@ def blackbox_eval(at, guess, b):
     """Evaluate the guessed factors of a y-monic f at the point b, for a
     guess at the anchor whose record (_Anchor) at holds f and the anchor.
 
-    Returns one monic UniPoly in y per part.  The guess's pieces must be the
-    irreducible factors g of f(anchor, y) = prod g^u_g, each in one part i
-    and there u_g/e_i times; a product of them taken as one piece is
-    invalid.  The restriction F(y, t) of f to the line (1-t)*anchor + t*b
-    then has F(y, 0) = prod g^u_g with pairwise-coprime seeds, which lift
-    uniquely modulo t^(deg_t F + 1).  If the guess is right, part i's
-    lifted seeds multiply, truncated there, to h_i^e_i on the line, which
-    has no higher t-degree: part i's value is the monic e_i-th root of that
-    product at t=1.  GuessInvalid is raised when the guess fails the first
-    condition, when the parts' t-degrees do not add up to deg_t F (so their
-    truncated products are not a factorization of F) or when a value is not
-    an e_i-th power.
+    A guess is a tuple of (block, e) pairs whose blocks, tuples of indices
+    into at.factors, partition them, with e dividing the multiplicity u_j
+    of every g_j in its block (_enumerate_guesses).  Returns one monic
+    UniPoly in y per block.  The restriction F(y, t) of f to the line
+    (1-t)*anchor + t*b has F(y, 0) = prod g_j^u_j with pairwise-coprime
+    seeds, which lift uniquely modulo t^(deg_t F + 1).  If the guess is
+    right, a block's lifted seeds multiply, truncated there, to h^e on the
+    line, which has no higher t-degree: the block's value is the monic
+    e-th root of that product at t=1.  GuessInvalid is raised when the
+    blocks' t-degrees do not add up to deg_t F (so their truncated products
+    are not a factorization of F) or when a value is not an e-th power.
     """
     ctx = at.f.ctx
-    owner, u = {}, {}  # piece -> its part, and u_g
-    for i, (part, e) in enumerate(zip(guess.parts, guess.exps)):
-        for g in part:
-            if owner.setdefault(g, i) != i:
-                raise GuessInvalid("a univariate piece lies in two parts")
-            u[g] = u.get(g, 0) + e
-    if len(u) != len(at.factors) or any(u.get(g) != m for g, m in at.factors):
-        raise GuessInvalid("the guess does not reproduce the projection")
     b = tuple(b)
     line = at.lines.get(b)
     if line is None:
@@ -136,19 +109,20 @@ def blackbox_eval(at, guess, b):
         prec = _ylist_deg_t(F) + 1
         line = at.lines[b] = (prec, _lift_list(F, at.plan, prec, ctx))
     prec, lifted = line
-    products = [None] * len(guess.parts)  # part -> its lifts' product
-    for (g, _), G in zip(at.factors, lifted):
-        i = owner[g]
-        products[i] = G if products[i] is None else _ylist_mul(
-            products[i], G, ctx, prec)
+    products = []  # block -> its lifts' product
+    for block, _ in guess:
+        P = lifted[block[0]]
+        for j in block[1:]:
+            P = _ylist_mul(P, lifted[j], ctx, prec)
+        products.append(P)
     if sum(_ylist_deg_t(P) for P in products) != prec - 1:
-        raise GuessInvalid("the parts' lifts do not factor the line")
+        raise GuessInvalid("the blocks' lifts do not factor the line")
     one = ctx.one()
     out = []
-    for P, e in zip(products, guess.exps):
+    for P, (_, e) in zip(products, guess):
         r = monic_root(UniPoly(ctx, [c.evaluate(one) for c in P]), e)
         if r is None:
-            raise GuessInvalid("part value is not a %d-th power" % e)
+            raise GuessInvalid("block value is not a %d-th power" % e)
         out.append(r)
     return out
 
@@ -219,29 +193,26 @@ def _set_partitions(items):
         yield [[first]] + sub
 
 
-def _enumerate_guesses(uni_parts):
+def _enumerate_guesses(us):
     """Deterministic guess enumeration for one anchor.
 
-    uni_parts: list of (irreducible UniPoly g, multiplicity u_g) of
-    f(anchor, y).  Yields (parts, exps), one for each set partition of the
-    distinct g into blocks and each choice of a block exponent e dividing
-    the gcd of the block's u_g: the block's part repeats each of its g
-    u_g/e times, so every g lies in one part and prod over parts of
-    (prod part)^e == f(anchor, y).  No other guess passes blackbox_eval.
-    Order: set partitions as _set_partitions gives them, and for each one
-    the exponent vectors lexicographically, smallest first; the monic
-    driver's first-in-enumeration tie-break follows it.
+    us: the multiplicities u_j of the distinct irreducible factors g_j of
+    f(anchor, y), in the anchor record's order.  Yields one guess for each
+    set partition of range(len(us)) into blocks and each choice of a block
+    exponent e dividing the gcd of the block's u_j: a tuple of (block, e)
+    pairs, each block a tuple of ascending indices, so that
+    prod over blocks of (prod_j g_j^(u_j/e))^e == f(anchor, y).  Order: set
+    partitions as _set_partitions gives them, and for each one the
+    exponent vectors lexicographically, smallest first; the monic driver's
+    first-in-enumeration tie-break follows it.
     """
-    gs = [g for g, _ in uni_parts]
-    us = [u for _, u in uni_parts]
-    for blocks in _set_partitions(list(range(len(gs)))):
+    for blocks in _set_partitions(list(range(len(us)))):
         divisors = []
         for block in blocks:
             top = math.gcd(*(us[j] for j in block))
             divisors.append([e for e in range(1, top + 1) if top % e == 0])
         for exps in itertools.product(*divisors):
-            yield [[gs[j] for j in block for _ in range(us[j] // e)]
-                   for block, e in zip(blocks, exps)], exps
+            yield tuple(zip(map(tuple, blocks), exps))
 
 
 # -- the monic driver ---------------------------------------------------------
@@ -315,7 +286,7 @@ def factor_monic(f):
     best_phi = 1
     # every verified factorization projects, at every anchor, to a guess
     # covering f(anchor, y) = prod g^u_g over k distinct g, though perhaps
-    # one that puts a g into two parts (blackbox_eval rejects those, so they
+    # one that puts a g into two parts (a guess partitions the g, so those
     # are not enumerated).  A covering guess with m parts P_i of exponents
     # e_i has sum(u_g) = sum(e_i*|P_i|) and sum(|P_i| - 1) >= k - m, so its
     # score 2*sum(e_i) - m is at most 2*sum(u_g) - k, the score of the
@@ -332,14 +303,12 @@ def factor_monic(f):
         # highest-scoring guesses first: the complete factorization always
         # scores maximally among verifiable candidates, so on a good anchor
         # the first surviving reconstruction is already the final answer
-        guesses = sorted(_enumerate_guesses(at.factors),
-                         key=lambda pe: -phi_score(pe[1]))
-        for parts, exps in guesses:
-            phi = phi_score(exps)
+        guesses = sorted(_enumerate_guesses([u for _, u in at.factors]),
+                         key=lambda guess: -phi_score(e for _, e in guess))
+        for guess in guesses:
+            phi = phi_score(e for _, e in guess)
             if phi <= best_phi:
                 break  # sorted descending: nothing below can improve
-            guess = Guess(parts=tuple(tuple(p) for p in parts),
-                          exps=tuple(exps))
             candidate = _reconstruct_candidate(at, guess, grid_axes)
             if candidate is None:
                 continue
@@ -398,8 +367,9 @@ def _reconstruct_candidate(at, guess, grid_axes):
     coeffs = _interp_grid(ctx, grid_axes, values)
     factors = []
     start = 0  # vector index of the part's c_i0
-    for part, e in zip(guess.parts, guess.exps):
-        dp = sum(g.degree() for g in part)
+    for block, e in guess:
+        dp = sum(at.factors[j][0].degree() * at.factors[j][1] // e
+                 for j in block)
         terms = {(0,) * nx + (dp,): ctx.one()}
         for x, vec in coeffs.items():
             for j in range(dp):

@@ -593,6 +593,16 @@ def parse_poly(text, ctx, nvars=None):
     return SparsePoly(ctx, n, terms)
 
 
+def parse_polys(texts, ctx):
+    """Parse texts in one variable layout: x1..xk for the largest k any of
+    them names, then y in the last slot when any of them has it."""
+    nx = max((int(i) for t in texts for i in re.findall(r"x(\d+)", t)),
+             default=0)
+    n = max(nx + any("y" in t for t in texts), 1)
+    polys = [parse_poly(t, ctx, nvars=nx) for t in texts]
+    return [p if p.n == n else p.insert_var(nx) for p in polys]
+
+
 def format_poly(f):
     """Deterministic text form: graded-lex descending, '+'-separated."""
     if f.is_zero():

@@ -11,14 +11,12 @@ import itertools
 import random
 
 from sparsefact.field import make_field
-from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
-                                   make_monic, normalize_scalar)
-from sparsefact.unifactor import UniPoly, factor_univariate
+from sparsefact.sparsepoly import SparsePoly, make_monic, normalize_scalar
+from sparsefact.unifactor import UniPoly
 from sparsefact.polytope import newton_vertices, hadamard_example, in_hull
 from sparsefact.hitting import gen_hitting_set
 from sparsefact.resultant import resultant_univariate, resultant_at_point
-from sparsefact.factorizer import (Guess, factor, blackbox_eval,
-                                   verify_factorization, _Anchor)
+from sparsefact.factorizer import factor, blackbox_eval, _Anchor
 from sparsefact.cli import run
 from tests_oracle import ref_projection, ref_value
 
@@ -249,11 +247,10 @@ def test_09_blackbox_endpoint_consistency():
         y = SparsePoly.variable(F7, n + 1, n)
         g, h = y + av, y + bv
         f = g * h
-        guess = Guess(parts=((UniPoly(F7, [a0, F7.one()]),),
-                             (UniPoly(F7, [b0, F7.one()]),)),
-                      exps=(1, 1))
+        # the projection's two linear factors, each a block of its own
+        guess = (((0,), 1), ((1,), 1))
         at = _Anchor(f, anchor)
-        # endpoint b = anchor: per-part products of the univariate pieces
+        # endpoint b = anchor: per-block products of the univariate pieces
         at_anchor = blackbox_eval(at, guess, anchor)
         assert sorted(tuple(c.index() for c in u.coeffs)
                       for u in at_anchor) == \
@@ -263,9 +260,8 @@ def test_09_blackbox_endpoint_consistency():
             b = tuple(F7.elem(rng.randrange(7)) for _ in range(n))
             outs = blackbox_eval(at, guess, b)
             prod = UniPoly.constant(F7, 1)
-            for u, e in zip(outs, guess.exps):
-                for _ in range(e):
-                    prod = prod * u
+            for u in outs:
+                prod = prod * u
             assert prod == ref_projection(f, b)
 
 

@@ -217,6 +217,20 @@ def test_verify_unit():
     assert status == 0 and "verdict: true" in text
 
 
+@pytest.mark.parametrize("poly,factors,verdict", [
+    ("y^2 + 6", ["y + 1", "y + 6"], "true"),
+    ("x1*y + x1", ["x1", "y + 1"], "true"),
+    ("x1^2 + 6", ["y + 1", "y + 6"], "false"),
+])
+def test_verify_with_y(poly, factors, verdict):
+    # f, its factors and the unit share one layout: the x-variables any of
+    # them names, then y last, whichever texts have it
+    argv = ["verify", poly]
+    for h in factors:
+        argv += ["--factor", h]
+    assert invoke(argv) == (0, "verdict: %s\n" % verdict)
+
+
 def test_verify_nonconstant_unit_rejected():
     status, _ = invoke(["verify", "x1", "--factor", "x1", "--unit", "x1"])
     assert status == 1

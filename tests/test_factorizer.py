@@ -17,7 +17,7 @@ from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
                                    lift_poly)
 from sparsefact.unifactor import UniPoly, factor_univariate
 from sparsefact.bifactor import factor_bivariate
-from sparsefact.factorizer import (Guess, factor, factor_monic,
+from sparsefact.factorizer import (factor, factor_monic,
                                    blackbox_eval, verify_factorization,
                                    _Anchor, _full_grid, _enumerate_guesses,
                                    _interp_grid)
@@ -52,6 +52,18 @@ def counted(calls, name, fn):
     return wrapper
 
 
+def guess_of(at, parts):
+    """The guess at the anchor record at whose blocks hold the pieces of
+    parts, a list of (UniPoly pieces, exponent) pairs."""
+    gs = [g for g, _ in at.factors]
+    return tuple((tuple(sorted(gs.index(g) for g in pieces)), e)
+                 for pieces, e in parts)
+
+
+# two singleton blocks of exponent 1: y^2 - x1^2 at x1 = 1 splits that way
+SPLIT = (((0,), 1), ((1,), 1))
+
+
 def rand_irreducible_ish(ctx, n, rng):
     """Random small polynomial that factor() will treat as a building block."""
     while True:
@@ -69,18 +81,16 @@ def rand_irreducible_ish(ctx, n, rng):
 
 def test_blackbox_hand_trace():
     # f = y^2 - x1^2, anchor (1), univariate pieces y+6 and y+1 in separate
-    # parts; at b = (3) the true factors evaluate to y-3 and y+3
+    # blocks; at b = (3) the true factors evaluate to y-3 and y+3
     f = P("y^2 + 6*x1^2")
-    guess = Guess(parts=((U([6, 1]),), (U([1, 1]),)), exps=(1, 1))
-    got = blackbox_eval(_Anchor(f, (F7.one(),)), guess, (F7.elem(3),))
+    got = blackbox_eval(_Anchor(f, (F7.one(),)), SPLIT, (F7.elem(3),))
     assert sorted(tuple(c.serialize() for c in h.coeffs) for h in got) == \
         [(3, 1), (4, 1)]   # y+3 and y+4 = y-3
 
 
 def test_blackbox_endpoint_at_anchor():
     f = P("y^2 + 6*x1^2")
-    guess = Guess(parts=((U([6, 1]),), (U([1, 1]),)), exps=(1, 1))
-    got = blackbox_eval(_Anchor(f, (F7.one(),)), guess, (F7.one(),))
+    got = blackbox_eval(_Anchor(f, (F7.one(),)), SPLIT, (F7.one(),))
     assert sorted(tuple(c.serialize() for c in h.coeffs) for h in got) == \
         [(1, 1), (6, 1)]
 
@@ -89,12 +99,11 @@ def test_blackbox_products_multiply_to_projection():
     rng = random.Random(0)
     f = P("y^2 + 6*x1^2")
     at = _Anchor(f, (F7.one(),))
-    guess = Guess(parts=((U([6, 1]),), (U([1, 1]),)), exps=(1, 1))
     for _ in range(5):
         b = (F7.elem(rng.randrange(7)),)
-        hs = blackbox_eval(at, guess, b)
+        hs = blackbox_eval(at, SPLIT, b)
         prod = UniPoly.constant(F7, 1)
-        for h, e in zip(hs, guess.exps):
+        for h, (_, e) in zip(hs, SPLIT):
             for _ in range(e):
                 prod = prod * h
         assert prod == ref_projection(f, b)
@@ -105,35 +114,27 @@ def test_blackbox_ambiguity_partition():
     # grouping {y}, {y-1, y+1} is a consistent guess
     f = P("y^3 + 6*x1*y")
     at = _Anchor(f, (F7.one(),))
-    guess = Guess(parts=((U([0, 1]),), (U([6, 1]), U([1, 1]))), exps=(1, 1))
+    guess = guess_of(at, [([U([0, 1])], 1), ([U([6, 1]), U([1, 1])], 1)])
     got = blackbox_eval(at, guess, (F7.elem(2),))
     degs = sorted(h.degree() for h in got)
     assert degs == [1, 2]
     # wrong grouping mixing the pieces differently must be rejected for
     # some evaluation point or verified not to reconstruct f; here a
-    # one-part guess with a bad multiplicity raises
-    bad = Guess(parts=((U([0, 1]), U([6, 1]), U([1, 1])),), exps=(2,))
+    # one-block guess with a bad multiplicity raises
+    bad = (((0, 1, 2), 2),)
     with pytest.raises(GuessInvalid):
         blackbox_eval(at, bad, (F7.elem(2),))
 
 
 def test_blackbox_rejects_inconsistent_guesses():
-    y0, y1, y6 = U([0, 1]), U([1, 1]), U([6, 1])
     cases = [
-        # y in two parts, though y * y is the projection at x1 = 0
-        ("y^2 + 6*x1^2", F7.zero(), ((y0,), (y0,)), (1, 1)),
-        # y + 6 is not the projection y^2 - 1
-        ("y^2 + 6*x1^2", F7.one(), ((y6,),), (1,)),
-        # y - 1 and y + 1 factor the projection at x1 = 1, not at x1 = 2
-        ("y^2 + 6*x1^2", F7.elem(2), ((y6,), (y1,)), (1, 1)),
         # y^2 - x1 is irreducible: the lifts of y - 1 and y + 1 are series,
         # whose t-degrees add up to more than the line's
-        ("y^2 + 6*x1", F7.one(), ((y6,), (y1,)), (1, 1)),
+        ("y^2 + 6*x1", F7.one(), SPLIT),
         # y^2 - x1^2 projects to y^2 at x1 = 0, but is no square
-        ("y^2 + 6*x1^2", F7.zero(), ((y0,),), (2,)),
+        ("y^2 + 6*x1^2", F7.zero(), (((0,), 2),)),
     ]
-    for text, a, parts, exps in cases:
-        guess = Guess(parts=parts, exps=exps)
+    for text, a, guess in cases:
         with pytest.raises(GuessInvalid):
             blackbox_eval(_Anchor(P(text), (a,)), guess, (F7.elem(2),))
 
@@ -152,7 +153,7 @@ def _rand_y_monic(ctx, rng):
 @pytest.mark.parametrize("p,ell", [(7, 1), (3, 2)])
 def test_blackbox_matches_line_factorization(p, ell):
     # valid guesses: f = h1^e1 * h2^e2 with coprime anchor projections, each
-    # part the univariate factors of one h_i; the seeded Hensel lift must
+    # block the univariate factors of one h_i; the seeded Hensel lift must
     # give what a complete factorization of every line gives
     ctx = make_field(p, ell)
     rng = random.Random(100 * p + ell)
@@ -174,27 +175,19 @@ def test_blackbox_matches_line_factorization(p, ell):
         for h, e in zip(hs, exps):
             for _ in range(e):
                 f = f * h
-        guess = Guess(parts=tuple(tuple(g for g, m in ps for _ in range(m))
-                                  for ps in pieces),
-                      exps=exps)
         at = _Anchor(f, anchor)
+        guess = guess_of(at, [([g for g, _ in ps], e)
+                              for ps, e in zip(pieces, exps)])
         for _ in range(3):
             b = tuple(ctx.from_index(rng.randrange(ctx.q)) for _ in range(2))
             try:
-                want = blackbox_eval_by_line_factors(f, anchor, guess, b)
+                want = blackbox_eval_by_line_factors(f, anchor, at.factors,
+                                                     guess, b)
             except FieldTooSmall:
                 continue  # the reference needs a squarefree projection point
             assert blackbox_eval(at, guess, b) == want
             compared += 1
     assert compared >= 60
-
-
-def test_guess_rejects_malformed_state():
-    y1 = U([1, 1])
-    with pytest.raises(ShapeMismatch):
-        Guess(parts=((y1,),), exps=(1, 1))
-    with pytest.raises(ShapeMismatch):
-        Guess(parts=((y1,), ()), exps=(1, 1))
 
 
 # -- guess enumeration --------------------------------------------------------
@@ -230,6 +223,13 @@ def covering_guesses(uni):
     return list(enumerate_guesses_unbounded(uni, max(u for _, u in uni)))
 
 
+def as_parts(uni, guess):
+    """A guess at the pieces uni as (parts, exps): each block's part holds
+    each of its g u_g/e times."""
+    return ([[uni[j][0] for j in block for _ in range(uni[j][1] // e)]
+             for block, e in guess], [e for _, e in guess])
+
+
 def guess_key(parts, exps):
     """Order-insensitive signature of a guess."""
     return sorted((sorted(g.sort_key() for g in part), e)
@@ -243,21 +243,30 @@ def splits_a_piece(parts):
 
 @pytest.mark.parametrize("name", sorted(GUESS_PATTERNS))
 def test_enumerate_guesses_matches_unbounded(name):
-    # exactly the covering guesses that keep each piece in one part, each
-    # once; blackbox_eval rejects the others
+    # blackbox_eval relies on the shape of a guess and checks none of it:
+    # the blocks partition the factor indices, each nonempty and ascending,
+    # and each block's exponent divides all its multiplicities.  The
+    # guesses are exactly the covering ones that keep each piece in one
+    # part, each once
     uni = pattern(name)
-    guesses = list(_enumerate_guesses(uni))
-    assert not any(splits_a_piece(parts) for parts, _ in guesses)
+    us = [u for _, u in uni]
+    guesses = list(_enumerate_guesses(us))
+    for guess in guesses:
+        blocks = [block for block, _ in guess]
+        assert all(block and list(block) == sorted(block) for block in blocks)
+        assert sorted(j for block in blocks for j in block) == \
+            list(range(len(us)))
+        assert all(us[j] % e == 0 for block, e in guess for j in block)
     want = sorted(guess_key(parts, exps) for parts, exps in
                   covering_guesses(uni) if not splits_a_piece(parts))
-    assert want and sorted(guess_key(*pe) for pe in guesses) == want
+    assert want and sorted(guess_key(*as_parts(uni, guess))
+                           for guess in guesses) == want
 
 
 @pytest.mark.parametrize("name", sorted(GUESS_PATTERNS))
 def test_blackbox_check_matches_enumeration(name):
-    # f in y alone restricts to its projection on every line, so only the
-    # check on the pieces can refuse a guess there: every enumerated guess
-    # passes it and every covering guess that splits a piece fails it
+    # f in y alone restricts to its projection on every line, so no line
+    # can refuse a guess there: every enumerated guess passes
     uni = pattern(name)
     f, fa = SparsePoly.constant(F7, 2, 1), UniPoly.constant(F7, 1)
     for g, u in uni:
@@ -269,15 +278,8 @@ def test_blackbox_check_matches_enumeration(name):
     at = _Anchor(f, anchor)
     assert at.projection == fa
     assert at.factors == sorted(uni, key=lambda gu: gu[0].sort_key())
-    for parts, exps in _enumerate_guesses(at.factors):
-        guess = Guess(tuple(map(tuple, parts)), tuple(exps))
-        assert len(blackbox_eval(at, guess, b)) == len(parts)
-    split = [pe for pe in covering_guesses(uni) if splits_a_piece(pe[0])]
-    for parts, exps in split:
-        guess = Guess(tuple(map(tuple, parts)), tuple(exps))
-        with pytest.raises(GuessInvalid):
-            blackbox_eval(at, guess, b)
-    assert split or all(u == 1 for _, u in uni)
+    for guess in _enumerate_guesses([u for _, u in at.factors]):
+        assert len(blackbox_eval(at, guess, b)) == len(guess)
 
 
 @pytest.mark.parametrize("name", sorted(GUESS_PATTERNS))
@@ -292,10 +294,9 @@ def test_score_bound_is_largest_covering_score(name):
 def test_enumerate_guesses_six_simple_factors():
     # only the whole set covers, one part per block of a set partition with
     # exponent 1: Bell(6) = 203 guesses
-    uni = [(U([i, 1]), 1) for i in range(6)]
-    guesses = list(_enumerate_guesses(uni))
+    guesses = list(_enumerate_guesses([1] * 6))
     assert len(guesses) == 203
-    assert all(set(exps) == {1} for _, exps in guesses)
+    assert all(e == 1 for guess in guesses for _, e in guess)
 
 
 # -- sparse reconstruction ----------------------------------------------------
@@ -425,16 +426,15 @@ def test_factor_monic_rejects_bad_input():
         (P("y + 1", nvars=1), 1), (P("y + 6", nvars=1), 1)]))
 
 
-# The driver's input checks and Guess's shape check run under python -O.
+# The driver's input checks run under python -O.
 CHECK_LINES = [
     "from sparsefact.errors import NotMonic, ShapeMismatch",
     "from sparsefact.field import make_field",
     "from sparsefact.sparsepoly import parse_poly",
-    "from sparsefact.factorizer import Guess, factor_monic",
+    "from sparsefact.factorizer import factor_monic",
     "F = make_field(7)",
     "calls = [lambda: factor_monic(parse_poly('y^2 + 6', F)),",
-    "         lambda: factor_monic(parse_poly('2*y^2 + x1', F)),",
-    "         lambda: Guess(parts=((),), exps=(1,))]",
+    "         lambda: factor_monic(parse_poly('2*y^2 + x1', F))]",
     "for call in calls:",
     "    try:",
     "        call()",
@@ -445,7 +445,7 @@ CHECK_LINES = [
 
 def test_driver_checks_survive_optimize_flag(run_optimized):
     assert run_optimized(CHECK_LINES) == (
-        "False\nShapeMismatch\nNotMonic\nShapeMismatch\n")
+        "False\nShapeMismatch\nNotMonic\n")
 
 
 def test_one_interpolation_per_guess(monkeypatch):
@@ -549,13 +549,14 @@ def test_blackbox_shared_cache_matches_fresh_cache():
     # what a fresh record gives, call by call, in either order of guesses
     f = P("y^3 + 6*x1*y")
     y0, y1, y6 = U([0, 1]), U([1, 1]), U([6, 1])
-    # the second guess has the first one's parts and does not cover the
-    # projection; the third fails on the lines
-    guesses = [Guess(parts=parts, exps=exps)
-               for parts, exps in [(((y0,), (y6, y1)), (1, 1)),
-                                   (((y0,), (y6, y1)), (1, 2)),
-                                   (((y0,), (y6,), (y1,)), (1, 1, 1)),
-                                   (((y0, y6, y1),), (1,))]]
+    # the second guess has the first one's blocks and an exponent 2 that
+    # divides no multiplicity, so its value is a square only where y^2 - x1
+    # is one; the third fails on the lines' t-degrees
+    guesses = [guess_of(_Anchor(f, (F7.one(),)), parts)
+               for parts in [[([y0], 1), ([y6, y1], 1)],
+                             [([y0], 1), ([y6, y1], 2)],
+                             [([y0], 1), ([y6], 1), ([y1], 1)],
+                             [([y0, y6, y1], 1)]]]
     points = [(F7.elem(v),) for v in range(7)]
     for order in (guesses, guesses[::-1]):
         at = _Anchor(f, (F7.one(),))
@@ -573,18 +574,16 @@ def test_blackbox_shared_cache_matches_fresh_cache():
 def test_blackbox_invalid_guess_raises_on_every_call():
     # an invalid guess leaves nothing in the anchor record: every later call
     # with the same record raises again, for a valid guess before it or
-    # after it
+    # after it.  Both bad guesses take an exponent 2 that divides no
+    # multiplicity: y^2 - b^2 and y +- b are no squares for b != 0
     f = P("y^2 + 6*x1^2")
-    y0, y1, y6 = U([0, 1]), U([1, 1]), U([6, 1])
-    good = Guess(parts=((y6,), (y1,)), exps=(1, 1))
-    bads = [Guess(parts=((y6,),), exps=(1,)),
-            Guess(parts=((y6,), (y6, y1)), exps=(1, 1))]
+    bads = [(((0, 1), 2),), (((0,), 1), ((1,), 2))]
     at = _Anchor(f, (F7.one(),))
     for b in [(F7.elem(v),) for v in (2, 3, 2, 5)]:
         for bad in bads:
             with pytest.raises(GuessInvalid):
                 blackbox_eval(at, bad, b)
-        assert len(blackbox_eval(at, good, b)) == 2
+        assert len(blackbox_eval(at, SPLIT, b)) == 2
 
 
 def test_factor_monic_lift_path():

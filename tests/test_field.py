@@ -6,9 +6,8 @@ import random
 import pytest
 
 from sparsefact.errors import NotPrime, DivByZero, CtxMismatch, ShapeMismatch
-from sparsefact.field import (make_field, FieldCtx, FieldElem, MAX_FIELD_SIZE,
-                              is_prime, extensions, _polymul_mod_p,
-                              _polydivmod_mod_p)
+from sparsefact.field import (make_field, is_prime, extensions,
+                              _polymul_mod_p, _polydivmod_mod_p)
 
 
 def test_prime_field_context():

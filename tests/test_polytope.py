@@ -13,7 +13,6 @@ import pytest
 from sparsefact import polytope
 from sparsefact.errors import BoundViolation, EmptySupport, ShapeMismatch
 from sparsefact.field import make_field
-from sparsefact.sparsepoly import parse_poly
 from tests_oracle import (box_sign_exposes, brute_force_vertices,
                           ceil_c_d2_log2_by_powers, feasible_by_elimination)
 from sparsefact.polytope import (in_hull, support_of, newton_vertices,

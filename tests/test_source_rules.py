@@ -234,3 +234,24 @@ def test_every_export_is_used():
     unused = set(sparsefact.__all__) - used
     assert sorted(unused - set(UNUSED_EXPORTS)) == []
     assert sorted(set(UNUSED_EXPORTS) - unused) == []
+
+
+TESTS = Path(__file__).parent
+
+
+def test_test_imports_are_read():
+    # a test module's import that nothing reads hides which API the tests
+    # still exercise
+    unread = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += ["%s:%d %s" % (path.name, node.lineno, name)
+                           for name in ((a.asname or a.name).partition(".")[0]
+                                        for a in node.names)
+                           if name not in reads]
+    assert unread == []

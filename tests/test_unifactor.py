@@ -11,7 +11,7 @@ from sparsefact import unifactor
 from sparsefact.errors import (DivByZero, ZeroDegree, NoFactorizationFound,
                                CtxMismatch)
 from sparsefact.field import make_field, is_prime
-from sparsefact.unifactor import (UniPoly, UniFactorization, factor_univariate,
+from sparsefact.unifactor import (UniPoly, factor_univariate,
                                   squarefree_decompose, is_irreducible,
                                   addmul_logs, monic_root, _pth_root_poly)
 

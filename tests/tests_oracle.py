@@ -20,7 +20,8 @@ including those that put one factor into two parts.
 
 blackbox_eval_by_line_factors: black-box factor evaluation by a complete
 factorization of the line restriction, each bivariate factor routed to the
-unique part one of whose univariate pieces divides its t=0 projection.
+unique block of the guess (indices into the projection's (piece, u) list
+pieces) one of whose pieces divides its t=0 projection.
 
 ref_restrict, ref_value, ref_projection: the restriction of a polynomial to
 a line (1-t)*a + t*b, its value at a point and its projection f(a, y), on
@@ -163,14 +164,14 @@ def enumerate_guesses_unbounded(uni_parts, k):
                     yield parts, exps
 
 
-def blackbox_eval_by_line_factors(f, anchor, guess, b):
+def blackbox_eval_by_line_factors(f, anchor, pieces, guess, b):
     from sparsefact.errors import GuessInvalid
     from sparsefact.sparsepoly import restrict_to_line
     from sparsefact.factorizer import factor
     from sparsefact.unifactor import UniPoly
     ctx = f.ctx
     ft = restrict_to_line(f, list(anchor), list(b))
-    accs = [UniPoly.constant(ctx, 1) for _ in guess.parts]
+    accs = [UniPoly.constant(ctx, 1) for _ in guess]
     for F, v in factor(ft).parts:
         # F(y, 0) is F's t^0 row and F(y, 1) the sum of its rows
         F0 = [ctx.zero()] * (F.degree(0) + 1)
@@ -180,19 +181,20 @@ def blackbox_eval_by_line_factors(f, anchor, guess, b):
             if not j:
                 F0[i] = c
         F0, F1 = UniPoly(ctx, F0), UniPoly(ctx, F1)
-        hits = [i for i, part in enumerate(guess.parts)
-                if any((F0 % g).is_zero() for g in part)]
+        hits = [i for i, (block, _) in enumerate(guess)
+                if any((F0 % pieces[j][0]).is_zero() for j in block)]
         if len(hits) != 1:
-            raise GuessInvalid("projection matches %d parts" % len(hits))
+            raise GuessInvalid("projection matches %d blocks" % len(hits))
         i = hits[0]
-        e = guess.exps[i]
+        e = guess[i][1]
         if v % e:
             raise GuessInvalid("multiplicity %d not divisible by %d" % (v, e))
         for _ in range(v // e):
             accs[i] = accs[i] * F1
-    for i, part in enumerate(guess.parts):
-        if accs[i].degree() != sum(g.degree() for g in part):
-            raise GuessInvalid("inconsistent part degree")
+    for acc, (block, e) in zip(accs, guess):
+        if acc.degree() != sum(pieces[j][0].degree() * pieces[j][1] // e
+                               for j in block):
+            raise GuessInvalid("inconsistent block degree")
     return accs
 
 
