@@ -21,14 +21,15 @@ import os
 import sys
 from fractions import Fraction
 
+# the factoring engine and the hitting sets are imported by the subcommands
+# that run them, so no other subcommand compiles them; the parser and the
+# polytope engine stay module-level names, which perfbench/tracer.py wraps
 from .errors import SparsefactError, ParseError, FieldTooSmall
 from .field import make_field
 from .sparsepoly import (SparsePoly, Factorization, parse_poly, parse_polys,
                          format_poly, sparse_divide)
 from .polytope import (support_of, caratheodory_check, hadamard_example,
                        sparsity_cap)
-from .hitting import gen_hitting_set
-from .factorizer import factor, verify_factorization
 
 
 class _Args(argparse.ArgumentParser):
@@ -127,6 +128,7 @@ def _fac_json(ctx, fac):
 
 
 def _cmd_factor(args, out):
+    from .factorizer import factor
     ctx = _field(args)
     f = parse_poly(_read_text(args), ctx)
     fac = factor(f)
@@ -141,6 +143,7 @@ def _cmd_factor(args, out):
 
 
 def _cmd_verify(args, out):
+    from .factorizer import verify_factorization
     ctx = _field(args)
     specs = []  # (text, multiplicity) of each claimed factor
     for spec in args.factor:
@@ -190,6 +193,7 @@ def _cmd_polytope(args, out):
 
 
 def _cmd_hitset(args, out):
+    from .hitting import gen_hitting_set
     ctx = _field(args)
     hs = gen_hitting_set(ctx, args.n, args.d, args.k)
     if args.limit is not None and args.limit < 0:

@@ -254,6 +254,19 @@ def test_polytope_text():
     assert "sparsity: 2" in text and "vertices: 2" in text
 
 
+@pytest.mark.parametrize("argv", [["factor", "x1^2 + 6"],
+                                  ["factor", "x1^2 +"]],
+                         ids=["factored", "parse-error"])
+def test_python_m_sparsefact_matches_run(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-m", "sparsefact"] + argv,
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stdout) == invoke(argv)
+    assert res.stderr == ""
+
+
 def test_polytope_high_degree_binomial_is_fast():
     # the sparsity-bound exponent for d = 12000 is 5 * 12000^2; deciding it
     # and the cap must not build 2^(5 * 12000^2)

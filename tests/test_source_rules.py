@@ -1,6 +1,7 @@
 """Source rules checked on the code itself."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -52,6 +53,102 @@ def test_import_leaves_out_dataclasses():
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+FACTORING = ("bifactor", "factorizer")
+
+
+def _cli_call(argv):
+    return ("import io, sys\nfrom sparsefact import cli\n"
+            "if cli.run(%r, io.StringIO()):\n    sys.exit('run failed')"
+            % (argv,))
+
+
+# (code run in a fresh interpreter, sparsefact modules it must not load):
+# without a bytecode cache every module loaded is compiled from source, so
+# each entry point loads only the engine it runs
+ENTRY_POINTS = [
+    ("import sparsefact\nsparsefact.make_field(7)",
+     ("sparsepoly", "unifactor", "polytope", "hitting", "resultant", "cli")
+     + FACTORING),
+    (_cli_call(["polytope", "--json", "x1*x2 + 1"]),
+     FACTORING + ("hitting", "resultant")),
+    (_cli_call(["hitset", "--n", "2", "--d", "1", "--k", "1"]),
+     FACTORING + ("resultant",)),
+    (_cli_call(["factor", "x1^2 + 6"]), ("hitting", "resultant")),
+]
+
+
+@pytest.mark.parametrize("code, absent", ENTRY_POINTS,
+                         ids=["make_field", "polytope", "hitset", "factor"])
+def test_entry_point_loads_only_its_engine(code, absent):
+    code += ("\nimport sys\nprint(sorted(m for m in %r "
+             "if 'sparsefact.' + m in sys.modules))" % (absent,))
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+# every module a bare `import sparsefact` makes reachable as an attribute
+SUBMODULES = ("errors", "field", "sparsepoly", "unifactor", "bifactor",
+              "factorizer", "polytope", "hitting", "resultant")
+
+
+def test_exports_resolve_to_their_home_objects():
+    for name in sparsefact.__all__:
+        obj = getattr(sparsefact, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("sparsefact.") and getattr(
+            home, name) is obj, name
+    for module in SUBMODULES:
+        assert getattr(sparsefact, module) is importlib.import_module(
+            "sparsefact." + module)
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from sparsefact import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(sparsefact.__all__)
+    assert set(sparsefact.__all__) <= set(dir(sparsefact))
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sparsefact.no_such_name
+
+
+def _package_imports(path, top_level_only):
+    """Lines of path that import through the sparsefact package itself:
+    `import sparsefact[.x]`, `from sparsefact import`, `from . import`,
+    and with top_level_only any import from a submodule in the module
+    body."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nodes = tree.body if top_level_only else ast.walk(tree)
+    lines = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            if any(a.name.partition(".")[0] == "sparsefact"
+                   for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            package = node.module == "sparsefact" or (
+                node.level and not node.module)
+            submodule = node.level or (node.module or "").startswith(
+                "sparsefact.")
+            if package or (top_level_only and submodule):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SOURCE.glob("*.py")))
+def test_package_namespace_stays_lazy(module):
+    # __init__ imports no module up front, and no module imports through
+    # the package, so the lazy exports cannot regress or form a cycle
+    path = SOURCE / (module + ".py")
+    lines = _package_imports(path, top_level_only=module == "__init__")
+    assert lines == [], "package imports in %s at lines %s" % (path, lines)
 
 
 # the only private names one module takes from another: the monic driver
