@@ -26,10 +26,11 @@ division in F_q[t][y] (the gcd quotient, the multiplicity loop,
 recombination's trial division) is `_ylist_div`.
 
 Hensel lifting.  Every lift, the engine's and the monic driver's along each
-line through an anchor (factorizer.blackbox_eval), follows a lift plan
-(`_lift_plan`) of its seeds, the pairwise-coprime factors of F(y, 0).  For
-each split g0 = seeds[i], h0 = prod(seeds[i+1:]) the plan holds the Bezout
-cofactor's tables: the correction of a step is linear in [t^m](F - G*H), so
+line through an anchor (factorizer.blackbox_eval, which multiplies one
+block of the lifted seeds), follows a lift plan (`_lift_plan`) of its
+seeds, the pairwise-coprime factors of F(y, 0).  For each split
+g0 = seeds[i], h0 = prod(seeds[i+1:]) the plan holds the Bezout cofactor's
+tables: the correction of a step is linear in [t^m](F - G*H), so
 `_pair_lift` applies them on logs, with no xgcd or division per step.  The
 plan depends on the seeds alone, so the driver builds it once per anchor
 and shares it among all lines there.
@@ -85,7 +86,7 @@ def _ylist_deg_y(ylist):
 
 
 def _ylist_deg_t(ylist):
-    return max((u.degree() for u in ylist if not u.is_zero()), default=-1)
+    return max([len(u.logs) for u in ylist]) - 1 if ylist else -1
 
 
 def _ylist_mul(A, B, ctx, prec):

@@ -1,9 +1,10 @@
 """Exception types shared across the toolkit.
 
 One of these is a non-fatal control-flow signal rather than an error
-proper: GuessInvalid (a line through the anchor refutes one guess of the
-monic driver), which the driver catches to move on.  Operations that can
-have no answer, such as an exact division, return None instead.
+proper: GuessInvalid (a line through the anchor refutes one block of the
+monic driver, with its exponent), which the driver catches to move on.
+Operations that can have no answer, such as an exact division, return None
+instead.
 """
 
 
@@ -77,4 +78,5 @@ class ParseError(SparsefactError):
 
 
 class GuessInvalid(SparsefactError):
-    """Non-fatal: a line's lifts refute this guess of the monic driver."""
+    """Non-fatal: a line's lifts refute this block of the monic driver, with
+    its exponent."""

@@ -2,37 +2,34 @@
 
 Three layers:
 
-  * blackbox_eval — given one guess at an anchor (a set partition of the
-    indices of the projection's distinct factors g_j, with an exponent e
-    per block dividing its multiplicities), evaluates the would-be factors
-    at any point b.  Every line through the anchor projects at t=0 to
+  * blackbox_eval — given a block at an anchor (indices of the
+    projection's distinct factors g_j) and an exponent e dividing their
+    multiplicities, evaluates the block's would-be factor at any point b.
+    Every line through the anchor projects at t=0 to
     f(anchor, y) = prod g_j^u_j, so the projection seeds the line: the
     restriction of f to the line through (anchor, b) is Hensel-lifted from
-    the pairwise-coprime seeds g_j^u_j, and each block's value is the e-th
+    the pairwise-coprime seeds g_j^u_j, and the block's value is the e-th
     root of its lifted seeds' product at t=1 (Kaltofen and Trager's lines
     through one point).  f, the anchor, the projection, its factors, the
     seeds' lift plan and each line's lifts belong to the anchor, so they
-    sit in one record per anchor (_Anchor) that all its guesses share.  A
-    line where the blocks' lifts are not polynomial factors or not e-th
-    powers raises GuessInvalid, which simply discards the guess.
+    sit in one record per anchor (_Anchor) that all its blocks share.  A
+    line that refutes the block raises GuessInvalid, which discards it.
 
   * factor_monic — scans anchors over all of F^nx, nonzero coordinates
-    first (_full_grid), projects f once at each, enumerates its guesses,
-    reconstructs all parts of a guess by one dense tensor-grid
-    interpolation of the vector of their y-coefficients, verifies
-    candidates by explicit multiplication, and keeps the verified
-    candidate with maximal refinement score 2*sum(e)-m (first-in-
-    enumeration tie-break).  It stops when the best verified score reaches
-    the bound proven from the projections and, at an anchor whose
-    projection leaves that bound above the best score, from f's
-    restriction to one line, which factor() factors (_line_score_bound),
-    through the next point of F^nx; or after the last anchor of F^nx.
-    When F has fewer points than the grid needs, anchors and grid come
-    from the smallest extension in field.extensions that has enough, and
-    a candidate is admitted only if its factors retract to F.  It takes
-    no settings: the dense grid recovers a factor whatever its term
-    count, so it needs no sparsity cap.  Soundness is unconditional: only
-    re-multiplication-verified factorizations are ever returned.
+    first (_full_grid), projects f once at each and recombines there as
+    bifactor._recombine does (_recombine_at): smallest blocks first, each
+    rebuilt by dense tensor-grid interpolation and taken when it divides
+    exactly.  It keeps the result with maximal refinement score
+    2*sum(e)-m, and stops when that reaches the bound proven from the
+    projections and, at an anchor whose projection leaves that bound
+    above the best score, from f's restriction to one line, which
+    factor() factors (_line_score_bound), through the next point of F^nx;
+    or after the last anchor of F^nx.  When F has fewer points than the
+    grid needs, anchors and grid come from the smallest extension in
+    field.extensions that has enough, and a factor counts only if it
+    retracts to F.  It takes no settings: the dense grid recovers a factor
+    whatever its term count, so it needs no sparsity cap.  Soundness is
+    unconditional: every factor comes from an exact division of f.
 
   * factor — the general driver: splits off the monomial content, drops
     the variables absent from the rest and factors that core
@@ -65,7 +62,7 @@ from .bifactor import (factor_bivariate, to_ylist, _ylist_deg_t, _ylist_mul,
 # -- black-box factor evaluation ----------------------------------------------
 
 class _Anchor:
-    """What all guesses and lines at one anchor of f share: f, the anchor,
+    """What all blocks and lines at one anchor of f share: f, the anchor,
     the projection f(anchor, y) and its factors [(g, u_g)], monic
     irreducibles in sort_key order; the lift plan of the seeds g^u_g in
     that order (bifactor._lift_plan: Bezout cofactors and step tables),
@@ -83,21 +80,20 @@ class _Anchor:
         self.lines = {}  # b -> (precision, lifted seeds)
 
 
-def blackbox_eval(at, guess, b):
-    """Evaluate the guessed factors of a y-monic f at the point b, for a
-    guess at the anchor whose record (_Anchor) at holds f and the anchor.
+def blackbox_eval(at, block, e, b):
+    """h(b, y), a monic UniPoly, for the y-monic h with h^e dividing f and
+    h(anchor, y)^e = prod_{j in block} g_j^u_j, at the anchor whose record
+    (_Anchor) at holds f and the anchor.
 
-    A guess is a tuple of (block, e) pairs whose blocks, tuples of indices
-    into at.factors, partition them, with e dividing the multiplicity u_j
-    of every g_j in its block (_enumerate_guesses).  Returns one monic
-    UniPoly in y per block.  The restriction F(y, t) of f to the line
-    (1-t)*anchor + t*b has F(y, 0) = prod g_j^u_j with pairwise-coprime
-    seeds, which lift uniquely modulo t^(deg_t F + 1).  If the guess is
-    right, a block's lifted seeds multiply, truncated there, to h^e on the
-    line, which has no higher t-degree: the block's value is the monic
-    e-th root of that product at t=1.  GuessInvalid is raised when the
-    blocks' t-degrees do not add up to deg_t F (so their truncated products
-    are not a factorization of F) or when a value is not an e-th power.
+    block is a tuple of indices into at.factors and e divides every u_j in
+    it.  The restriction F(y, t) of f to the line (1-t)*anchor + t*b has
+    F(y, 0) = prod g_j^u_j with pairwise-coprime seeds, which lift uniquely
+    modulo t^(deg_t F + 1).  If h exists, the block's lifted seeds
+    multiply, truncated there, to h^e on the line and the others to its
+    cofactor, neither of higher t-degree: the value is the monic e-th root
+    of the block's product at t=1.  GuessInvalid is raised when the two
+    products' t-degrees do not add up to deg_t F (so they do not factor
+    F) or when the value is not an e-th power.
     """
     ctx = at.f.ctx
     b = tuple(b)
@@ -109,22 +105,21 @@ def blackbox_eval(at, guess, b):
         prec = _ylist_deg_t(F) + 1
         line = at.lines[b] = (prec, _lift_list(F, at.plan, prec, ctx))
     prec, lifted = line
-    products = []  # block -> its lifts' product
-    for block, _ in guess:
-        P = lifted[block[0]]
-        for j in block[1:]:
-            P = _ylist_mul(P, lifted[j], ctx, prec)
-        products.append(P)
-    if sum(_ylist_deg_t(P) for P in products) != prec - 1:
-        raise GuessInvalid("the blocks' lifts do not factor the line")
+    inner = outer = None  # the block's lifts' product, the others'
+    for j, L in enumerate(lifted):
+        if j in block:
+            inner = L if inner is None else _ylist_mul(inner, L, ctx, prec)
+        else:
+            outer = L if outer is None else _ylist_mul(outer, L, ctx, prec)
+    dt = _ylist_deg_t(inner) + (0 if outer is None else _ylist_deg_t(outer))
+    if dt != prec - 1:
+        raise GuessInvalid("the block's lifts do not factor the line")
     one = ctx.one()
-    out = []
-    for P, (_, e) in zip(products, guess):
-        r = monic_root(UniPoly(ctx, [c.evaluate(one) for c in P]), e)
-        if r is None:
-            raise GuessInvalid("block value is not a %d-th power" % e)
-        out.append(r)
-    return out
+    r = monic_root(UniPoly.from_logs(ctx, [c.evaluate(one).log
+                                           for c in inner]), e)
+    if r is None:
+        raise GuessInvalid("block value is not a %d-th power" % e)
+    return r
 
 
 # -- sparse reconstruction ----------------------------------------------------
@@ -177,44 +172,6 @@ def verify_factorization(f, candidate):
     return candidate.expand(f.ctx, f.n) == f
 
 
-# -- guess enumeration --------------------------------------------------------
-
-def _set_partitions(items):
-    """Partitions of a list of distinct items into nonempty blocks: the
-    first item joins each block of a partition of the rest in turn, then
-    opens a block of its own."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1:]
-        yield [[first]] + sub
-
-
-def _enumerate_guesses(us):
-    """Deterministic guess enumeration for one anchor.
-
-    us: the multiplicities u_j of the distinct irreducible factors g_j of
-    f(anchor, y), in the anchor record's order.  Yields one guess for each
-    set partition of range(len(us)) into blocks and each choice of a block
-    exponent e dividing the gcd of the block's u_j: a tuple of (block, e)
-    pairs, each block a tuple of ascending indices, so that
-    prod over blocks of (prod_j g_j^(u_j/e))^e == f(anchor, y).  Order: set
-    partitions as _set_partitions gives them, and for each one the
-    exponent vectors lexicographically, smallest first; the monic driver's
-    first-in-enumeration tie-break follows it.
-    """
-    for blocks in _set_partitions(list(range(len(us)))):
-        divisors = []
-        for block in blocks:
-            top = math.gcd(*(us[j] for j in block))
-            divisors.append([e for e in range(1, top + 1) if top % e == 0])
-        for exps in itertools.product(*divisors):
-            yield tuple(zip(map(tuple, blocks), exps))
-
-
 # -- the monic driver ---------------------------------------------------------
 
 def _full_grid(ctx, n):
@@ -253,18 +210,16 @@ def _full_grid(ctx, n):
 def factor_monic(f):
     """Unique monic factorization of a polynomial monic in y (last index).
 
-    Verified candidates only; among them the refinement score 2*sum(e)-m is
-    maximized, with a first-in-enumeration tie-break.  The anchor scan
-    stops when the best verified score reaches the bound proven from the
-    projections and the lines (_line_score_bound) seen so far (the
-    complete factorization is then the best candidate) or after the last
-    anchor of F^nx.  The winning candidate is returned as reconstructed
-    (y-monic factors, unit one, not sorted); factor() canonicalizes it.
-    Anchors and the interpolation grid come from f's field or, when it has
-    too few points for the grid, from the smallest extension in
-    field.extensions that has enough: f is lifted there, a candidate is
-    admitted only if every factor retracts to f's field, and the retracted
-    candidate is verified against f.  The lines stay over f's field.
+    Of the anchors' factorizations (_recombine_at), the first one of
+    maximal refinement score 2*sum(e)-m is kept.  The anchor scan stops
+    when that score reaches the bound proven from the projections and the
+    lines (_line_score_bound) seen so far (the complete factorization is
+    then the one kept) or after the last anchor of F^nx.  The result is
+    returned as found (y-monic factors, unit one, not sorted); factor()
+    canonicalizes it.  Anchors and the interpolation grid come from f's
+    field or, when it has too few points for the grid, from the smallest
+    extension in field.extensions that has enough: f is lifted there.  The
+    lines stay over f's field.
     """
     base = f.ctx
     nx = f.n - 1
@@ -272,60 +227,81 @@ def factor_monic(f):
         raise ShapeMismatch("the monic driver needs x-variables besides y")
     if not f.is_monic_in(nx):
         raise NotMonic("factor_monic needs a polynomial monic in y")
-    degs = f.degrees()[:nx]
-    needed = max(degs, default=0) + 1
+    needed = max(f.degrees()[:nx], default=0) + 1
     fs = f  # f over the field the anchors and the grid come from
     if needed > base.q:
         ext = next((e for e in extensions(base) if e.q >= needed), None)
         if ext is None:
             raise FieldTooSmall(required=needed)
         fs = lift_poly(f, ext)
-    ctx = fs.ctx
-    grid_axes = [list(itertools.islice(ctx.elements(), dv + 1)) for dv in degs]
-    best = Factorization(base.one(), [(f, 1)])  # trivial candidate, score 1
+    best = [(f, 1)]  # the trivial factorization, score 1
     best_phi = 1
-    # every verified factorization projects, at every anchor, to a guess
-    # covering f(anchor, y) = prod g^u_g over k distinct g, though perhaps
-    # one that puts a g into two parts (a guess partitions the g, so those
-    # are not enumerated).  A covering guess with m parts P_i of exponents
-    # e_i has sum(u_g) = sum(e_i*|P_i|) and sum(|P_i| - 1) >= k - m, so its
+    # every factorization projects, at every anchor, to parts P_i covering
+    # f(anchor, y) = prod g^u_g over k distinct g, perhaps with a g in two
+    # parts (which disjoint blocks cannot find).  With exponents e_i and m
+    # parts, sum(u_g) = sum(e_i*|P_i|) and sum(|P_i| - 1) >= k - m, so the
     # score 2*sum(e_i) - m is at most 2*sum(u_g) - k, the score of the
     # projection's multiplicities.  The minimum of that over anchors bounds
     # the complete factorization's score from above, certifying
-    # completeness once the best verified score reaches it
+    # completeness once the best score reaches it
     score_ub = math.inf
     line_bounds = (_line_score_bound(f, a) for a in _full_grid(base, nx))
-    for anchor in _full_grid(ctx, nx):
+    for anchor in _full_grid(fs.ctx, nx):
         at = _Anchor(fs, anchor)
         score_ub = min(score_ub, phi_score(u for _, u in at.factors))
         if best_phi >= score_ub:
-            break  # provably complete; no guess here can do better
-        # highest-scoring guesses first: the complete factorization always
-        # scores maximally among verifiable candidates, so on a good anchor
-        # the first surviving reconstruction is already the final answer
-        guesses = sorted(_enumerate_guesses([u for _, u in at.factors]),
-                         key=lambda guess: -phi_score(e for _, e in guess))
-        for guess in guesses:
-            phi = phi_score(e for _, e in guess)
-            if phi <= best_phi:
-                break  # sorted descending: nothing below can improve
-            candidate = _reconstruct_candidate(at, guess, grid_axes)
-            if candidate is None:
-                continue
-            if fs is not f:
-                retracted = [(retract_poly(h, base), e)
-                             for h, e in candidate.parts]
-                if any(h is None for h, _ in retracted):
-                    continue  # finer than the base-field factorization
-                candidate = Factorization(base.one(), retracted)
-            if verify_factorization(f, candidate):
-                best = candidate
-                best_phi = phi
+            break  # provably complete; nothing here can do better
+        parts = _recombine_at(f, at)
+        phi = phi_score(e for _, e in parts)
+        if phi > best_phi:
+            best, best_phi = parts, phi
         if best_phi < score_ub:  # the next line may prove more
             score_ub = min(score_ub, next(line_bounds, None) or score_ub)
         if best_phi >= score_ub:
             break  # provably complete
-    return best
+    return Factorization(base.one(), best)
+
+
+def _recombine_at(f, at):
+    """The factors [(h, e)] of f, with product f, that the anchor record at
+    tells apart, found as bifactor._recombine finds a line's: blocks of
+    indices into at.factors by size, smallest first and lexicographic
+    within a size, each with the exponents e dividing the gcd of its u_j,
+    largest first.  A rebuilt h (retracted to f's field when at.f is
+    lifted) is taken when h^e divides what is left of f, which the
+    quotient then replaces.  A rebuild serves each open block of a size
+    with its next exponent, so a smaller one is rebuilt only if the larger
+    failed.  What is left at the end is the last factor, with e = 1, so
+    no block of all the indices left is rebuilt with e = 1."""
+    base, ctx = f.ctx, at.f.ctx
+    us = [u for _, u in at.factors]
+    grid_axes = [list(itertools.islice(ctx.elements(), d + 1))
+                 for d in at.f.degrees()[:-1]]
+    parts, rest, current = [], list(range(len(us))), f
+    size = 1
+    while size <= len(rest):
+        untried = {}  # block -> its exponents left, largest first
+        for block in itertools.combinations(rest, size):
+            top = math.gcd(*(us[j] for j in block))
+            untried[block] = [e for e in range(top, 0, -1) if top % e == 0]
+        # all the indices left with e = 1 would rebuild what is left
+        while guesses := [(block, es.pop(0)) for block, es in untried.items()
+                          if es and all(j in rest for j in block)
+                          and (es[0] > 1 or size < len(rest))]:
+            rebuilt = _reconstruct_candidate(at, guesses, grid_axes)
+            for (block, e), h in rebuilt.items():
+                if any(j not in rest for j in block):
+                    continue  # overlaps a block taken before
+                if ctx is not base and (h := retract_poly(h, base)) is None:
+                    continue  # finer than the base-field factorization
+                if (q := sparse_divide(current, h ** e)) is not None:
+                    parts.append((h, e))
+                    current = q
+                    rest = [j for j in rest if j not in block]
+        size += 1
+    if rest:
+        parts.append((current, 1))
+    return parts
 
 
 def _line_score_bound(f, anchor):
@@ -350,33 +326,38 @@ def _line_score_bound(f, anchor):
     return phi_score(m for _, m in parts)
 
 
-def _reconstruct_candidate(at, guess, grid_axes):
-    """Tensor-grid reconstruction of all parts for one guess at the anchor
-    record at, or None.  One interpolation recovers every y-coefficient
-    below the leading one of every part: h_i = y^dp + sum_{j<dp} c_ij y^j."""
+def _reconstruct_candidate(at, guesses, grid_axes):
+    """Tensor-grid reconstruction of the y-monic h of each guess (block, e)
+    at the anchor record at: {guess: h} in the order of guesses, leaving
+    out those that a line refutes (blackbox_eval).  One interpolation
+    recovers every y-coefficient below the leading one of every h left:
+    h = y^d + sum_{j<d} c_j y^j."""
     f = at.f
     ctx = f.ctx
-    nx = f.n - 1
-    values = {}  # grid point -> the parts' lower y-coefficients, in order
-    try:
-        for b in itertools.product(*grid_axes):
-            values[b] = [v for u in blackbox_eval(at, guess, b)
-                         for v in u.logs[:-1]]
-    except GuessInvalid:
-        return None
-    coeffs = _interp_grid(ctx, grid_axes, values)
-    factors = []
-    start = 0  # vector index of the part's c_i0
-    for block, e in guess:
-        dp = sum(at.factors[j][0].degree() * at.factors[j][1] // e
-                 for j in block)
-        terms = {(0,) * nx + (dp,): ctx.one()}
+    points = list(itertools.product(*grid_axes))
+    cols = [[] for _ in points]  # at each point, the lower y-coefficients
+    kept = []  # (guess, y-degree of its h)
+    for block, e in guesses:
+        try:
+            rows = [blackbox_eval(at, block, e, b).logs[:-1] for b in points]
+        except GuessInvalid:
+            continue
+        kept.append(((block, e), len(rows[0])))
+        for col, row in zip(cols, rows):
+            col.extend(row)
+    if not kept:
+        return {}
+    coeffs = _interp_grid(ctx, grid_axes, dict(zip(points, cols)))
+    out = {}
+    start = 0  # vector index of the guess's c_0
+    for guess, d in kept:
+        terms = {(0,) * (f.n - 1) + (d,): ctx.one()}
         for x, vec in coeffs.items():
-            for j in range(dp):
+            for j in range(d):
                 terms[x + (j,)] = vec[start + j]
-        factors.append((SparsePoly(ctx, f.n, terms), e))
-        start += dp
-    return Factorization(ctx.one(), factors)
+        out[guess] = SparsePoly(ctx, f.n, terms)
+        start += d
+    return out
 
 
 # -- the general driver -------------------------------------------------------

@@ -378,6 +378,8 @@ def monic_root(f, e):
     if e < 1:
         raise ValueError("root exponent %d below 1" % e)
     ctx = f.ctx
+    if e == 1:  # a monic f is its own first root
+        return f if f.logs and f.logs[-1] == ctx.one().log else None
     r, k = f, e
     while k % ctx.p == 0:
         try:

@@ -248,17 +248,17 @@ def test_09_blackbox_endpoint_consistency():
         g, h = y + av, y + bv
         f = g * h
         # the projection's two linear factors, each a block of its own
-        guess = (((0,), 1), ((1,), 1))
+        blocks = [(0,), (1,)]
         at = _Anchor(f, anchor)
         # endpoint b = anchor: per-block products of the univariate pieces
-        at_anchor = blackbox_eval(at, guess, anchor)
+        at_anchor = [blackbox_eval(at, block, 1, anchor) for block in blocks]
         assert sorted(tuple(c.index() for c in u.coeffs)
                       for u in at_anchor) == \
             sorted([(a0.index(), 1), (b0.index(), 1)])
         # three random points: outputs multiply back to the projection
         for _ in range(3):
             b = tuple(F7.elem(rng.randrange(7)) for _ in range(n))
-            outs = blackbox_eval(at, guess, b)
+            outs = [blackbox_eval(at, block, 1, b) for block in blocks]
             prod = UniPoly.constant(F7, 1)
             for u in outs:
                 prod = prod * u

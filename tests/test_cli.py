@@ -93,8 +93,8 @@ def test_factor_lifted_golden(monkeypatch):
 
 # Products with repeated factors over F_3, F_11 and F_101.  The
 # three-variable ones go to the monic driver, whose anchor projections are
-# not squarefree, so the guesses carry block exponents and blackbox_eval
-# takes their roots; the bivariate ones go to the bivariate engine, which
+# not squarefree, so the blocks carry exponents and blackbox_eval takes
+# their roots; the bivariate ones go to the bivariate engine, which
 # runs the gcd with the y-derivative, the division by the gcd and the
 # multiplicity loop.  The expected bytes of the first seven were produced
 # by the FieldElem-coefficient polynomial kernels that preceded the int-log

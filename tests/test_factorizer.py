@@ -1,5 +1,6 @@
-"""The multivariate factoring pipeline: black-box factor evaluation, sparse
-reconstruction, the monic driver, and the general driver."""
+"""The multivariate factoring pipeline: black-box factor evaluation,
+recombination at an anchor, sparse reconstruction, the monic driver, and
+the general driver."""
 
 import itertools
 import random
@@ -14,13 +15,13 @@ from sparsefact.errors import (GuessInvalid, FieldTooSmall,
 from sparsefact.field import make_field
 from sparsefact.sparsepoly import (SparsePoly, Factorization, parse_poly,
                                    normalize_scalar, project_y, phi_score,
-                                   lift_poly)
+                                   retract_poly)
 from sparsefact.unifactor import UniPoly, factor_univariate
 from sparsefact.bifactor import factor_bivariate
 from sparsefact.factorizer import (factor, factor_monic,
                                    blackbox_eval, verify_factorization,
-                                   _Anchor, _full_grid, _enumerate_guesses,
-                                   _interp_grid)
+                                   _Anchor, _full_grid, _interp_grid,
+                                   _recombine_at)
 from tests_oracle import (enumerate_guesses_unbounded,
                           blackbox_eval_by_line_factors, ref_projection)
 
@@ -53,11 +54,16 @@ def counted(calls, name, fn):
 
 
 def guess_of(at, parts):
-    """The guess at the anchor record at whose blocks hold the pieces of
-    parts, a list of (UniPoly pieces, exponent) pairs."""
+    """The (block, e) pairs at the anchor record at whose blocks hold the
+    pieces of parts, a list of (UniPoly pieces, exponent) pairs."""
     gs = [g for g, _ in at.factors]
     return tuple((tuple(sorted(gs.index(g) for g in pieces)), e)
                  for pieces, e in parts)
+
+
+def eval_blocks(at, guess, b):
+    """blackbox_eval at b of each (block, e) of guess, in order."""
+    return [blackbox_eval(at, block, e, b) for block, e in guess]
 
 
 # two singleton blocks of exponent 1: y^2 - x1^2 at x1 = 1 splits that way
@@ -83,14 +89,14 @@ def test_blackbox_hand_trace():
     # f = y^2 - x1^2, anchor (1), univariate pieces y+6 and y+1 in separate
     # blocks; at b = (3) the true factors evaluate to y-3 and y+3
     f = P("y^2 + 6*x1^2")
-    got = blackbox_eval(_Anchor(f, (F7.one(),)), SPLIT, (F7.elem(3),))
+    got = eval_blocks(_Anchor(f, (F7.one(),)), SPLIT, (F7.elem(3),))
     assert sorted(tuple(c.serialize() for c in h.coeffs) for h in got) == \
         [(3, 1), (4, 1)]   # y+3 and y+4 = y-3
 
 
 def test_blackbox_endpoint_at_anchor():
     f = P("y^2 + 6*x1^2")
-    got = blackbox_eval(_Anchor(f, (F7.one(),)), SPLIT, (F7.one(),))
+    got = eval_blocks(_Anchor(f, (F7.one(),)), SPLIT, (F7.one(),))
     assert sorted(tuple(c.serialize() for c in h.coeffs) for h in got) == \
         [(1, 1), (6, 1)]
 
@@ -101,7 +107,7 @@ def test_blackbox_products_multiply_to_projection():
     at = _Anchor(f, (F7.one(),))
     for _ in range(5):
         b = (F7.elem(rng.randrange(7)),)
-        hs = blackbox_eval(at, SPLIT, b)
+        hs = eval_blocks(at, SPLIT, b)
         prod = UniPoly.constant(F7, 1)
         for h, (_, e) in zip(hs, SPLIT):
             for _ in range(e):
@@ -111,19 +117,18 @@ def test_blackbox_products_multiply_to_projection():
 
 def test_blackbox_ambiguity_partition():
     # f = y(y^2 - x1): at x1 = 1 the pieces are y, y-1, y+1 and the
-    # grouping {y}, {y-1, y+1} is a consistent guess
+    # blocks {y}, {y-1, y+1} are consistent
     f = P("y^3 + 6*x1*y")
     at = _Anchor(f, (F7.one(),))
     guess = guess_of(at, [([U([0, 1])], 1), ([U([6, 1]), U([1, 1])], 1)])
-    got = blackbox_eval(at, guess, (F7.elem(2),))
+    got = eval_blocks(at, guess, (F7.elem(2),))
     degs = sorted(h.degree() for h in got)
     assert degs == [1, 2]
-    # wrong grouping mixing the pieces differently must be rejected for
-    # some evaluation point or verified not to reconstruct f; here a
-    # one-block guess with a bad multiplicity raises
-    bad = (((0, 1, 2), 2),)
+    # a block that mixes the pieces differently must be rejected for some
+    # evaluation point or fail to divide f; here the block of all pieces
+    # with a bad multiplicity raises
     with pytest.raises(GuessInvalid):
-        blackbox_eval(at, bad, (F7.elem(2),))
+        blackbox_eval(at, (0, 1, 2), 2, (F7.elem(2),))
 
 
 def test_blackbox_rejects_inconsistent_guesses():
@@ -136,7 +141,7 @@ def test_blackbox_rejects_inconsistent_guesses():
     ]
     for text, a, guess in cases:
         with pytest.raises(GuessInvalid):
-            blackbox_eval(_Anchor(P(text), (a,)), guess, (F7.elem(2),))
+            eval_blocks(_Anchor(P(text), (a,)), guess, (F7.elem(2),))
 
 
 def _rand_y_monic(ctx, rng):
@@ -152,7 +157,7 @@ def _rand_y_monic(ctx, rng):
 
 @pytest.mark.parametrize("p,ell", [(7, 1), (3, 2)])
 def test_blackbox_matches_line_factorization(p, ell):
-    # valid guesses: f = h1^e1 * h2^e2 with coprime anchor projections, each
+    # valid blocks: f = h1^e1 * h2^e2 with coprime anchor projections, each
     # block the univariate factors of one h_i; the seeded Hensel lift must
     # give what a complete factorization of every line gives
     ctx = make_field(p, ell)
@@ -180,14 +185,15 @@ def test_blackbox_matches_line_factorization(p, ell):
                               for ps, e in zip(pieces, exps)])
         for _ in range(3):
             b = tuple(ctx.from_index(rng.randrange(ctx.q)) for _ in range(2))
-            try:
-                want = blackbox_eval_by_line_factors(f, anchor, at.factors,
-                                                     guess, b)
-            except FieldTooSmall:
-                continue  # the reference needs a squarefree projection point
-            assert blackbox_eval(at, guess, b) == want
-            compared += 1
-    assert compared >= 60
+            for block, e in guess:
+                try:
+                    want = blackbox_eval_by_line_factors(
+                        f, anchor, at.factors, block, e, b)
+                except FieldTooSmall:
+                    continue  # the reference needs a squarefree projection
+                assert blackbox_eval(at, block, e, b) == want
+                compared += 1
+    assert compared >= 120
 
 
 # -- guess enumeration --------------------------------------------------------
@@ -223,63 +229,91 @@ def covering_guesses(uni):
     return list(enumerate_guesses_unbounded(uni, max(u for _, u in uni)))
 
 
-def as_parts(uni, guess):
-    """A guess at the pieces uni as (parts, exps): each block's part holds
-    each of its g u_g/e times."""
-    return ([[uni[j][0] for j in block for _ in range(uni[j][1] // e)]
-             for block, e in guess], [e for _, e in guess])
-
-
-def guess_key(parts, exps):
-    """Order-insensitive signature of a guess."""
-    return sorted((sorted(g.sort_key() for g in part), e)
-                  for part, e in zip(parts, exps))
-
-
 def splits_a_piece(parts):
     return any(sum(g in part for part in parts) > 1
                for part in parts for g in part)
 
 
-@pytest.mark.parametrize("name", sorted(GUESS_PATTERNS))
-def test_enumerate_guesses_matches_unbounded(name):
-    # blackbox_eval relies on the shape of a guess and checks none of it:
-    # the blocks partition the factor indices, each nonempty and ascending,
-    # and each block's exponent divides all its multiplicities.  The
-    # guesses are exactly the covering ones that keep each piece in one
-    # part, each once
-    uni = pattern(name)
-    us = [u for _, u in uni]
-    guesses = list(_enumerate_guesses(us))
-    for guess in guesses:
-        blocks = [block for block, _ in guess]
-        assert all(block and list(block) == sorted(block) for block in blocks)
-        assert sorted(j for block in blocks for j in block) == \
-            list(range(len(us)))
-        assert all(us[j] % e == 0 for block, e in guess for j in block)
-    want = sorted(guess_key(parts, exps) for parts, exps in
-                  covering_guesses(uni) if not splits_a_piece(parts))
-    assert want and sorted(guess_key(*as_parts(uni, guess))
-                           for guess in guesses) == want
-
-
-@pytest.mark.parametrize("name", sorted(GUESS_PATTERNS))
-def test_blackbox_check_matches_enumeration(name):
-    # f in y alone restricts to its projection on every line, so no line
-    # can refuse a guess there: every enumerated guess passes
-    uni = pattern(name)
+def y_only_anchor(uni):
+    """The anchor record at x1 = 2 of f = prod g^u_g over the pieces uni, in
+    (x1, y) and constant in x1: every line restricts f to its projection."""
     f, fa = SparsePoly.constant(F7, 2, 1), UniPoly.constant(F7, 1)
     for g, u in uni:
         piece = SparsePoly(F7, 2, {(0, i): c for i, c in enumerate(g.coeffs)
                                    if not c.is_zero()})
         for _ in range(u):
             f, fa = f * piece, fa * g
-    anchor, b = (F7.elem(2),), (F7.elem(5),)
-    at = _Anchor(f, anchor)
+    at = _Anchor(f, (F7.elem(2),))
     assert at.projection == fa
     assert at.factors == sorted(uni, key=lambda gu: gu[0].sort_key())
-    for guess in _enumerate_guesses([u for _, u in at.factors]):
-        assert len(blackbox_eval(at, guess, b)) == len(guess)
+    return at
+
+
+def rebuilds(monkeypatch, at):
+    """The guesses of each rebuild, and its result, when _recombine_at at
+    the anchor record at takes no block, so that every size is tried."""
+    reconstruct = factorizer._reconstruct_candidate
+    calls = []
+
+    def record(at, guesses, grid_axes):
+        calls.append((list(guesses), reconstruct(at, guesses, grid_axes)))
+        return {}
+
+    monkeypatch.setattr(factorizer, "_reconstruct_candidate", record)
+    assert _recombine_at(at.f, at) == [(at.f, 1)]
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(GUESS_PATTERNS))
+def test_enumerate_guesses_matches_unbounded(monkeypatch, name):
+    # the recombination relies on the shape of a guess (block, e) and
+    # checks none of it: blocks by size, ascending within a block; a
+    # rebuild serves blocks of one size, each once and lexicographically,
+    # and each block's exponents come largest first.  The guesses are
+    # exactly the parts of the covering guesses that keep each piece in one
+    # part, each once, but for the block of all pieces with e = 1, which is
+    # what is left when no block divides
+    uni = pattern(name)
+    at = y_only_anchor(uni)
+    gs = [g for g, _ in at.factors]
+    calls = rebuilds(monkeypatch, at)
+    sizes = []
+    for guesses, _ in calls:
+        blocks = [block for block, _ in guesses]
+        assert len({len(block) for block in blocks}) == 1
+        assert all(a < b for a, b in zip(blocks, blocks[1:]))
+        sizes.append(len(blocks[0]))
+    assert sizes == sorted(sizes)
+    guesses = [guess for guesses, _ in calls for guess in guesses]
+    assert all(list(block) == sorted(block) for block, _ in guesses)
+    for block in {block for block, _ in guesses}:
+        exps = [e for b, e in guesses if b == block]
+        assert exps == sorted(exps, reverse=True)
+    want = {(tuple(sorted({gs.index(g) for g in part})), e)
+            for parts, exps in covering_guesses(uni)
+            if not splits_a_piece(parts)
+            for part, e in zip(parts, exps)}
+    want.discard((tuple(range(len(gs))), 1))
+    assert len(set(guesses)) == len(guesses) and set(guesses) == want
+
+
+@pytest.mark.parametrize("name", sorted(GUESS_PATTERNS))
+def test_blackbox_check_matches_enumeration(monkeypatch, name):
+    # f in y alone restricts to its projection on every line, so no line
+    # can refuse a block there: every enumerated guess is rebuilt, as the
+    # product of its block's pieces g^(u_g/e)
+    uni = pattern(name)
+    at = y_only_anchor(uni)
+    for guesses, rebuilt in rebuilds(monkeypatch, at):
+        assert list(rebuilt) == guesses
+        for (block, e), h in rebuilt.items():
+            want = UniPoly.constant(F7, 1)
+            for j in block:
+                g, u = at.factors[j]
+                want = want * g ** (u // e)
+            assert h == SparsePoly(F7, 2, {(0, i): c for i, c in
+                                           enumerate(want.coeffs)
+                                           if not c.is_zero()})
 
 
 @pytest.mark.parametrize("name", sorted(GUESS_PATTERNS))
@@ -291,12 +325,77 @@ def test_score_bound_is_largest_covering_score(name):
         phi_score(exps) for _, exps in covering_guesses(uni))
 
 
-def test_enumerate_guesses_six_simple_factors():
-    # only the whole set covers, one part per block of a set partition with
-    # exponent 1: Bell(6) = 203 guesses
-    guesses = list(_enumerate_guesses([1] * 6))
-    assert len(guesses) == 203
-    assert all(e == 1 for guess in guesses for _, e in guess)
+def test_enumerate_guesses_six_simple_factors(monkeypatch):
+    # six simple pieces and no block taken: the 2^6 - 2 = 62 proper blocks,
+    # each with e = 1, in one rebuild for each size 1..5, where the set
+    # partitions of the pieces number Bell(6) = 203
+    at = y_only_anchor([(U([c, 1]), 1) for c in range(6)])
+    calls = rebuilds(monkeypatch, at)
+    assert [len(guesses) for guesses, _ in calls] == [6, 15, 20, 15, 6]
+    assert all(e == 1 for guesses, _ in calls for _, e in guesses)
+
+
+# -- recombination at an anchor -----------------------------------------------
+
+def test_recombine_takes_largest_exponent_first():
+    # (y + x1)^2 at x1 = 0: the one piece y with u = 2 is tried with e = 2
+    # before e = 1, so f comes back as (y + x1)^2, not as one part of e = 1
+    h = P("y + x1")
+    f = h * h
+    assert _recombine_at(f, _Anchor(f, (F7.zero(),))) == [(h, 2)]
+
+
+def test_recombine_lines_refute_a_square_projection():
+    # y^2 - x1 projects to y^2 at x1 = 0, but y^2 - b is no square for
+    # b = 1, so e = 2 is refuted and f is what is left
+    f = P("y^2 + 6*x1")
+    at = _Anchor(f, (F7.zero(),))
+    assert [u for _, u in at.factors] == [2]
+    assert _recombine_at(f, at) == [(f, 1)]
+
+
+def test_recombine_smallest_blocks_first(monkeypatch):
+    # y(y^2 - x1) at x1 = 1 has the pieces y, y - 1 and y + 1: size 1 takes
+    # {y}, and the pair {y - 1, y + 1}, all that is left, is the factor
+    # y^2 - x1 at size 2 with no rebuild
+    f = P("y^3 + 6*x1*y")
+    at = _Anchor(f, (F7.one(),))
+    assert [g for g, _ in at.factors] == [U([0, 1]), U([1, 1]), U([6, 1])]
+    reconstruct = factorizer._reconstruct_candidate
+    tried = []
+
+    def record(at, guesses, grid_axes):
+        out = reconstruct(at, guesses, grid_axes)
+        tried.append((guesses, list(out)))
+        return out
+
+    monkeypatch.setattr(factorizer, "_reconstruct_candidate", record)
+    assert _recombine_at(f, at) == [(P("y", nvars=1), 1),
+                                    (P("y^2 + 6*x1"), 1)]
+    assert tried == [([((0,), 1), ((1,), 1), ((2,), 1)], [((0,), 1)])]
+
+
+def test_factor_many_pieces_without_partitions(monkeypatch):
+    # prod_{j=1..7} (x3^2 - x1 - j*x2) over F_101 projects at the first
+    # anchor to k = 10 pieces on a grid of 8 * 8 points: the Bell(10) set
+    # partitions numbered 115 975, while the blocks of sizes 1 and 2 need at
+    # most (k + k(k-1)/2) * 64 black-box values
+    F101 = make_field(101)
+    hs = [parse_poly("x3^2 + 100*x1 + %d*x2" % (101 - j), F101)
+          for j in range(1, 8)]
+    f = hs[0]
+    for h in hs[1:]:
+        f = f * h
+    at = _Anchor(f, next(_full_grid(F101, 2)))
+    k = len(at.factors)
+    assert k == 10
+    calls = {"eval": 0}
+    monkeypatch.setattr(factorizer, "blackbox_eval", counted(
+        calls, "eval", factorizer.blackbox_eval))
+    fac = factor(f)
+    assert multiset(fac) == multiset(
+        Factorization(F101.one(), [(h, 1) for h in hs]))
+    assert calls["eval"] <= (k + k * (k - 1) // 2) * 64
 
 
 # -- sparse reconstruction ----------------------------------------------------
@@ -399,13 +498,13 @@ def test_factor_monic_irreducible():
 
 def test_certified_anchor_enumerates_no_guesses(monkeypatch):
     # y^2 + 1 is irreducible over F_7, so the first anchor's score bound 1
-    # certifies the trivial candidate before any guess is enumerated
-    calls = {"enumerate": 0}
-    monkeypatch.setattr(factorizer, "_enumerate_guesses", counted(
-        calls, "enumerate", factorizer._enumerate_guesses))
+    # certifies the trivial factorization before any block is rebuilt
+    calls = {"rebuild": 0}
+    monkeypatch.setattr(factorizer, "_reconstruct_candidate", counted(
+        calls, "rebuild", factorizer._reconstruct_candidate))
     f = P("y^2 + x1")
     assert factor_monic(f).parts == [(f, 1)]
-    assert calls["enumerate"] == 0
+    assert calls["rebuild"] == 0
 
 
 def test_factor_monic_repeated_root():
@@ -449,8 +548,9 @@ def test_driver_checks_survive_optimize_flag(run_optimized):
 
 
 def test_one_interpolation_per_guess(monkeypatch):
-    # every part and y-coefficient of a guess comes from a single
-    # interpolation; a guess that blackbox_eval rejects needs none
+    # every y-coefficient of every block of one size comes from a single
+    # interpolation; a size whose blocks blackbox_eval all rejects needs
+    # none
     calls = {"guess": 0, "interp": 0}
     monkeypatch.setattr(factorizer, "_reconstruct_candidate", counted(
         calls, "guess", factorizer._reconstruct_candidate))
@@ -518,12 +618,12 @@ def test_one_bezout_cofactor_per_anchor_split(monkeypatch):
     evaluate, xgcd = factorizer.blackbox_eval, UniPoly.xgcd
     lifting = []  # nonempty inside blackbox_eval, not in the line's factoring
 
-    def blackbox(at, guess, b):
+    def blackbox(at, block, e, b):
         calls["eval"] += 1
         anchors.add(at.anchor)
         lifting.append(b)
         try:
-            return evaluate(at, guess, b)
+            return evaluate(at, block, e, b)
         finally:
             lifting.pop()
 
@@ -541,49 +641,49 @@ def test_one_bezout_cofactor_per_anchor_split(monkeypatch):
     splits = sum(len(factor_univariate(project_y(f, list(a))).parts) - 1
                  for a in anchors)
     assert len(anchors) == 1 and splits == 2
+    # the block of g's one piece on the 16 grid points, and h's two pieces
+    # alone, each refuted at the first point; h is what is left
     assert calls == {"xgcd": splits, "eval": 18}
 
 
 def test_blackbox_shared_cache_matches_fresh_cache():
-    # one anchor record shared by every guess and point of the anchor gives
-    # what a fresh record gives, call by call, in either order of guesses
+    # one anchor record shared by every block and point of the anchor gives
+    # what a fresh record gives, call by call, in either order of blocks
     f = P("y^3 + 6*x1*y")
     y0, y1, y6 = U([0, 1]), U([1, 1]), U([6, 1])
-    # the second guess has the first one's blocks and an exponent 2 that
-    # divides no multiplicity, so its value is a square only where y^2 - x1
-    # is one; the third fails on the lines' t-degrees
-    guesses = [guess_of(_Anchor(f, (F7.one(),)), parts)
-               for parts in [[([y0], 1), ([y6, y1], 1)],
-                             [([y0], 1), ([y6, y1], 2)],
-                             [([y0], 1), ([y6], 1), ([y1], 1)],
-                             [([y0, y6, y1], 1)]]]
+    # the pair {y6, y1} with an exponent 2 that divides no multiplicity
+    # has a square value only where y^2 - x1 is one; the singletons {y6}
+    # and {y1} fail on the lines' t-degrees
+    guess = guess_of(_Anchor(f, (F7.one(),)),
+                     [([y0], 1), ([y6, y1], 1), ([y6, y1], 2), ([y6], 1),
+                      ([y1], 1), ([y0, y6, y1], 1)])
     points = [(F7.elem(v),) for v in range(7)]
-    for order in (guesses, guesses[::-1]):
+    for order in (guess, guess[::-1]):
         at = _Anchor(f, (F7.one(),))
-        for guess in order:
+        for block, e in order:
             for b in points:
                 try:
-                    want = blackbox_eval(_Anchor(f, (F7.one(),)), guess, b)
+                    want = blackbox_eval(_Anchor(f, (F7.one(),)), block, e, b)
                 except GuessInvalid:
                     with pytest.raises(GuessInvalid):
-                        blackbox_eval(at, guess, b)
+                        blackbox_eval(at, block, e, b)
                     continue
-                assert blackbox_eval(at, guess, b) == want
+                assert blackbox_eval(at, block, e, b) == want
 
 
 def test_blackbox_invalid_guess_raises_on_every_call():
-    # an invalid guess leaves nothing in the anchor record: every later call
-    # with the same record raises again, for a valid guess before it or
-    # after it.  Both bad guesses take an exponent 2 that divides no
+    # an invalid block leaves nothing in the anchor record: every later call
+    # with the same record raises again, for a valid block before it or
+    # after it.  Both bad blocks take an exponent 2 that divides no
     # multiplicity: y^2 - b^2 and y +- b are no squares for b != 0
     f = P("y^2 + 6*x1^2")
-    bads = [(((0, 1), 2),), (((0,), 1), ((1,), 2))]
+    bads = [((0, 1), 2), ((1,), 2)]
     at = _Anchor(f, (F7.one(),))
     for b in [(F7.elem(v),) for v in (2, 3, 2, 5)]:
-        for bad in bads:
+        for block, e in bads:
             with pytest.raises(GuessInvalid):
-                blackbox_eval(at, bad, b)
-        assert len(blackbox_eval(at, SPLIT, b)) == 2
+                blackbox_eval(at, block, e, b)
+        assert [h.degree() for h in eval_blocks(at, SPLIT, b)] == [1, 1]
 
 
 def test_factor_monic_lift_path():
@@ -598,30 +698,29 @@ def test_factor_monic_lift_path():
 
 
 def test_factor_monic_lift_skips_unretractable_candidate(monkeypatch):
-    # over F_49, (z*g)(h/z) multiplies to f = g*h but is no factorization
-    # over F_7: the lifted driver must pass over it and still find g, h
+    # over F_49, z*g divides f = g*h but is no factor over F_7: the lifted
+    # driver must pass over that block and still find g and h
     g = P("y + x1^4*x2")
     h = P("y + 3*x1^3", nvars=2)
     F49 = make_field(7, 2)
+    z = F49.elem((0, 1))
     reconstruct = factorizer._reconstruct_candidate
     offered = []
 
-    def unretractable_first(at, guess, grid_axes):
-        cand = reconstruct(at, guess, grid_axes)
-        if offered or cand is None or len(cand.parts) != 2:
-            return cand
-        z = F49.elem((0, 1))
-        (a, e), (b, k) = cand.parts
-        cand = Factorization(F49.one(), [(a.scale(z), e),
-                                         (b.scale(z.inverse()), k)])
-        offered.append(cand)
-        return cand
+    def unretractable_first(at, guesses, grid_axes):
+        rebuilt = reconstruct(at, guesses, grid_axes)
+        if not offered and rebuilt:
+            guess, first = next(iter(rebuilt.items()))
+            rebuilt[guess] = first.scale(z)
+            offered.append(rebuilt[guess])
+        return rebuilt
 
     monkeypatch.setattr(factorizer, "_reconstruct_candidate",
                         unretractable_first)
     fac = factor_monic(g * h)
     assert len(offered) == 1
-    assert verify_factorization(lift_poly(g * h, F49), offered[0])
+    assert retract_poly(offered[0], F7) is None
+    assert retract_poly(offered[0].scale(z.inverse()), F7) in (g, h)
     assert all(p.ctx is F7 for p, _ in fac.parts)
     assert multiset(fac) == multiset(Factorization(F7.one(), [(g, 1), (h, 1)]))
 

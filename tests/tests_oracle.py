@@ -18,10 +18,11 @@ the univariate factors, every partition of it into parts and every exponent
 in 1..k for every part, keeping the guesses that cover the projection,
 including those that put one factor into two parts.
 
-blackbox_eval_by_line_factors: black-box factor evaluation by a complete
-factorization of the line restriction, each bivariate factor routed to the
-unique block of the guess (indices into the projection's (piece, u) list
-pieces) one of whose pieces divides its t=0 projection.
+blackbox_eval_by_line_factors: black-box evaluation of one block's factor
+by a complete factorization of the line restriction: the block (indices
+into the projection's (piece, u) list pieces) takes each bivariate factor
+one of whose pieces divides its t=0 projection, and none of those may also
+be divided by a piece outside the block.
 
 ref_restrict, ref_value, ref_projection: the restriction of a polynomial to
 a line (1-t)*a + t*b, its value at a point and its projection f(a, y), on
@@ -164,14 +165,14 @@ def enumerate_guesses_unbounded(uni_parts, k):
                     yield parts, exps
 
 
-def blackbox_eval_by_line_factors(f, anchor, pieces, guess, b):
+def blackbox_eval_by_line_factors(f, anchor, pieces, block, e, b):
     from sparsefact.errors import GuessInvalid
     from sparsefact.sparsepoly import restrict_to_line
     from sparsefact.factorizer import factor
     from sparsefact.unifactor import UniPoly
     ctx = f.ctx
     ft = restrict_to_line(f, list(anchor), list(b))
-    accs = [UniPoly.constant(ctx, 1) for _ in guess]
+    acc = UniPoly.constant(ctx, 1)
     for F, v in factor(ft).parts:
         # F(y, 0) is F's t^0 row and F(y, 1) the sum of its rows
         F0 = [ctx.zero()] * (F.degree(0) + 1)
@@ -181,21 +182,21 @@ def blackbox_eval_by_line_factors(f, anchor, pieces, guess, b):
             if not j:
                 F0[i] = c
         F0, F1 = UniPoly(ctx, F0), UniPoly(ctx, F1)
-        hits = [i for i, (block, _) in enumerate(guess)
-                if any((F0 % pieces[j][0]).is_zero() for j in block)]
-        if len(hits) != 1:
-            raise GuessInvalid("projection matches %d blocks" % len(hits))
-        i = hits[0]
-        e = guess[i][1]
+        sides = {j in block for j in range(len(pieces))
+                 if (F0 % pieces[j][0]).is_zero()}
+        if len(sides) != 1:
+            raise GuessInvalid("projection on %d sides of the block"
+                               % len(sides))
+        if sides == {False}:
+            continue
         if v % e:
             raise GuessInvalid("multiplicity %d not divisible by %d" % (v, e))
         for _ in range(v // e):
-            accs[i] = accs[i] * F1
-    for acc, (block, e) in zip(accs, guess):
-        if acc.degree() != sum(pieces[j][0].degree() * pieces[j][1] // e
-                               for j in block):
-            raise GuessInvalid("inconsistent block degree")
-    return accs
+            acc = acc * F1
+    if acc.degree() != sum(pieces[j][0].degree() * pieces[j][1] // e
+                           for j in block):
+        raise GuessInvalid("inconsistent block degree")
+    return acc
 
 
 def det_by_elimination(rows, ctx):
